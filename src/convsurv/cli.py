@@ -58,6 +58,7 @@ from .forest import (
     predict_median_batch as forest_median_batch,
     predict_forest_incidence,
     predict_forest_survival,
+    resolve_jobs,
 )
 from .generator import (
     GeneratorConfig,
@@ -160,13 +161,16 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _build_for_model(logs, target: str, model_kind: str, churn_window: int
-                     ) -> SurvivalDataset:
-    competing = churn_window > 0
-    if model_kind == "rsf-cr" and not competing:
+def _require_churn_labels(models, churn_window: int) -> None:
+    if "rsf-cr" in models and churn_window <= 0:
         raise ConfigError(
             "rsf-cr needs churn labels: set --churn-window > 0")
-    data = build_dataset(logs, TimeAxis(target), competing=competing,
+
+
+def _build_for_model(logs, target: str, model_kind: str, churn_window: int
+                     ) -> SurvivalDataset:
+    _require_churn_labels((model_kind,), churn_window)
+    data = build_dataset(logs, TimeAxis(target), competing=churn_window > 0,
                          churn_window=churn_window)
     if model_kind != "rsf-cr":
         data = data.recode_competing_as_censored()
@@ -286,6 +290,8 @@ def cmd_evaluate(args) -> int:
     for t in targets:
         if t not in _AXES:
             raise ConfigError(f"unknown target {t!r}")
+    _require_churn_labels(models, args.churn_window)
+    resolve_jobs(args.threads)  # a malformed CONVSURV_THREADS fails here, once
     logs = _load_filtered(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

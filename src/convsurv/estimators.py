@@ -51,38 +51,47 @@ class RiskTable:
             raise ValueError("events cannot exceed the number at risk")
 
 
+def event_counts(times: np.ndarray, status: np.ndarray, grid=None) -> tuple:
+    """Risk-set counts at the distinct event times (of any type).
+
+    Returns (event_times, at_risk, d_conv, d_churn, at_risk_grid), where
+    ``at_risk_grid`` counts subjects with observed time >= each point of
+    ``grid`` (None without a grid). The kernel behind ``risk_table`` and
+    the forests' leaf tables.
+    """
+    sorted_times = np.sort(times)
+    event_times = np.unique(times[status != int(EventStatus.CENSORED)])
+
+    def _at_risk(points: np.ndarray) -> np.ndarray:
+        return times.size - np.searchsorted(sorted_times, points, side="left")
+
+    def _events(code: EventStatus) -> np.ndarray:
+        idx = np.searchsorted(event_times, times[status == int(code)])
+        return np.bincount(idx, minlength=event_times.size)
+
+    return (event_times, _at_risk(event_times),
+            _events(EventStatus.CONVERTED), _events(EventStatus.CHURNED),
+            None if grid is None else _at_risk(grid))
+
+
 def risk_table(data: SurvivalDataset) -> RiskTable:
     """Count events, censorings and subjects at risk per distinct event time."""
     require_nonempty(data)
     times = data.times
     status = data.status_codes
-    sorted_times = np.sort(times)
-    event_mask = status != int(EventStatus.CENSORED)
-    event_times = np.unique(times[event_mask])
-    k = event_times.size
+    event_times, at_risk, d_conv, d_churn, _ = event_counts(times, status)
 
-    at_risk = times.size - np.searchsorted(sorted_times, event_times, side="left")
-
-    def _counts(mask: np.ndarray) -> np.ndarray:
-        if k == 0:
-            return np.zeros(0, dtype=int)
-        idx = np.searchsorted(event_times, times[mask])
-        return np.bincount(idx, minlength=k)
-
-    d_conv = _counts(status == int(EventStatus.CONVERTED))
-    d_churn = _counts(status == int(EventStatus.CHURNED))
-
-    cens_times = times[~event_mask]
+    cens_times = times[status == int(EventStatus.CENSORED)]
     cens_idx = np.searchsorted(event_times, cens_times, side="right")
-    censored = np.bincount(cens_idx, minlength=k + 1)
+    censored = np.bincount(cens_idx, minlength=event_times.size + 1)
 
     return RiskTable(
         event_times=event_times,
-        at_risk=at_risk.astype(int),
-        events=(d_conv + d_churn).astype(int),
-        events_converted=d_conv.astype(int),
-        events_churned=d_churn.astype(int),
-        censored=censored.astype(int),
+        at_risk=at_risk,
+        events=d_conv + d_churn,
+        events_converted=d_conv,
+        events_churned=d_churn,
+        censored=censored,
     )
 
 

@@ -38,7 +38,6 @@ from .core import (
     StepFunction,
     SurvivalDataset,
     TimeAxis,
-    median_crossing,
 )
 from .errors import (
     ConfigError,
@@ -50,6 +49,7 @@ from .errors import (
 )
 from .estimators import (
     cif_values_from_counts,
+    event_counts,
     km_values_from_counts,
     na_values_from_counts,
 )
@@ -98,14 +98,20 @@ class ForestConfig:
 
 @dataclass
 class Leaf:
-    """Node-local risk table: counts from the training records routed here."""
+    """Node-local risk table: counts from the training records routed here.
+
+    Fields follow the order of ``estimators.event_counts``' result.
+    """
 
     times: np.ndarray      # distinct event times (any type) in the leaf
     at_risk: np.ndarray
-    d_total: np.ndarray
     d_conv: np.ndarray
     d_churn: np.ndarray
     at_risk_grid: np.ndarray | None = None  # conditional kind: Q on model grid
+
+    @property
+    def d_total(self) -> np.ndarray:
+        return self.d_conv + self.d_churn
 
 
 @dataclass
@@ -265,29 +271,6 @@ def _two_sample_scan(x, a, any_event, min_events, cap):
 
 # --- tree growth --------------------------------------------------------
 
-def _make_leaf(times, status, grid=None) -> Leaf:
-    ev = status != int(EventStatus.CENSORED)
-    ets = np.unique(times[ev])
-    sorted_t = np.sort(times)
-    at_risk = times.size - np.searchsorted(sorted_t, ets, side="left")
-    k = ets.size
-    if k:
-        d_conv = np.bincount(
-            np.searchsorted(ets, times[status == int(EventStatus.CONVERTED)]),
-            minlength=k)
-        d_churn = np.bincount(
-            np.searchsorted(ets, times[status == int(EventStatus.CHURNED)]),
-            minlength=k)
-    else:
-        d_conv = np.zeros(0, dtype=int)
-        d_churn = np.zeros(0, dtype=int)
-    at_risk_grid = None
-    if grid is not None:
-        at_risk_grid = times.size - np.searchsorted(sorted_t, grid, side="left")
-    return Leaf(ets, at_risk.astype(int), (d_conv + d_churn).astype(int),
-                d_conv.astype(int), d_churn.astype(int), at_risk_grid)
-
-
 def _best_split_rsf(x_node, t_node, s_node, candidates, min_events, cap):
     cause = s_node == int(EventStatus.CONVERTED)
     any_ev = s_node != int(EventStatus.CENSORED)
@@ -363,7 +346,7 @@ def _grow_tree(xs, ts, ss, kind: ForestKind, cfg: ForestConfig, mtry: int,
                     cfg.min_node_events, cfg.max_candidates)
         if split is None:
             leaf_index[node_id] = len(leaves)
-            leaves.append(_make_leaf(t_node, s_node, leaf_grid))
+            leaves.append(Leaf(*event_counts(t_node, s_node, leaf_grid)))
             continue
         f, thr = split
         feature[node_id] = f
@@ -404,7 +387,11 @@ def _grow_from_payload(tree_idx: int) -> SurvivalTree:
 def resolve_jobs(n_jobs: int | None) -> int:
     """Worker count: explicit argument, capped by CONVSURV_THREADS."""
     env = os.environ.get("CONVSURV_THREADS")
-    cap = int(env) if env else None
+    try:
+        cap = int(env) if env else None
+    except ValueError:
+        raise ConfigError(
+            f"CONVSURV_THREADS must be an integer, got {env!r}") from None
     if n_jobs is None:
         n_jobs = cap if cap is not None else 1
     if cap is not None:
@@ -506,37 +493,34 @@ def _step_eval(knots, values, grid, left_value):
     return np.concatenate(([left_value], values))[idx]
 
 
+# curve name -> (leaf values at the leaf's knots, value before the first knot)
+_LEAF_CURVES = {
+    "cumhaz": (lambda lf: na_values_from_counts(lf.at_risk, lf.d_total), 0.0),
+    "survival": (lambda lf: km_values_from_counts(lf.at_risk, lf.d_total), 1.0),
+    "cif_conv": (lambda lf: cif_values_from_counts(lf.at_risk, lf.d_total,
+                                                   lf.d_conv), 0.0),
+    "cif_churn": (lambda lf: cif_values_from_counts(lf.at_risk, lf.d_total,
+                                                    lf.d_churn), 0.0),
+}
+
+
 def _leaf_curve_matrix(tree: SurvivalTree, grid: np.ndarray, curve: str) -> np.ndarray:
-    """(n_leaves, len(grid)) values of one named per-leaf curve."""
+    """(n_leaves, len(grid)) values of one named per-leaf curve.
+
+    ``"pooled"`` holds counts instead, (n_leaves, 2 * len(grid)): events at
+    each grid time, then subjects at risk there.
+    """
+    if curve == "pooled":
+        rows = np.zeros((len(tree.leaves), 2 * grid.size))
+        for i, leaf in enumerate(tree.leaves):
+            rows[i, np.searchsorted(grid, leaf.times)] = leaf.d_total
+            rows[i, grid.size:] = leaf.at_risk_grid
+        return rows
+    values, left_value = _LEAF_CURVES[curve]
     rows = np.empty((len(tree.leaves), grid.size))
     for i, leaf in enumerate(tree.leaves):
-        if curve == "cumhaz":
-            vals = na_values_from_counts(leaf.at_risk, leaf.d_total)
-            rows[i] = _step_eval(leaf.times, vals, grid, 0.0)
-        elif curve == "survival":
-            vals = km_values_from_counts(leaf.at_risk, leaf.d_total)
-            rows[i] = _step_eval(leaf.times, vals, grid, 1.0)
-        elif curve == "cif_conv":
-            vals = cif_values_from_counts(leaf.at_risk, leaf.d_total, leaf.d_conv)
-            rows[i] = _step_eval(leaf.times, vals, grid, 0.0)
-        elif curve == "cif_churn":
-            vals = cif_values_from_counts(leaf.at_risk, leaf.d_total, leaf.d_churn)
-            rows[i] = _step_eval(leaf.times, vals, grid, 0.0)
-        else:  # pragma: no cover
-            raise ValueError(curve)
+        rows[i] = _step_eval(leaf.times, values(leaf), grid, left_value)
     return rows
-
-
-def _pooled_count_matrices(tree: SurvivalTree, grid: np.ndarray):
-    """Per-leaf event counts and at-risk counts evaluated on the grid."""
-    d = np.zeros((len(tree.leaves), grid.size))
-    q = np.zeros((len(tree.leaves), grid.size))
-    for i, leaf in enumerate(tree.leaves):
-        if leaf.times.size:
-            pos = np.searchsorted(grid, leaf.times)
-            d[i, pos] = leaf.d_total
-        q[i] = leaf.at_risk_grid
-    return d, q
 
 
 def _check_x_matrix(model: ForestModel, x) -> np.ndarray:
@@ -548,36 +532,23 @@ def _check_x_matrix(model: ForestModel, x) -> np.ndarray:
     return x
 
 
+def _tree_sum(model: ForestModel, x, curve: str) -> np.ndarray:
+    """Per-subject sum over the trees, in tree order, of its leaf's curve."""
+    x = _check_x_matrix(model, x)
+    acc = 0.0  # becomes the n x width accumulator at the first tree
+    for tree in model.trees:
+        acc += _leaf_curve_matrix(tree, model.grid, curve)[_route(tree, x)]
+    return acc
+
+
 def predict_survival_matrix(model: ForestModel, x) -> np.ndarray:
     """Ensemble survival values, one row per subject, on ``model.grid``."""
-    x = _check_x_matrix(model, x)
-    n, g = x.shape[0], model.grid.size
     n_trees = len(model.trees)
     if model.kind == ForestKind.RSF:
-        acc = np.zeros((n, g))
-        for tree in model.trees:
-            assign = _route(tree, x)
-            acc += _leaf_curve_matrix(tree, model.grid, "cumhaz")[assign]
-        return np.exp(-acc / n_trees)
-    if model.kind == ForestKind.COMPETING:
-        acc = np.zeros((n, g))
-        for tree in model.trees:
-            assign = _route(tree, x)
-            acc += _leaf_curve_matrix(tree, model.grid, "survival")[assign]
-        return acc / n_trees
-    if model.config.aggregate == "mean":
-        acc = np.zeros((n, g))
-        for tree in model.trees:
-            assign = _route(tree, x)
-            acc += _leaf_curve_matrix(tree, model.grid, "survival")[assign]
-        return acc / n_trees
-    d_sum = np.zeros((n, g))
-    q_sum = np.zeros((n, g))
-    for tree in model.trees:
-        assign = _route(tree, x)
-        d, q = _pooled_count_matrices(tree, model.grid)
-        d_sum += d[assign]
-        q_sum += q[assign]
+        return np.exp(-_tree_sum(model, x, "cumhaz") / n_trees)
+    if model.kind == ForestKind.COMPETING or model.config.aggregate == "mean":
+        return _tree_sum(model, x, "survival") / n_trees
+    d_sum, q_sum = np.hsplit(_tree_sum(model, x, "pooled"), 2)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(q_sum > 0.0, d_sum / np.where(q_sum > 0, q_sum, 1.0), 0.0)
     return np.cumprod(1.0 - ratio, axis=1)
@@ -592,12 +563,7 @@ def predict_incidence_matrix(model: ForestModel, x, event: EventStatus) -> np.nd
     if event == EventStatus.CENSORED:
         raise InvalidEventError("incidence is defined for event types only")
     curve = "cif_conv" if event == EventStatus.CONVERTED else "cif_churn"
-    x = _check_x_matrix(model, x)
-    acc = np.zeros((x.shape[0], model.grid.size))
-    for tree in model.trees:
-        assign = _route(tree, x)
-        acc += _leaf_curve_matrix(tree, model.grid, curve)[assign]
-    return acc / len(model.trees)
+    return _tree_sum(model, x, curve) / len(model.trees)
 
 
 def predict_forest_survival(model: ForestModel, x) -> StepFunction:
@@ -614,12 +580,9 @@ def predict_forest_incidence(model: ForestModel, x, event: EventStatus) -> StepF
 
 
 def predict_forest_median(model: ForestModel, x) -> float | None:
-    """Median conversion time: 0.5-crossing of the survival curve, or of
-    the conversion incidence (upward) for competing-risks models."""
-    if model.kind == ForestKind.COMPETING:
-        return median_crossing(
-            predict_forest_incidence(model, x, EventStatus.CONVERTED), 0.5)
-    return median_crossing(predict_forest_survival(model, x), 0.5)
+    """Median conversion time of one subject; None where it never crosses."""
+    median = predict_median_batch(model, x)[0]
+    return None if np.isnan(median) else float(median)
 
 
 def predict_median_batch(model: ForestModel, x) -> np.ndarray:

@@ -49,19 +49,11 @@ class ModelFile:
     model: CoxFit | ForestModel
 
 
-def _floats(arr) -> list:
-    return [float(v) for v in np.asarray(arr, dtype=float)]
-
-
-def _ints(arr) -> list:
-    return [int(v) for v in np.asarray(arr)]
-
-
 def _cox_payload(fit: CoxFit) -> dict:
     return {
-        "beta": _floats(fit.beta),
-        "baseline_knots": _floats(fit.baseline_cum_hazard.knots),
-        "baseline_values": _floats(fit.baseline_cum_hazard.values),
+        "beta": np.asarray(fit.beta, dtype=float).tolist(),
+        "baseline_knots": np.asarray(fit.baseline_cum_hazard.knots, dtype=float).tolist(),
+        "baseline_values": np.asarray(fit.baseline_cum_hazard.values, dtype=float).tolist(),
         "convergence": dataclasses.asdict(fit.convergence),
     }
 
@@ -81,43 +73,41 @@ def _cox_from_payload(payload: dict, feature_names) -> CoxFit:
 
 def _tree_payload(tree: SurvivalTree) -> dict:
     return {
-        "feature": _ints(tree.feature),
-        "threshold": [None if f < 0 else float(t)
-                      for f, t in zip(tree.feature, tree.threshold)],
-        "left": _ints(tree.left),
-        "right": _ints(tree.right),
-        "leaf_index": _ints(tree.leaf_index),
+        "feature": tree.feature.tolist(),
+        "threshold": [None if f < 0 else t for f, t in
+                      zip(tree.feature.tolist(), tree.threshold.tolist())],
+        "left": tree.left.tolist(),
+        "right": tree.right.tolist(),
+        "leaf_index": tree.leaf_index.tolist(),
         "leaves": [
             {
-                "times": _floats(leaf.times),
-                "at_risk": _ints(leaf.at_risk),
-                "d_conv": _ints(leaf.d_conv),
-                "d_churn": _ints(leaf.d_churn),
+                "times": np.asarray(leaf.times, dtype=float).tolist(),
+                "at_risk": leaf.at_risk.tolist(),
+                "d_conv": leaf.d_conv.tolist(),
+                "d_churn": leaf.d_churn.tolist(),
                 "at_risk_grid": (None if leaf.at_risk_grid is None
-                                 else _ints(leaf.at_risk_grid)),
+                                 else leaf.at_risk_grid.tolist()),
             }
             for leaf in tree.leaves
         ],
     }
 
 
-def _tree_from_payload(payload: dict) -> SurvivalTree:
-    leaves = []
-    for lf in payload["leaves"]:
-        d_conv = np.array(lf["d_conv"], dtype=int)
-        d_churn = np.array(lf["d_churn"], dtype=int)
-        leaves.append(Leaf(
+def _tree_from_payload(payload: dict, n_features: int) -> SurvivalTree:
+    leaves = [
+        Leaf(
             times=np.array(lf["times"], dtype=float),
             at_risk=np.array(lf["at_risk"], dtype=int),
-            d_total=d_conv + d_churn,
-            d_conv=d_conv,
-            d_churn=d_churn,
+            d_conv=np.array(lf["d_conv"], dtype=int),
+            d_churn=np.array(lf["d_churn"], dtype=int),
             at_risk_grid=(None if lf["at_risk_grid"] is None
                           else np.array(lf["at_risk_grid"], dtype=int)),
-        ))
+        )
+        for lf in payload["leaves"]
+    ]
     threshold = np.array(
         [np.nan if t is None else t for t in payload["threshold"]], dtype=float)
-    return SurvivalTree(
+    tree = SurvivalTree(
         feature=np.array(payload["feature"], dtype=np.int32),
         threshold=threshold,
         left=np.array(payload["left"], dtype=np.int32),
@@ -125,12 +115,36 @@ def _tree_from_payload(payload: dict) -> SurvivalTree:
         leaf_index=np.array(payload["leaf_index"], dtype=np.int32),
         leaves=leaves,
     )
+    _check_tree(tree, n_features)
+    return tree
+
+
+def _check_tree(tree: SurvivalTree, n_features: int) -> None:
+    """Reject a tree that prediction could not route to a leaf.
+
+    Nodes are stored in preorder, so requiring every child id to lie
+    strictly between its parent's id and the node count proves the tree
+    acyclic as well as in range.
+    """
+    n = len(tree.feature)
+    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.leaf_index)
+    if n == 0 or any(a.shape != (n,) for a in arrays):
+        raise CompatibilityError("tree node arrays are empty or differ in length")
+    inner = np.nonzero(tree.feature >= 0)[0]
+    for child in (tree.left[inner], tree.right[inner]):
+        if np.any((child <= inner) | (child >= n)):
+            raise CompatibilityError("tree child ids break the preorder layout")
+    if np.any(tree.feature >= n_features):
+        raise CompatibilityError("tree splits on a feature the model lacks")
+    leaf_ids = tree.leaf_index[tree.feature < 0]
+    if np.any((leaf_ids < 0) | (leaf_ids >= len(tree.leaves))):
+        raise CompatibilityError("tree leaf_index lies outside its leaf list")
 
 
 def _forest_payload(model: ForestModel) -> dict:
     return {
         "config": dataclasses.asdict(model.config),
-        "grid": _floats(model.grid),
+        "grid": np.asarray(model.grid, dtype=float).tolist(),
         "trees": [_tree_payload(t) for t in model.trees],
     }
 
@@ -138,7 +152,8 @@ def _forest_payload(model: ForestModel) -> dict:
 def _forest_from_payload(payload: dict, kind: str, feature_names, axis) -> ForestModel:
     return ForestModel(
         kind=ForestKind(kind),
-        trees=tuple(_tree_from_payload(t) for t in payload["trees"]),
+        trees=tuple(_tree_from_payload(t, len(feature_names))
+                    for t in payload["trees"]),
         config=ForestConfig(**payload["config"]),
         feature_names=tuple(feature_names),
         axis=axis,
@@ -164,17 +179,27 @@ def save_model(path, model: CoxFit | ForestModel, *, axis: TimeAxis,
         "model": payload,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, separators=(",", ":"))
+        fh.write(json.dumps(doc, separators=(",", ":")))
         fh.write("\n")
 
 
 def load_model(path) -> ModelFile:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """Read a model file; a malformed one raises CompatibilityError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _model_file(json.load(fh))
+    except CompatibilityError as exc:
+        raise CompatibilityError(f"model file {path}: {exc}") from None
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise CompatibilityError(
+            f"model file {path} is malformed: {type(exc).__name__}: {exc}") from exc
+
+
+def _model_file(doc: dict) -> ModelFile:
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise CompatibilityError(
-            f"model file has format version {version!r}; this build reads "
+            f"format version {version!r}; this build reads "
             f"version {FORMAT_VERSION}")
     kind = doc["kind"]
     axis = TimeAxis(doc["axis"])

@@ -212,19 +212,15 @@ def filter_newcomers(logs: list[PlayerLog]) -> list[PlayerLog]:
     return [log for log in logs if len(log.rows) >= 2]
 
 
-_FULL_SPEC = None  # set below, after FeatureSpec exists
-
-
 def engineer_features(log: PlayerLog, cutoff: int,
-                      spec: FeatureSpec | None = None) -> np.ndarray:
+                      spec: FeatureSpec = FeatureSpec(features=FEATURE_NAMES)
+                      ) -> np.ndarray:
     """Static covariates from rows strictly before day ``cutoff``.
 
     Defaults to the full aggregation set; pass a FeatureSpec to select.
     With no pre-cutoff activity the vector defaults to zeros with level 1.
     Std features use the n < 2 convention of 0.
     """
-    if spec is None:
-        spec = _FULL_SPEC
     rows = [r for r in log.rows if r.day_index < cutoff]
     values = dict.fromkeys(FEATURE_NAMES, 0.0)
     values["current_level"] = 1.0
@@ -297,6 +293,3 @@ def build_dataset(logs: list[PlayerLog], axis: TimeAxis, competing: bool = False
         records.append(SurvivalRecord(
             log.player_id, time, status, tuple(covariates)))
     return SurvivalDataset(tuple(records), spec.features, axis, competing)
-
-
-_FULL_SPEC = FeatureSpec(features=FEATURE_NAMES)

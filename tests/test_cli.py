@@ -2,6 +2,7 @@
 
 import csv
 import json
+import signal
 
 import numpy as np
 import pytest
@@ -288,3 +289,79 @@ class TestErrorHandling:
         payload = json.loads(err)
         assert payload["exit_code"] == 1
         assert payload["error"] == "ConfigError"
+
+    def test_malformed_threads_env_is_config_error(self, data_dir, tmp_path,
+                                                   monkeypatch, capsys):
+        monkeypatch.setenv("CONVSURV_THREADS", "abc")
+        rc = main(["train", "--data", str(data_dir / "logs.csv"),
+                   "--model", "rsf", "--target", "lifetime",
+                   "--trees", "2", "--seed", "1", "--out", str(tmp_path / "m.json")])
+        assert rc == 1
+        rc = main(["evaluate", "--data", str(data_dir / "logs.csv"),
+                   "--targets", "lifetime", "--trees", "2", "--seed", "1",
+                   "--out", str(tmp_path / "ev")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("CONVSURV_THREADS") == 2
+
+    def test_evaluate_rsf_cr_without_churn_window_names_flag(self, data_dir, tmp_path,
+                                                            capsys):
+        rc = main(["evaluate", "--data", str(data_dir / "logs.csv"),
+                   "--churn-window", "0", "--trees", "2", "--seed", "1",
+                   "--out", str(tmp_path / "ev")])
+        assert rc == 1
+        assert "--churn-window" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()  # rejected before any fitting
+
+
+class _StillRunning(BaseException):
+    """Raised by the alarm so that ``main`` cannot report it as an error."""
+
+
+def main_within(argv, seconds=30):
+    def alarm(signum, frame):
+        raise _StillRunning(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.alarm(seconds)
+    try:
+        return main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def corrupt_model(doc, corruption):
+    tree = next(t for t in doc["model"]["trees"] if t["feature"][0] >= 0)
+    if corruption == "cycle":
+        tree["left"][0] = 0
+    elif corruption == "child-out-of-range":
+        tree["right"][0] = len(tree["feature"]) + 5
+    elif corruption == "bad-leaf-index":
+        tree["leaf_index"][tree["feature"].index(-1)] = len(tree["leaves"])
+    elif corruption == "bad-feature":
+        tree["feature"][0] = len(doc["feature_names"])
+    elif corruption == "short-node-array":
+        tree["leaf_index"].pop()
+    elif corruption == "missing-key":
+        del tree["leaves"]
+
+
+class TestModelFileCorruption:
+    @pytest.mark.parametrize("corruption", [
+        "cycle", "child-out-of-range", "bad-leaf-index", "bad-feature",
+        "short-node-array", "missing-key", "not-json",
+    ])
+    def test_corrupt_model_file_is_data_error(self, corruption, data_dir, rsf_model,
+                                              tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        if corruption == "not-json":
+            bad.write_text(rsf_model.read_text()[:200])
+        else:
+            doc = json.loads(rsf_model.read_text())
+            corrupt_model(doc, corruption)
+            bad.write_text(json.dumps(doc))
+        rc = main_within(["predict", "--model", str(bad),
+                          "--data", str(data_dir / "logs.csv"),
+                          "--out", str(tmp_path / "p.csv")])
+        assert rc == 2
+        assert f"model file {bad}" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from convsurv.core import EventStatus
+from convsurv.core import EventStatus, TimeAxis
 from convsurv.errors import (
     ConfigError,
     DegenerateFitError,
@@ -16,6 +16,9 @@ from convsurv.estimators import aalen_johansen, kaplan_meier, nelson_aalen
 from convsurv.forest import (
     ForestConfig,
     ForestKind,
+    ForestModel,
+    Leaf,
+    SurvivalTree,
     _leaf_curve_matrix,
     _route,
     fit_conditional_ensemble,
@@ -377,36 +380,46 @@ class TestPrediction:
         assert np.all(np.diff(meds) <= 1e-9)
 
 
+def handmade_stump(at_risk, d_conv, d_churn=(0, 0)):
+    """One-leaf tree whose leaf has events at times 1 and 2."""
+    leaf = Leaf(times=np.array([1.0, 2.0]),
+                at_risk=np.array(at_risk),
+                d_conv=np.array(d_conv),
+                d_churn=np.array(d_churn))
+    return SurvivalTree(
+        feature=np.array([-1], dtype=np.int32),
+        threshold=np.array([np.nan]),
+        left=np.array([-1], dtype=np.int32),
+        right=np.array([-1], dtype=np.int32),
+        leaf_index=np.array([0], dtype=np.int32),
+        leaves=[leaf])
+
+
+def handmade_model(kind, *trees):
+    return ForestModel(kind=kind, trees=trees,
+                       config=ForestConfig(n_trees=len(trees), seed=0),
+                       feature_names=("f0",), axis=TimeAxis.LIFETIME,
+                       grid=np.array([1.0, 2.0]))
+
+
 class TestHandmadeEnsemble:
     def test_two_tree_hazard_average_by_hand(self):
         """Leaf hazards 0.2t and 0.4t at integer knots: S(1) = exp(-0.3)."""
-        import numpy as np
-        from convsurv.core import TimeAxis
-        from convsurv.forest import ForestModel, Leaf, SurvivalTree
-
-        def stump(at_risk, events):
-            leaf = Leaf(times=np.array([1.0, 2.0]),
-                        at_risk=np.array(at_risk),
-                        d_total=np.array(events),
-                        d_conv=np.array(events),
-                        d_churn=np.zeros(2, dtype=int))
-            return SurvivalTree(
-                feature=np.array([-1], dtype=np.int32),
-                threshold=np.array([np.nan]),
-                left=np.array([-1], dtype=np.int32),
-                right=np.array([-1], dtype=np.int32),
-                leaf_index=np.array([0], dtype=np.int32),
-                leaves=[leaf])
-
-        slow = stump([10, 5], [2, 1])   # hazard increments 0.2, 0.2
-        fast = stump([10, 5], [4, 2])   # hazard increments 0.4, 0.4
-        model = ForestModel(kind=ForestKind.RSF, trees=(slow, fast),
-                            config=ForestConfig(n_trees=2, seed=0),
-                            feature_names=("f0",), axis=TimeAxis.LIFETIME,
-                            grid=np.array([1.0, 2.0]))
+        slow = handmade_stump([10, 5], [2, 1])   # hazard increments 0.2, 0.2
+        fast = handmade_stump([10, 5], [4, 2])   # hazard increments 0.4, 0.4
+        model = handmade_model(ForestKind.RSF, slow, fast)
         s = predict_forest_survival(model, np.zeros(1))
         assert s(1.0) == pytest.approx(np.exp(-0.3), rel=1e-12)
         assert s(2.0) == pytest.approx(np.exp(-0.6), rel=1e-12)
+
+    def test_competing_median_absent_without_conversions(self):
+        """A leaf with churn but no conversion events has a flat zero
+        conversion incidence: no median, in the scalar and the batch."""
+        model = handmade_model(ForestKind.COMPETING,
+                               handmade_stump([10, 5], [0, 0], [2, 1]))
+        assert np.all(predict_incidence_matrix(model, np.zeros((1, 1)), CONV) == 0.0)
+        assert np.isnan(predict_median_batch(model, np.zeros((1, 1)))[0])
+        assert predict_forest_median(model, np.zeros(1)) is None
 
 
 class TestParallelism:
