@@ -98,19 +98,20 @@ def risk_table(data: SurvivalDataset) -> RiskTable:
 # --- count kernels -----------------------------------------------------
 # Shared by the pooled estimators here and by the per-leaf estimators in
 # the forest models, which apply the same formulas to node-local counts.
+# Each runs along the last axis, so a matrix holds one count table per row.
 
 def km_values_from_counts(at_risk: np.ndarray, events: np.ndarray) -> np.ndarray:
     """Product-limit survival values S(t_k) = prod(1 - d/Q)."""
     if len(at_risk) == 0:
         return np.zeros(0)
-    return np.cumprod(1.0 - events / at_risk)
+    return np.cumprod(1.0 - events / at_risk, axis=-1)
 
 
 def na_values_from_counts(at_risk: np.ndarray, events: np.ndarray) -> np.ndarray:
     """Cumulative-hazard values H(t_k) = sum(d/Q)."""
     if len(at_risk) == 0:
         return np.zeros(0)
-    return np.cumsum(events / at_risk)
+    return np.cumsum(events / at_risk, axis=-1)
 
 
 def cif_values_from_counts(at_risk: np.ndarray, events_total: np.ndarray,
@@ -123,8 +124,9 @@ def cif_values_from_counts(at_risk: np.ndarray, events_total: np.ndarray,
     if len(at_risk) == 0:
         return np.zeros(0)
     surv = km_values_from_counts(at_risk, events_total)
-    surv_lag = np.concatenate(([1.0], surv[:-1]))
-    return np.cumsum(surv_lag * events_cause / at_risk)
+    surv_lag = np.ones_like(surv)
+    surv_lag[..., 1:] = surv[..., :-1]
+    return np.cumsum(surv_lag * events_cause / at_risk, axis=-1)
 
 
 # --- estimators --------------------------------------------------------

@@ -472,6 +472,28 @@ def fit_rsf_competing(data: SurvivalDataset, cfg: ForestConfig,
 
 
 # --- prediction ---------------------------------------------------------
+#
+# Leaf curves are held as knot tables (_knot_table): the size of the leaf
+# counts they come from, not n_leaves x grid. Medians bisect the grid
+# against them one row chunk at a time.
+
+_CHUNK_BYTES = 1 << 25  # one row chunk x grid float64 block
+# Medians on shorter grids scan whole curves: there, gathering every grid
+# point of a row chunk costs less than log2(grid) knot-table searches
+# (measured crossover near 400 points, 60 trees, 15k rows).
+_BISECT_MIN_GRID = 400
+
+
+def _row_chunks(n: int, width: int) -> list[slice]:
+    """Row slices whose chunk x ``width`` float64 block fits _CHUNK_BYTES."""
+    step = max(1, _CHUNK_BYTES // (8 * max(width, 1)))
+    return [slice(start, start + step) for start in range(0, n, step)]
+
+
+def _curve_width(grid: np.ndarray, curve: str) -> int:
+    """Columns of one leaf's row of a dense table of ``curve``."""
+    return grid.size * (2 if curve == "pooled" else 1)
+
 
 def _route(tree: SurvivalTree, x: np.ndarray) -> np.ndarray:
     """Leaf index (into tree.leaves) for every row of ``x``."""
@@ -488,39 +510,88 @@ def _route(tree: SurvivalTree, x: np.ndarray) -> np.ndarray:
     return tree.leaf_index[cur]
 
 
-def _step_eval(knots, values, grid, left_value):
-    idx = np.searchsorted(knots, grid, side="right")
-    return np.concatenate(([left_value], values))[idx]
+def _leaf_counts(tree: SurvivalTree, grid: np.ndarray) -> tuple:
+    """Every leaf's counts as one row each, padded to the longest leaf.
+
+    Returns (present, ranks, at_risk, d_conv, d_churn). ``present`` marks
+    real knots and ``ranks`` holds their positions on ``grid`` (the first
+    grid point at or after the knot). Padding is an eventless risk set of
+    one, which leaves every count kernel's running sum or product as it is.
+    """
+    leaves = tree.leaves
+    sizes = np.array([leaf.times.size for leaf in leaves])
+    present = np.arange(sizes.max()) < sizes[:, None]
+
+    def rows(values: np.ndarray, fill: int) -> np.ndarray:
+        out = np.full(present.shape, fill, dtype=values.dtype)
+        out[present] = values
+        return out
+
+    ranks = np.searchsorted(grid, np.concatenate([lf.times for lf in leaves]))
+    return (present, rows(ranks, 0),
+            rows(np.concatenate([lf.at_risk for lf in leaves]), 1),
+            rows(np.concatenate([lf.d_conv for lf in leaves]), 0),
+            rows(np.concatenate([lf.d_churn for lf in leaves]), 0))
 
 
-# curve name -> (leaf values at the leaf's knots, value before the first knot)
+# curve name -> (values at the knots from leaf count rows, value before the
+# first knot)
 _LEAF_CURVES = {
-    "cumhaz": (lambda lf: na_values_from_counts(lf.at_risk, lf.d_total), 0.0),
-    "survival": (lambda lf: km_values_from_counts(lf.at_risk, lf.d_total), 1.0),
-    "cif_conv": (lambda lf: cif_values_from_counts(lf.at_risk, lf.d_total,
-                                                   lf.d_conv), 0.0),
-    "cif_churn": (lambda lf: cif_values_from_counts(lf.at_risk, lf.d_total,
-                                                    lf.d_churn), 0.0),
+    "cumhaz": (lambda q, dc, dh: na_values_from_counts(q, dc + dh), 0.0),
+    "survival": (lambda q, dc, dh: km_values_from_counts(q, dc + dh), 1.0),
+    "cif_conv": (lambda q, dc, dh: cif_values_from_counts(q, dc + dh, dc), 0.0),
+    "cif_churn": (lambda q, dc, dh: cif_values_from_counts(q, dc + dh, dh), 0.0),
 }
+
+
+def _leaf_keys(leaf: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Knot-table key of grid index 0 in each ``leaf``; index g adds g."""
+    return (grid.size + 2) * np.asarray(leaf, dtype=np.int64)
+
+
+def _knot_table(tree: SurvivalTree, grid: np.ndarray, curve: str) -> tuple:
+    """One named curve of every leaf of ``tree``, as (keys, values).
+
+    Leaf l contributes its value before the first knot under key
+    _leaf_keys(l) - 1, then its value at each knot under _leaf_keys(l) +
+    the knot's grid rank. Leaf l's value at grid index g is thus the last
+    entry keyed <= _leaf_keys(l) + g (see _knot_lookup).
+    """
+    present, ranks, at_risk, d_conv, d_churn = _leaf_counts(tree, grid)
+    values_at_knots, left_value = _LEAF_CURVES[curve]
+    n_leaves = present.shape[0]
+    keys = (np.hstack([np.full((n_leaves, 1), -1), ranks])
+            + _leaf_keys(np.arange(n_leaves), grid)[:, None])
+    values = np.hstack([np.full((n_leaves, 1), left_value),
+                        values_at_knots(at_risk, d_conv, d_churn)])
+    entries = np.hstack([np.ones((n_leaves, 1), dtype=bool), present])
+    # the leading placeholder lets the count of keys <= a query index the
+    # last of them
+    return keys[entries], np.concatenate(([np.nan], values[entries]))
+
+
+def _knot_lookup(table: tuple, queries: np.ndarray) -> np.ndarray:
+    """Knot-table values at keys _leaf_keys(leaf) + grid index."""
+    keys, values = table
+    return values[np.searchsorted(keys, queries, side="right")]
 
 
 def _leaf_curve_matrix(tree: SurvivalTree, grid: np.ndarray, curve: str) -> np.ndarray:
     """(n_leaves, len(grid)) values of one named per-leaf curve.
 
-    ``"pooled"`` holds counts instead, (n_leaves, 2 * len(grid)): events at
-    each grid time, then subjects at risk there.
+    The dense expansion of the curve's knot table. ``"pooled"`` holds
+    counts instead, (n_leaves, 2 * len(grid)): events at each grid time,
+    then subjects at risk there.
     """
     if curve == "pooled":
-        rows = np.zeros((len(tree.leaves), 2 * grid.size))
-        for i, leaf in enumerate(tree.leaves):
-            rows[i, np.searchsorted(grid, leaf.times)] = leaf.d_total
-            rows[i, grid.size:] = leaf.at_risk_grid
+        present, ranks, _, d_conv, d_churn = _leaf_counts(tree, grid)
+        rows = np.zeros((present.shape[0], 2 * grid.size))
+        rows[np.nonzero(present)[0], ranks[present]] = (d_conv + d_churn)[present]
+        rows[:, grid.size:] = [leaf.at_risk_grid for leaf in tree.leaves]
         return rows
-    values, left_value = _LEAF_CURVES[curve]
-    rows = np.empty((len(tree.leaves), grid.size))
-    for i, leaf in enumerate(tree.leaves):
-        rows[i] = _step_eval(leaf.times, values(leaf), grid, left_value)
-    return rows
+    queries = (_leaf_keys(np.arange(len(tree.leaves)), grid)[:, None]
+               + np.arange(grid.size))
+    return _knot_lookup(_knot_table(tree, grid, curve), queries)
 
 
 def _check_x_matrix(model: ForestModel, x) -> np.ndarray:
@@ -533,25 +604,43 @@ def _check_x_matrix(model: ForestModel, x) -> np.ndarray:
 
 
 def _tree_sum(model: ForestModel, x, curve: str) -> np.ndarray:
-    """Per-subject sum over the trees, in tree order, of its leaf's curve."""
+    """Per-subject sum over the trees, in tree order, of its leaf's curve.
+
+    Leaf tables are gathered one row chunk at a time, so the only
+    temporary beside the result is one chunk wide.
+    """
     x = _check_x_matrix(model, x)
-    acc = 0.0  # becomes the n x width accumulator at the first tree
+    width = _curve_width(model.grid, curve)
+    acc = np.zeros((x.shape[0], width))
     for tree in model.trees:
-        acc += _leaf_curve_matrix(tree, model.grid, curve)[_route(tree, x)]
+        table = _leaf_curve_matrix(tree, model.grid, curve)
+        leaf = _route(tree, x)
+        for rows in _row_chunks(x.shape[0], width):
+            acc[rows] += table[leaf[rows]]
     return acc
+
+
+def _pooled_survival(acc: np.ndarray) -> np.ndarray:
+    d_sum, q_sum = np.hsplit(acc, 2)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.where(q_sum > 0.0, d_sum / np.where(q_sum > 0, q_sum, 1.0), 0.0)
+    return np.cumprod(1.0 - ratio, axis=1)
+
+
+def _survival_terms(model: ForestModel) -> tuple:
+    """(leaf curve, map from its tree sum to the ensemble survival)."""
+    n_trees = len(model.trees)
+    if model.kind == ForestKind.RSF:
+        return "cumhaz", lambda acc: np.exp(-acc / n_trees)
+    if model.kind == ForestKind.COMPETING or model.config.aggregate == "mean":
+        return "survival", lambda acc: acc / n_trees
+    return "pooled", _pooled_survival
 
 
 def predict_survival_matrix(model: ForestModel, x) -> np.ndarray:
     """Ensemble survival values, one row per subject, on ``model.grid``."""
-    n_trees = len(model.trees)
-    if model.kind == ForestKind.RSF:
-        return np.exp(-_tree_sum(model, x, "cumhaz") / n_trees)
-    if model.kind == ForestKind.COMPETING or model.config.aggregate == "mean":
-        return _tree_sum(model, x, "survival") / n_trees
-    d_sum, q_sum = np.hsplit(_tree_sum(model, x, "pooled"), 2)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(q_sum > 0.0, d_sum / np.where(q_sum > 0, q_sum, 1.0), 0.0)
-    return np.cumprod(1.0 - ratio, axis=1)
+    curve, survival = _survival_terms(model)
+    return survival(_tree_sum(model, x, curve))
 
 
 def predict_incidence_matrix(model: ForestModel, x, event: EventStatus) -> np.ndarray:
@@ -585,18 +674,69 @@ def predict_forest_median(model: ForestModel, x) -> float | None:
     return None if np.isnan(median) else float(median)
 
 
-def predict_median_batch(model: ForestModel, x) -> np.ndarray:
-    """Vectorized medians; NaN where the curve never crosses 0.5."""
-    x = _check_x_matrix(model, x)
+def _median_terms(model: ForestModel) -> tuple:
+    """(leaf curve, test on its tree sum that the median is reached)."""
     if model.kind == ForestKind.COMPETING:
-        values = predict_incidence_matrix(model, x, EventStatus.CONVERTED)
-        crossed = values >= 0.5
-    else:
-        values = predict_survival_matrix(model, x)
-        crossed = values <= 0.5
+        n_trees = len(model.trees)
+        return "cif_conv", lambda acc: acc / n_trees >= 0.5
+    curve, survival = _survival_terms(model)
+    return curve, lambda acc: survival(acc) <= 0.5
+
+
+def _bisect_crossing(model: ForestModel, x: np.ndarray, curve: str,
+                     crossed) -> np.ndarray:
+    """First grid index where ``crossed`` holds, len(grid) where it never does.
+
+    Leaf curves are monotone and rounded addition is monotone, so the
+    tree-order sum at each grid index is monotone too: bisecting it finds
+    the crossing a scan of the whole curve finds. Each row chunk is routed
+    through every tree once.
+    """
+    n_grid = model.grid.size
+    tables = [_knot_table(tree, model.grid, curve) for tree in model.trees]
+    first = np.empty(x.shape[0], dtype=np.int64)
+    for rows in _row_chunks(x.shape[0], n_grid):
+        xs = x[rows]
+        leaf_keys = [_leaf_keys(_route(tree, xs), model.grid)
+                     for tree in model.trees]
+        lo = np.zeros(xs.shape[0], dtype=np.int64)
+        hi = np.full(xs.shape[0], n_grid)
+        for _ in range(n_grid.bit_length()):
+            # once lo == hi, mid re-tests a settled answer; the clamp keeps
+            # rows that never cross inside the grid
+            mid = np.minimum((lo + hi) // 2, n_grid - 1)
+            acc = np.zeros(xs.shape[0])
+            for table, keys in zip(tables, leaf_keys):
+                acc += _knot_lookup(table, keys + mid)
+            hit = crossed(acc)
+            hi = np.where(hit, mid, hi)
+            lo = np.where(hit, lo, mid + 1)
+        first[rows] = lo
+    return first
+
+
+def predict_median_batch(model: ForestModel, x) -> np.ndarray:
+    """Vectorized medians; NaN where the curve never crosses 0.5.
+
+    Mean-aggregated kinds on grids of _BISECT_MIN_GRID points or more
+    bisect the grid one row chunk at a time, so memory is the model's knot
+    tables plus one chunk. Otherwise the curve is computed and scanned per
+    row chunk: pooled survival is a running product over the grid, and
+    short grids scan faster than they bisect.
+    """
+    x = _check_x_matrix(model, x)
     out = np.full(x.shape[0], np.nan)
-    if model.grid.size:
-        any_cross = crossed.any(axis=1)
-        first = np.argmax(crossed, axis=1)
-        out[any_cross] = model.grid[first[any_cross]]
+    n_grid = model.grid.size
+    if not n_grid:
+        return out
+    curve, crossed = _median_terms(model)
+    if curve != "pooled" and n_grid >= _BISECT_MIN_GRID:
+        first = _bisect_crossing(model, x, curve, crossed)
+    else:
+        first = np.empty(x.shape[0], dtype=np.int64)
+        for rows in _row_chunks(x.shape[0], _curve_width(model.grid, curve)):
+            hit = crossed(_tree_sum(model, x[rows], curve))
+            first[rows] = np.where(hit.any(axis=1), np.argmax(hit, axis=1), n_grid)
+    found = first < n_grid
+    out[found] = model.grid[first[found]]
     return out

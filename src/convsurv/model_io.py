@@ -93,7 +93,8 @@ def _tree_payload(tree: SurvivalTree) -> dict:
     }
 
 
-def _tree_from_payload(payload: dict, n_features: int) -> SurvivalTree:
+def _tree_from_payload(payload: dict, n_features: int, grid_size: int,
+                       conditional: bool) -> SurvivalTree:
     leaves = [
         Leaf(
             times=np.array(lf["times"], dtype=float),
@@ -116,6 +117,7 @@ def _tree_from_payload(payload: dict, n_features: int) -> SurvivalTree:
         leaves=leaves,
     )
     _check_tree(tree, n_features)
+    _check_leaves(leaves, grid_size, conditional)
     return tree
 
 
@@ -141,6 +143,37 @@ def _check_tree(tree: SurvivalTree, n_features: int) -> None:
         raise CompatibilityError("tree leaf_index lies outside its leaf list")
 
 
+def _check_leaves(leaves: list[Leaf], grid_size: int, conditional: bool) -> None:
+    """Reject leaf risk tables that are not counts of a risk set.
+
+    Valid counts give monotone leaf curves, which median prediction
+    relies on when it bisects the grid.
+    """
+    for leaf in leaves:
+        n = leaf.times.shape
+        if len(n) != 1 or any(a.shape != n for a in
+                              (leaf.at_risk, leaf.d_conv, leaf.d_churn)):
+            raise CompatibilityError("leaf count arrays differ in length")
+        if (leaf.at_risk_grid is not None) != conditional:
+            raise CompatibilityError(
+                "at_risk_grid must be present exactly in cif leaves")
+        if conditional and leaf.at_risk_grid.shape != (grid_size,):
+            raise CompatibilityError("leaf at_risk_grid does not match the grid")
+    times, at_risk, d_conv, d_churn = (
+        np.concatenate([getattr(lf, f) for lf in leaves])
+        for f in ("times", "at_risk", "d_conv", "d_churn"))
+    owner = np.repeat(np.arange(len(leaves)), [lf.times.size for lf in leaves])
+    same_leaf = owner[1:] == owner[:-1]
+    if (not np.all(np.isfinite(times))
+            or np.any(same_leaf & ~(np.diff(times) > 0))):
+        raise CompatibilityError("leaf times are not strictly increasing")
+    if np.any(at_risk <= 0) or np.any(same_leaf & (np.diff(at_risk) > 0)):
+        raise CompatibilityError("leaf at_risk is not positive and non-increasing")
+    if np.any((d_conv < 0) | (d_churn < 0) | (d_conv + d_churn > at_risk)):
+        raise CompatibilityError(
+            "leaf event counts are negative or exceed the number at risk")
+
+
 def _forest_payload(model: ForestModel) -> dict:
     return {
         "config": dataclasses.asdict(model.config),
@@ -150,14 +183,20 @@ def _forest_payload(model: ForestModel) -> dict:
 
 
 def _forest_from_payload(payload: dict, kind: str, feature_names, axis) -> ForestModel:
+    grid = np.array(payload["grid"], dtype=float)
+    if grid.ndim != 1 or np.any(~(np.diff(grid) > 0)):
+        raise CompatibilityError("model grid is not strictly increasing")
+    kind = ForestKind(kind)
+    conditional = kind == ForestKind.CONDITIONAL
     return ForestModel(
-        kind=ForestKind(kind),
-        trees=tuple(_tree_from_payload(t, len(feature_names))
+        kind=kind,
+        trees=tuple(_tree_from_payload(t, len(feature_names), grid.size,
+                                       conditional)
                     for t in payload["trees"]),
         config=ForestConfig(**payload["config"]),
         feature_names=tuple(feature_names),
         axis=axis,
-        grid=np.array(payload["grid"], dtype=float),
+        grid=grid,
     )
 
 

@@ -331,7 +331,9 @@ def main_within(argv, seconds=30):
 
 
 def corrupt_model(doc, corruption):
-    tree = next(t for t in doc["model"]["trees"] if t["feature"][0] >= 0)
+    trees = doc["model"]["trees"]
+    tree = next((t for t in trees if t["feature"][0] >= 0), trees[0])
+    leaf = next(lf for lf in tree["leaves"] if lf["times"])
     if corruption == "cycle":
         tree["left"][0] = 0
     elif corruption == "child-out-of-range":
@@ -344,6 +346,38 @@ def corrupt_model(doc, corruption):
         tree["leaf_index"].pop()
     elif corruption == "missing-key":
         del tree["leaves"]
+    elif corruption == "null-at-risk-grid":
+        leaf["at_risk_grid"] = None
+    elif corruption == "reversed-grid":
+        doc["model"]["grid"].reverse()
+    elif corruption == "d-conv-over-at-risk":
+        leaf["d_conv"][0] = leaf["at_risk"][0] + 1
+
+
+@pytest.fixture(scope="module")
+def cif_model(data_dir, tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "cif.json"
+    rc = main(["train", "--data", str(data_dir / "logs.csv"),
+               "--model", "cif", "--target", "lifetime",
+               "--trees", "5", "--min-node-events", "10",
+               "--seed", "5", "--out", str(path)])
+    assert rc == 0
+    return path
+
+
+def assert_predict_rejects(model_path, corruption, data_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    if corruption == "not-json":
+        bad.write_text(model_path.read_text()[:200])
+    else:
+        doc = json.loads(model_path.read_text())
+        corrupt_model(doc, corruption)
+        bad.write_text(json.dumps(doc))
+    rc = main_within(["predict", "--model", str(bad),
+                      "--data", str(data_dir / "logs.csv"),
+                      "--out", str(tmp_path / "p.csv")])
+    assert rc == 2
+    assert f"model file {bad}" in capsys.readouterr().err
 
 
 class TestModelFileCorruption:
@@ -353,15 +387,11 @@ class TestModelFileCorruption:
     ])
     def test_corrupt_model_file_is_data_error(self, corruption, data_dir, rsf_model,
                                               tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        if corruption == "not-json":
-            bad.write_text(rsf_model.read_text()[:200])
-        else:
-            doc = json.loads(rsf_model.read_text())
-            corrupt_model(doc, corruption)
-            bad.write_text(json.dumps(doc))
-        rc = main_within(["predict", "--model", str(bad),
-                          "--data", str(data_dir / "logs.csv"),
-                          "--out", str(tmp_path / "p.csv")])
-        assert rc == 2
-        assert f"model file {bad}" in capsys.readouterr().err
+        assert_predict_rejects(rsf_model, corruption, data_dir, tmp_path, capsys)
+
+    @pytest.mark.parametrize("corruption", [
+        "null-at-risk-grid", "reversed-grid", "d-conv-over-at-risk",
+    ])
+    def test_corrupt_cif_leaves_are_data_errors(self, corruption, data_dir,
+                                                cif_model, tmp_path, capsys):
+        assert_predict_rejects(cif_model, corruption, data_dir, tmp_path, capsys)

@@ -1,9 +1,15 @@
 """Tree ensembles: splitting behavior, aggregation identities, determinism."""
 
+import functools
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from convsurv import forest
 from convsurv.core import EventStatus, TimeAxis
 from convsurv.errors import (
     ConfigError,
@@ -381,11 +387,13 @@ class TestPrediction:
 
 
 def handmade_stump(at_risk, d_conv, d_churn=(0, 0)):
-    """One-leaf tree whose leaf has events at times 1 and 2."""
+    """One-leaf tree whose leaf has events at times 1 and 2, the grid of
+    ``handmade_model``, so its at-risk counts on the grid are ``at_risk``."""
     leaf = Leaf(times=np.array([1.0, 2.0]),
                 at_risk=np.array(at_risk),
                 d_conv=np.array(d_conv),
-                d_churn=np.array(d_churn))
+                d_churn=np.array(d_churn),
+                at_risk_grid=np.array(at_risk))
     return SurvivalTree(
         feature=np.array([-1], dtype=np.int32),
         threshold=np.array([np.nan]),
@@ -395,9 +403,10 @@ def handmade_stump(at_risk, d_conv, d_churn=(0, 0)):
         leaves=[leaf])
 
 
-def handmade_model(kind, *trees):
+def handmade_model(kind, *trees, aggregate="pooled"):
     return ForestModel(kind=kind, trees=trees,
-                       config=ForestConfig(n_trees=len(trees), seed=0),
+                       config=ForestConfig(n_trees=len(trees), seed=0,
+                                           aggregate=aggregate),
                        feature_names=("f0",), axis=TimeAxis.LIFETIME,
                        grid=np.array([1.0, 2.0]))
 
@@ -420,6 +429,117 @@ class TestHandmadeEnsemble:
         assert np.all(predict_incidence_matrix(model, np.zeros((1, 1)), CONV) == 0.0)
         assert np.isnan(predict_median_batch(model, np.zeros((1, 1)))[0])
         assert predict_forest_median(model, np.zeros(1)) is None
+
+
+def scan_medians(model, x):
+    """Oracle: the first grid point where the full predicted curve crosses."""
+    if model.kind == ForestKind.COMPETING:
+        crossed = predict_incidence_matrix(model, x, CONV) >= 0.5
+    else:
+        crossed = predict_survival_matrix(model, x) <= 0.5
+    out = np.full(len(x), np.nan)
+    for i, row in enumerate(crossed):
+        hits = np.nonzero(row)[0]
+        if hits.size:
+            out[i] = model.grid[hits[0]]
+    return out
+
+
+def censored_region_dataset(rng, competing, n=400):
+    """Events are fast for large x0; for x0 < -0.5 they are so slow that
+    censoring hides most of them, and rows there never reach a median."""
+    x = rng.standard_normal((n, 3))
+    scale = np.where(x[:, 0] < -0.5, 200.0, np.exp(1.0 - x[:, 0]))
+    t_event = rng.exponential(scale, n)
+    c = rng.exponential(12.0, n)
+    times = np.round(np.minimum(t_event, c), 2) + 0.01
+    statuses = np.where(t_event <= c, CONV, CENS)
+    if competing:
+        statuses = np.where((statuses == CONV) & (rng.random(n) < 0.3),
+                            CHURN, statuses)
+    return make_dataset(times, statuses, x, competing=competing)
+
+
+@functools.cache
+def median_models():
+    """Fitted forests of every kind plus handmade stumps whose ensemble
+    curve lands exactly on 0.5 at the first grid time."""
+    rng = np.random.default_rng(99)
+    single = censored_region_dataset(rng, competing=False)
+    competing = censored_region_dataset(rng, competing=True)
+    cfg = dict(n_trees=7, min_node_events=6, seed=4)
+    return [
+        fit_rsf(single, ForestConfig(**cfg)),
+        fit_conditional_ensemble(single, ForestConfig(**cfg, alpha=0.5)),
+        fit_conditional_ensemble(single, ForestConfig(**cfg, alpha=0.5,
+                                                      aggregate="mean")),
+        fit_rsf_competing(competing, ForestConfig(**cfg)),
+        # survival 1 - 2/4 = 0.5, and the mean of 0.25 and 0.75
+        handmade_model(ForestKind.CONDITIONAL, handmade_stump([4, 2], [2, 0])),
+        handmade_model(ForestKind.CONDITIONAL, handmade_stump([4, 2], [3, 0]),
+                       handmade_stump([4, 2], [1, 0]), aggregate="mean"),
+        # conversion incidence 2/4 = 0.5, and the mean of 0.25 and 0.75
+        handmade_model(ForestKind.COMPETING, handmade_stump([4, 2], [2, 0], [1, 0])),
+        handmade_model(ForestKind.COMPETING, handmade_stump([4, 2], [1, 0], [2, 0]),
+                       handmade_stump([4, 2], [3, 0])),
+    ]
+
+
+class TestMedianBisection:
+    @settings(max_examples=120, deadline=None)
+    @given(which=st.integers(0, 7), n=st.integers(1, 40),
+           chunk_rows=st.integers(1, 45), bisect=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_linear_scan(self, which, n, chunk_rows, bisect, seed):
+        """Medians, bisected or scanned per chunk, equal the first crossing
+        of the full curve, for row counts above and below the chunk size."""
+        model = median_models()[which]
+        x = np.random.default_rng(seed).standard_normal((n, model.n_features)) * 2
+        expect = scan_medians(model, x)
+        chunk_bytes = chunk_rows * 8 * model.grid.size
+        with mock.patch.object(forest, "_CHUNK_BYTES", chunk_bytes), \
+                mock.patch.object(forest, "_BISECT_MIN_GRID", 0 if bisect else 10**9):
+            got = predict_median_batch(model, x)
+        assert np.array_equal(got, expect, equal_nan=True)
+
+    def test_oracle_sees_every_case(self):
+        """The models above give crossing and never-crossing rows, and the
+        handmade stumps cross exactly at 0.5."""
+        x = np.random.default_rng(0).standard_normal((400, 3)) * 2
+        for model in median_models()[:4]:
+            medians = scan_medians(model, x)
+            assert np.isnan(medians).any() and not np.isnan(medians).all()
+        for model in median_models()[4:]:
+            assert scan_medians(model, np.zeros((1, 1)))[0] == 1.0
+
+    def test_memory_does_not_grow_with_rows(self):
+        """Peak traced memory of a competing-risks median batch over a
+        grid of over 2k points, which bisects it, stays near the model's
+        size as rows grow."""
+        rng = np.random.default_rng(6)
+        n = 3000
+        x = rng.standard_normal((n, 3))
+        t_conv = rng.exponential(np.exp(1.0 - x[:, 0]), n)
+        t_churn = rng.exponential(np.exp(1.5 + x[:, 0]), n)
+        c = rng.exponential(10.0, n)
+        statuses = np.where(t_conv <= np.minimum(t_churn, c), CONV,
+                            np.where(t_churn <= c, CHURN, CENS))
+        d = make_dataset(np.minimum(np.minimum(t_conv, t_churn), c), statuses,
+                         x, competing=True)
+        model = fit_rsf_competing(d, ForestConfig(n_trees=4, min_node_events=30,
+                                                  seed=1))
+        assert model.grid.size >= max(1000, forest._BISECT_MIN_GRID)
+
+        def peak(rows):
+            xs = rng.standard_normal((rows, 3))
+            tracemalloc.start()
+            try:
+                predict_median_batch(model, xs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(20000) < 2 * peak(2000)
 
 
 class TestParallelism:
