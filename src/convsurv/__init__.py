@@ -52,6 +52,7 @@ from .generator import GeneratorConfig, GroundTruth, generate_synthetic
 from .pipeline import (
     FeatureSpec,
     PlayerLog,
+    PlayerLogs,
     PlayerRow,
     build_dataset,
     engineer_features,
@@ -75,6 +76,6 @@ __all__ = [
     "fit_rsf", "fit_rsf_competing", "predict_forest_incidence",
     "predict_forest_median", "predict_forest_survival",
     "GeneratorConfig", "GroundTruth", "generate_synthetic",
-    "FeatureSpec", "PlayerLog", "PlayerRow", "build_dataset",
+    "FeatureSpec", "PlayerLog", "PlayerLogs", "PlayerRow", "build_dataset",
     "engineer_features", "filter_newcomers", "ingest_logs",
 ]

@@ -7,6 +7,7 @@ across workers; the operations are pure functions.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -168,10 +169,10 @@ class SurvivalRecord:
 
     def __post_init__(self):
         time = float(self.time)
-        if not np.isfinite(time) or time < 0:
+        if not math.isfinite(time) or time < 0:
             raise ValueError(f"time must be finite and >= 0, got {self.time!r}")
-        cov = tuple(float(c) for c in self.covariates)
-        if any(not np.isfinite(c) for c in cov):
+        cov = tuple(map(float, self.covariates))
+        if not all(map(math.isfinite, cov)):
             raise ValueError(f"covariates contain non-finite entries: {self.subject_id}")
         object.__setattr__(self, "time", time)
         object.__setattr__(self, "status", EventStatus(self.status))

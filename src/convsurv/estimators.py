@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .core import EventStatus, StepFunction, SurvivalDataset, require_nonempty
 from .errors import EmptyInputError, InvalidEventError, WrongEstimatorError
@@ -212,7 +212,7 @@ def km_confidence_band(data: SurvivalDataset, level: float = 0.95
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(q > d, d / (q * (q - d)), np.inf)
         se_log = np.sqrt(np.cumsum(terms))
-    z = norm.ppf(0.5 + level / 2.0)
+    z = ndtri(0.5 + level / 2.0)
     with np.errstate(invalid="ignore", over="ignore"):
         lower = s * np.exp(-z * se_log)
         upper = s * np.exp(z * se_log)
@@ -247,7 +247,7 @@ def cif_confidence_band(data: SurvivalDataset, event: EventStatus,
     q = table.at_risk.astype(float)
     surv_lag = np.concatenate(([1.0], km_values_from_counts(q, table.events)[:-1]))
     var = np.cumsum(surv_lag**2 * d_cause * np.maximum(q - d_cause, 0.0) / q**3)
-    z = norm.ppf(0.5 + level / 2.0)
+    z = ndtri(0.5 + level / 2.0)
     half = z * np.sqrt(var)
     lower = np.clip(cif.values - half, 0.0, 1.0)
     upper = np.clip(cif.values + half, 0.0, 1.0)

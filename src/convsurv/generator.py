@@ -42,7 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigError
 from .pipeline import PlayerLog, PlayerRow
@@ -153,6 +152,9 @@ def _calibrate_intercept(cfg: GeneratorConfig) -> float:
     expectation being matched is the realized converter fraction among
     players that survive the >= 2 login-day filter.
     """
+    # imported here so that importing the package does not load scipy.optimize
+    from scipy.optimize import brentq
+
     rng = np.random.default_rng((cfg.seed, _CALIBRATION_STREAM))
     m = _CALIBRATION_PLAYERS
     z1 = rng.standard_normal(m)

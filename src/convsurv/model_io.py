@@ -93,7 +93,7 @@ def _tree_payload(tree: SurvivalTree) -> dict:
     }
 
 
-def _tree_from_payload(payload: dict, n_features: int, grid_size: int,
+def _tree_from_payload(payload: dict, n_features: int, grid: np.ndarray,
                        conditional: bool) -> SurvivalTree:
     leaves = [
         Leaf(
@@ -117,7 +117,7 @@ def _tree_from_payload(payload: dict, n_features: int, grid_size: int,
         leaves=leaves,
     )
     _check_tree(tree, n_features)
-    _check_leaves(leaves, grid_size, conditional)
+    _check_leaves(leaves, grid, conditional)
     return tree
 
 
@@ -143,11 +143,12 @@ def _check_tree(tree: SurvivalTree, n_features: int) -> None:
         raise CompatibilityError("tree leaf_index lies outside its leaf list")
 
 
-def _check_leaves(leaves: list[Leaf], grid_size: int, conditional: bool) -> None:
-    """Reject leaf risk tables that are not counts of a risk set.
+def _check_leaves(leaves: list[Leaf], grid: np.ndarray, conditional: bool) -> None:
+    """Reject leaf risk tables that are not counts of a risk set on ``grid``.
 
     Valid counts give monotone leaf curves, which median prediction
-    relies on when it bisects the grid.
+    relies on when it bisects the grid; leaf knots are grid points, which
+    its knot tables rely on.
     """
     for leaf in leaves:
         n = leaf.times.shape
@@ -157,7 +158,7 @@ def _check_leaves(leaves: list[Leaf], grid_size: int, conditional: bool) -> None
         if (leaf.at_risk_grid is not None) != conditional:
             raise CompatibilityError(
                 "at_risk_grid must be present exactly in cif leaves")
-        if conditional and leaf.at_risk_grid.shape != (grid_size,):
+        if conditional and leaf.at_risk_grid.shape != grid.shape:
             raise CompatibilityError("leaf at_risk_grid does not match the grid")
     times, at_risk, d_conv, d_churn = (
         np.concatenate([getattr(lf, f) for lf in leaves])
@@ -167,6 +168,8 @@ def _check_leaves(leaves: list[Leaf], grid_size: int, conditional: bool) -> None
     if (not np.all(np.isfinite(times))
             or np.any(same_leaf & ~(np.diff(times) > 0))):
         raise CompatibilityError("leaf times are not strictly increasing")
+    if not np.all(np.isin(times, grid)):
+        raise CompatibilityError("leaf times are not points of the model grid")
     if np.any(at_risk <= 0) or np.any(same_leaf & (np.diff(at_risk) > 0)):
         raise CompatibilityError("leaf at_risk is not positive and non-increasing")
     if np.any((d_conv < 0) | (d_churn < 0) | (d_conv + d_churn > at_risk)):
@@ -190,8 +193,7 @@ def _forest_from_payload(payload: dict, kind: str, feature_names, axis) -> Fores
     conditional = kind == ForestKind.CONDITIONAL
     return ForestModel(
         kind=kind,
-        trees=tuple(_tree_from_payload(t, len(feature_names), grid.size,
-                                       conditional)
+        trees=tuple(_tree_from_payload(t, len(feature_names), grid, conditional)
                     for t in payload["trees"]),
         config=ForestConfig(**payload["config"]),
         feature_names=tuple(feature_names),

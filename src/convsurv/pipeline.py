@@ -6,21 +6,29 @@ Input CSV schema (header required, UTF-8, comma-separated):
 
 One row per player per active day. Levels are non-decreasing within a
 player; day indices are unique per player. Numeric formats are plain
-decimals with a ``.`` separator.
+decimals with a ``.`` separator; integers must fit in int64.
 
 Feature engineering uses a growing window that ends strictly before the
 subject's event (or censoring) day, so no feature can read activity at or
 after the event: recomputing features after deleting post-event rows is a
 bitwise no-op.
+
+A cohort is held as columns (``PlayerLogs``): ingest streams the CSV into
+arrays one block of rows at a time, and labels and features are computed
+for every player at once.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,15 +69,27 @@ MODEL_FEATURES = (
 
 DEFAULT_CHURN_WINDOW = 9
 
+# CSV records parsed per block: ingest holds one block of strings at a time.
+# Small enough that a block's row lists die young, before the garbage
+# collector's older generations have to scan them.
+_BLOCK_ROWS = 1 << 10
+_INT64_MAX = int(np.iinfo(np.int64).max)
+# Integers below 2**53 convert to float64 exactly, so numpy's float division
+# of them rounds like Python's int / int.
+_EXACT_INT = 1 << 53
 
-@dataclass(frozen=True)
-class PlayerRow:
+
+class PlayerRow(NamedTuple):
     day_index: int
     playtime_hours: float
     level: int
     sessions: int
     actions: int
     purchases: int
+
+
+_COLUMNS = PlayerRow._fields
+_DTYPES = tuple(np.float64 if c == "playtime_hours" else np.int64 for c in _COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -100,6 +120,16 @@ class PlayerLog:
             raise LogValidationError(
                 f"player {self.player_id!r} has a decreasing level", self.player_id)
 
+    @classmethod
+    def _validated(cls, player_id: str, registration_day: int,
+                   rows: tuple[PlayerRow, ...]) -> "PlayerLog":
+        """A log from rows a ``PlayerLogs`` table has already validated."""
+        log = object.__new__(cls)
+        object.__setattr__(log, "player_id", player_id)
+        object.__setattr__(log, "registration_day", registration_day)
+        object.__setattr__(log, "rows", rows)
+        return log
+
     @property
     def last_day(self) -> int:
         return self.rows[-1].day_index
@@ -109,6 +139,76 @@ class PlayerLog:
             if row.purchases > 0:
                 return row
         return None
+
+
+@dataclass(frozen=True, eq=False)
+class PlayerLogs(Sequence):
+    """A cohort's logs as columns, one array per ``PlayerRow`` field.
+
+    Player ``i`` owns rows ``offsets[i]:offsets[i + 1]`` of every column,
+    sorted by day. As a read-only sequence of ``PlayerLog`` it builds one
+    player's log on demand.
+    """
+
+    ids: tuple[str, ...]
+    registration: np.ndarray  # per player
+    offsets: np.ndarray  # per player, plus the row count
+    day_index: np.ndarray
+    playtime_hours: np.ndarray
+    level: np.ndarray
+    sessions: np.ndarray
+    actions: np.ndarray
+    purchases: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "ids", tuple(self.ids))
+        for name in ("registration", "offsets") + _COLUMNS:
+            arr = np.asarray(getattr(self, name))
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def from_logs(cls, logs) -> "PlayerLogs":
+        """The table of a sequence of ``PlayerLog``; a table is returned as is."""
+        if isinstance(logs, PlayerLogs):
+            return logs
+        logs = list(logs)
+        rows = [row for log in logs for row in log.rows]
+        columns = list(zip(*rows)) or [()] * len(_COLUMNS)
+        return cls(tuple(log.player_id for log in logs),
+                   np.array([log.registration_day for log in logs], dtype=np.int64),
+                   np.cumsum([0] + [len(log.rows) for log in logs], dtype=np.int64),
+                   *(np.array(c, dtype=t) for c, t in zip(columns, _DTYPES)))
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, name) for name in _COLUMNS)
+
+    @property
+    def row_counts(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int | slice) -> PlayerLog | PlayerLogs:
+        if isinstance(i, slice):
+            return self.take(i)
+        i = range(len(self.ids))[i]
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        rows = tuple(map(PlayerRow, *(c[lo:hi].tolist() for c in self.columns)))
+        return PlayerLog._validated(self.ids[i], int(self.registration[i]), rows)
+
+    def take(self, players) -> "PlayerLogs":
+        """The sub-table of ``players`` (indices or a boolean mask), in order."""
+        players = np.arange(len(self))[players]
+        counts = self.row_counts[players]
+        offsets = np.cumsum(np.concatenate(([0], counts)), dtype=np.int64)
+        rows = (np.repeat(self.offsets[players] - offsets[:-1], counts)
+                + np.arange(offsets[-1]))
+        return PlayerLogs(tuple(self.ids[i] for i in players.tolist()),
+                          self.registration[players], offsets,
+                          *(c[rows] for c in self.columns))
 
 
 @dataclass(frozen=True)
@@ -143,6 +243,10 @@ def _parse_int(raw: str, column: str, line: int, minimum: int = 0) -> int:
     if value < minimum:
         raise LogParseError(
             f"line {line}: column {column!r} must be >= {minimum}, got {value}", line)
+    if value > _INT64_MAX:
+        raise LogParseError(
+            f"line {line}: column {column!r} exceeds the int64 maximum "
+            f"{_INT64_MAX}: {raw!r}", line)
     return value
 
 
@@ -159,15 +263,116 @@ def _parse_float(raw: str, column: str, line: int) -> float:
     return value
 
 
-def ingest_logs(path) -> list[PlayerLog]:
+def _check_row(row: list[str], line: int) -> None:
+    """Raise the LogParseError of one record, checking fields left to right."""
+    if len(row) != len(EXPECTED_HEADER):
+        raise LogParseError(
+            f"line {line}: expected {len(EXPECTED_HEADER)} columns, "
+            f"got {len(row)}", line)
+    if not row[0].strip():
+        raise LogParseError(f"line {line}: empty player_id", line)
+    for column, raw in zip(_COLUMNS, row[1:]):
+        if column == "playtime_hours":
+            _parse_float(raw, column, line)
+        else:
+            _parse_int(raw, column, line, minimum=1 if column == "level" else 0)
+
+
+def _empty_block() -> tuple:
+    return tuple(np.empty(0, dtype=t) for t in (np.int64,) + _DTYPES)
+
+
+def _convert_block(block: list[list[str]], index: dict[str, int]) -> tuple:
+    """Player codes and typed columns of one block of non-blank records.
+
+    Raises ValueError or OverflowError when any record would fail
+    ``_check_row``. Player codes number ids in order of first appearance.
+    """
+    if not block:
+        return _empty_block()
+    if set(map(len, block)) != {len(EXPECTED_HEADER)}:
+        raise ValueError("record width")
+    ids, *cells = zip(*block)
+    ids = list(map(str.strip, ids))
+    if "" in ids:
+        raise ValueError("empty player_id")
+    n = len(ids)
+    columns = [np.fromiter(map(float if t is np.float64 else int, c), t, n)
+               for c, t in zip(cells, _DTYPES)]
+    day, playtime, level, *counts = columns
+    if not (np.all(np.isfinite(playtime) & (playtime >= 0)) and np.all(level >= 1)
+            and all(np.all(c >= 0) for c in [day, *counts])):
+        raise ValueError("value out of range")
+    for pid in dict.fromkeys(ids):
+        index.setdefault(pid, len(index))
+    return np.fromiter(map(index.__getitem__, ids), np.int64, n), *columns
+
+
+def _parse_block(block: list[list[str]], first_line: int,
+                 index: dict[str, int]) -> tuple:
+    """``_convert_block`` of a block whose first record is ``first_line``.
+
+    Blank records are skipped but keep their line numbers. A block that
+    fails conversion is checked record by record, so the first bad record
+    raises exactly as it would alone.
+    """
+    rows = [row for row in block if row] if [] in block else block
+    try:
+        return _convert_block(rows, index)
+    except (ValueError, OverflowError):
+        for line, row in enumerate(block, start=first_line):
+            if row:
+                _check_row(row, line)
+        raise
+
+
+def _undecodable_line(path) -> int | None:
+    """Line of the first byte sequence that is not UTF-8, or None."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    line = 1
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            pending = len(decoder.getstate()[0])
+            try:
+                decoder.decode(chunk)
+            except UnicodeDecodeError as exc:
+                return line + chunk.count(b"\n", 0, max(exc.start - pending, 0))
+            line += chunk.count(b"\n")
+    try:
+        decoder.decode(b"", final=True)
+    except UnicodeDecodeError:
+        return line
+    return None
+
+
+def _records(reader, errors: list):
+    """The reader's records up to the first csv.Error, which goes to ``errors``."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        errors.append(exc)
+
+
+def ingest_logs(path) -> PlayerLogs:
     """Parse and validate a player-log CSV.
 
     Malformed rows raise LogParseError with the 1-based line number;
     structural violations (decreasing level, duplicate days) raise
-    LogValidationError naming the player. A header-only file yields [].
+    LogValidationError naming the player. A header-only file yields an
+    empty table.
+
+    Records are converted in blocks of ``_BLOCK_ROWS``, so memory holds
+    one block of strings plus the typed columns.
     """
-    per_player: dict[str, list[PlayerRow]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    bad_line = _undecodable_line(path)
+    if bad_line == 1:
+        raise LogParseError("line 1: file is not UTF-8 text", 1)
+    index: dict[str, int] = {}
+    blocks = []
+    csv_errors: list = []
+    line = 2
+    # lines before the first undecodable one read the same either way
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -176,40 +381,126 @@ def ingest_logs(path) -> list[PlayerLog]:
         if [h.strip() for h in header] != EXPECTED_HEADER:
             raise LogParseError(
                 f"line 1: expected header {','.join(EXPECTED_HEADER)}", 1)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(EXPECTED_HEADER):
-                raise LogParseError(
-                    f"line {line_no}: expected {len(EXPECTED_HEADER)} columns, "
-                    f"got {len(row)}", line_no)
-            pid = row[0].strip()
-            if not pid:
-                raise LogParseError(f"line {line_no}: empty player_id", line_no)
-            parsed = PlayerRow(
-                day_index=_parse_int(row[1], "day_index", line_no),
-                playtime_hours=_parse_float(row[2], "playtime_hours", line_no),
-                level=_parse_int(row[3], "level", line_no, minimum=1),
-                sessions=_parse_int(row[4], "sessions", line_no),
-                actions=_parse_int(row[5], "actions", line_no),
-                purchases=_parse_int(row[6], "purchases", line_no),
-            )
-            per_player.setdefault(pid, []).append(parsed)
+        records = _records(reader if bad_line is None
+                           else islice(reader, bad_line - 2), csv_errors)
+        while block := list(islice(records, _BLOCK_ROWS)):
+            blocks.append(_parse_block(block, line, index))
+            line += len(block)
+    if csv_errors:
+        raise LogParseError(f"line {line}: {csv_errors[0]}", line)
+    if bad_line is not None:
+        raise LogParseError(f"line {bad_line}: file is not UTF-8 text", bad_line)
+    return _sorted_logs(tuple(index), blocks)
 
-    logs = []
-    for pid, rows in per_player.items():
-        rows.sort(key=lambda r: r.day_index)
-        days = [r.day_index for r in rows]
-        if len(set(days)) != len(days):
+
+def _sorted_logs(ids: tuple[str, ...], blocks: list[tuple]) -> PlayerLogs:
+    """The table of parsed blocks, each player's rows sorted by day.
+
+    Duplicate days and decreasing levels raise LogValidationError naming
+    the first such player in file order.
+    """
+    code, *columns = (np.concatenate(parts)
+                      for parts in zip(_empty_block(), *blocks))
+    order = np.lexsort((columns[0], code))
+    code = code[order]
+    columns = [c[order] for c in columns]
+    day, level = columns[0], columns[2]
+    same = code[1:] == code[:-1]
+    duplicate = code[1:][same & (day[1:] == day[:-1])]
+    decreasing = code[1:][same & (level[1:] < level[:-1])]
+    if duplicate.size or decreasing.size:
+        first = int(np.concatenate((duplicate, decreasing)).min())
+        pid = ids[first]
+        if first in duplicate:
             raise LogValidationError(
                 f"player {pid!r} has duplicate day_index rows", pid)
-        logs.append(PlayerLog(pid, rows[0].day_index, tuple(rows)))
-    return logs
+        raise LogValidationError(f"player {pid!r} has a decreasing level", pid)
+    offsets = np.searchsorted(code, np.arange(len(ids) + 1))
+    return PlayerLogs(ids, day[offsets[:-1]], offsets, *columns)
 
 
-def filter_newcomers(logs: list[PlayerLog]) -> list[PlayerLog]:
+def filter_newcomers(logs) -> PlayerLogs:
     """Keep only players active on at least two distinct days."""
-    return [log for log in logs if len(log.rows) >= 2]
+    logs = PlayerLogs.from_logs(logs)
+    return logs.take(logs.row_counts >= 2)
+
+
+def _fold_rows(values: np.ndarray, starts: np.ndarray, n: np.ndarray,
+               step, initial: float) -> np.ndarray:
+    """Fold each player's first ``n`` rows left to right, ``acc = step(acc, row)``.
+
+    One vectorized step per row position, so float sums accumulate in the
+    order of Python's ``sum``.
+    """
+    acc = np.full(n.size, initial)
+    for k in range(n.max(initial=0)):
+        live = n > k
+        acc[live] = step(acc[live], values[starts[live] + k])
+    return acc
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den`` where ``den > 0``, else 0.0, as floats."""
+    positive = den > 0
+    return np.where(positive, num / np.where(positive, den, 1), 0.0).astype(float)
+
+
+def _window_features(logs: PlayerLogs, cutoff: np.ndarray) -> tuple[dict, np.ndarray]:
+    """Every feature of each player's rows strictly before its ``cutoff``.
+
+    Returns ({feature name: per-player values}, per-player window playtime
+    sums). Equal bit for bit to the row-wise definition: float sums run
+    left to right like Python's ``sum``, squares use libm ``pow`` like
+    ``x ** 2``, and integer totals and ratios are exact.
+    """
+    starts = logs.offsets[:-1]
+    owner = np.repeat(np.arange(len(logs)), logs.row_counts)
+    in_window = logs.day_index < cutoff[owner]
+    n = np.bincount(owner[in_window], minlength=len(logs))
+    seen = n > 0
+    first, last = starts, starts + np.maximum(n, 1) - 1
+    ints = [logs.day_index, logs.level, logs.sessions, logs.actions,
+            logs.registration, n] + ([cutoff] if cutoff.dtype.kind == "i" else [])
+    wide = any(max(-int(a.min(initial=0)), int(a.max(initial=0))) * max(a.size, 1)
+               >= _EXACT_INT for a in ints)
+
+    def exact(a: np.ndarray) -> np.ndarray:
+        """``a`` as Python ints where int64 totals could overflow or round."""
+        return a.astype(object) if wide and a.dtype.kind == "i" else a
+
+    day, level, registration, n_exact = (
+        exact(a) for a in (logs.day_index, logs.level, logs.registration, n))
+
+    def window_total(column: np.ndarray) -> np.ndarray:
+        total = np.concatenate(([0], np.cumsum(exact(column))))
+        return total[starts + n] - total[starts]
+
+    playtime = logs.playtime_hours
+    play_sum = _fold_rows(playtime, starts, n, np.add, 0.0)
+    play_max = _fold_rows(playtime, starts, n,
+                          lambda acc, v: np.where(v > acc, v, acc), -np.inf)
+    mean = _ratio(play_sum, n)
+    deviation = (playtime - mean[owner])[in_window]
+    squares = np.zeros(playtime.size)
+    squares[in_window] = np.fromiter(map(math.pow, deviation.tolist(), repeat(2.0)),
+                                     np.float64, deviation.size)
+    sessions = window_total(logs.sessions)
+    elapsed = exact(cutoff) - registration
+    values = {
+        "mean_daily_playtime": mean,
+        "max_daily_playtime": np.where(seen, play_max, 0.0),
+        "std_daily_playtime": np.where(
+            n >= 2, np.sqrt(_ratio(_fold_rows(squares, starts, n, np.add, 0.0), n)),
+            0.0),
+        "total_sessions": sessions.astype(float),
+        "mean_actions_per_session": _ratio(window_total(logs.actions), sessions),
+        "active_day_ratio": _ratio(n_exact, np.where(seen, elapsed, 0)),
+        "current_level": np.where(seen, level[last], 1).astype(float),
+        "level_velocity": _ratio(level[last] - level[first], n_exact),
+        "days_since_registration": np.where(
+            seen, day[last] - registration, 0).astype(float),
+    }
+    return values, play_sum
 
 
 def engineer_features(log: PlayerLog, cutoff: int,
@@ -221,43 +512,11 @@ def engineer_features(log: PlayerLog, cutoff: int,
     With no pre-cutoff activity the vector defaults to zeros with level 1.
     Std features use the n < 2 convention of 0.
     """
-    rows = [r for r in log.rows if r.day_index < cutoff]
-    values = dict.fromkeys(FEATURE_NAMES, 0.0)
-    values["current_level"] = 1.0
-    if rows:
-        playtimes = [r.playtime_hours for r in rows]
-        n = len(rows)
-        mean_play = sum(playtimes) / n
-        values["mean_daily_playtime"] = mean_play
-        values["max_daily_playtime"] = max(playtimes)
-        if n >= 2:
-            values["std_daily_playtime"] = math.sqrt(
-                sum((p - mean_play) ** 2 for p in playtimes) / n)
-        total_sessions = sum(r.sessions for r in rows)
-        values["total_sessions"] = float(total_sessions)
-        if total_sessions > 0:
-            values["mean_actions_per_session"] = (
-                sum(r.actions for r in rows) / total_sessions)
-        elapsed = cutoff - log.registration_day
-        values["active_day_ratio"] = n / elapsed if elapsed > 0 else 0.0
-        values["current_level"] = float(rows[-1].level)
-        values["level_velocity"] = (rows[-1].level - rows[0].level) / n
-        values["days_since_registration"] = float(
-            rows[-1].day_index - log.registration_day)
-    return np.array([values[f] for f in spec.features], dtype=float)
+    values, _ = _window_features(PlayerLogs.from_logs([log]), np.array([cutoff]))
+    return np.array([values[f][0] for f in spec.features], dtype=float)
 
 
-def _event_values(log: PlayerLog, row: PlayerRow) -> dict[TimeAxis, float]:
-    cum_playtime = sum(
-        r.playtime_hours for r in log.rows if r.day_index <= row.day_index)
-    return {
-        TimeAxis.LIFETIME: float(row.day_index - log.registration_day),
-        TimeAxis.LEVEL: float(row.level),
-        TimeAxis.PLAYTIME: cum_playtime,
-    }
-
-
-def build_dataset(logs: list[PlayerLog], axis: TimeAxis, competing: bool = False,
+def build_dataset(logs, axis: TimeAxis, competing: bool = False,
                   spec: FeatureSpec | None = None, *,
                   churn_window: int = DEFAULT_CHURN_WINDOW,
                   data_end: int | None = None) -> SurvivalDataset:
@@ -268,28 +527,37 @@ def build_dataset(logs: list[PlayerLog], axis: TimeAxis, competing: bool = False
     purchase the player is censored at the last observed values, or (when
     ``competing`` and inactive for at least ``churn_window`` days before
     ``data_end``) churned at the last-activity values. Covariates use only
-    pre-event activity.
+    pre-event activity. ``logs`` is a ``PlayerLogs`` table or a sequence
+    of ``PlayerLog``.
     """
     axis = TimeAxis(axis)
     if spec is None:
         spec = FeatureSpec()
+    logs = PlayerLogs.from_logs(logs)
+    day = logs.day_index
+    last_row = logs.offsets[1:] - 1
     if data_end is None:
-        data_end = max((log.last_day for log in logs), default=0)
-    records = []
-    for log in logs:
-        purchase = log.first_purchase_row()
-        if purchase is not None:
-            status = EventStatus.CONVERTED
-            event_row = purchase
-        else:
-            event_row = log.rows[-1]
-            inactive = data_end - event_row.day_index
-            if competing and inactive >= churn_window:
-                status = EventStatus.CHURNED
-            else:
-                status = EventStatus.CENSORED
-        time = _event_values(log, event_row)[axis]
-        covariates = engineer_features(log, event_row.day_index, spec)
-        records.append(SurvivalRecord(
-            log.player_id, time, status, tuple(covariates)))
-    return SurvivalDataset(tuple(records), spec.features, axis, competing)
+        data_end = int(day[last_row].max(initial=0))
+    event_row = last_row.copy()
+    bought = np.flatnonzero(logs.purchases > 0)
+    buyers, first_buy = np.unique(
+        np.searchsorted(logs.offsets, bought, side="right") - 1, return_index=True)
+    event_row[buyers] = bought[first_buy]
+    status = np.full(len(logs), int(EventStatus.CENSORED))
+    if competing:
+        status[data_end - day[last_row] >= churn_window] = int(EventStatus.CHURNED)
+    status[buyers] = int(EventStatus.CONVERTED)
+    values, play_sum = _window_features(logs, day[event_row])
+    if axis == TimeAxis.LIFETIME:
+        times = (day[event_row] - logs.registration).astype(float)
+    elif axis == TimeAxis.LEVEL:
+        times = logs.level[event_row].astype(float)
+    else:
+        times = play_sum + logs.playtime_hours[event_row]
+    covariates = np.column_stack(
+        [values[f] for f in spec.features] or [np.empty((len(logs), 0))])
+    records = tuple(
+        SurvivalRecord(pid, t, s, tuple(x))
+        for pid, t, s, x in zip(logs.ids, times.tolist(), status.tolist(),
+                                covariates.tolist()))
+    return SurvivalDataset(records, spec.features, axis, competing)

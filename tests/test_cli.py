@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -352,6 +356,14 @@ def corrupt_model(doc, corruption):
         doc["model"]["grid"].reverse()
     elif corruption == "d-conv-over-at-risk":
         leaf["d_conv"][0] = leaf["at_risk"][0] + 1
+    elif corruption.startswith("leaf-time-"):
+        grid = doc["model"]["grid"]
+        times = next(lf for lf in tree["leaves"] if len(lf["times"]) >= 2)["times"]
+        if corruption == "leaf-time-between-grid-points":
+            k = grid.index(times[0])
+            times[0] = (grid[k] + grid[k + 1]) / 2
+        else:
+            times[-1] = grid[-1] + 1000
 
 
 @pytest.fixture(scope="module")
@@ -360,6 +372,17 @@ def cif_model(data_dir, tmp_path_factory):
     rc = main(["train", "--data", str(data_dir / "logs.csv"),
                "--model", "cif", "--target", "lifetime",
                "--trees", "5", "--min-node-events", "10",
+               "--seed", "5", "--out", str(path)])
+    assert rc == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def rsfcr_playtime_model(data_dir, tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "rsfcr.json"
+    rc = main(["train", "--data", str(data_dir / "logs.csv"),
+               "--model", "rsf-cr", "--target", "playtime",
+               "--trees", "10", "--min-node-events", "10",
                "--seed", "5", "--out", str(path)])
     assert rc == 0
     return path
@@ -395,3 +418,54 @@ class TestModelFileCorruption:
     def test_corrupt_cif_leaves_are_data_errors(self, corruption, data_dir,
                                                 cif_model, tmp_path, capsys):
         assert_predict_rejects(cif_model, corruption, data_dir, tmp_path, capsys)
+
+    @pytest.mark.parametrize("corruption", [
+        "leaf-time-between-grid-points", "leaf-time-past-grid",
+    ])
+    def test_leaf_times_off_the_grid_are_data_errors(self, corruption, data_dir,
+                                                     rsfcr_playtime_model,
+                                                     tmp_path, capsys):
+        assert_predict_rejects(rsfcr_playtime_model, corruption, data_dir,
+                               tmp_path, capsys)
+
+
+class TestLogFileEdges:
+    HEADER = "player_id,day_index,playtime_hours,level,sessions,actions,purchases\n"
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "curves"])
+    def test_utf16_log_is_data_error(self, command, tmp_path, capsys):
+        logs = tmp_path / "logs.csv"
+        logs.write_text(self.HEADER + "a,0,1.0,1,1,1,0\na,1,1.0,1,1,1,0\n",
+                        encoding="utf-16")
+        argv = {
+            "train": ["train", "--model", "rsf", "--target", "lifetime",
+                      "--trees", "2", "--seed", "1",
+                      "--out", str(tmp_path / "m.json")],
+            "evaluate": ["evaluate", "--trees", "2", "--seed", "1",
+                         "--out", str(tmp_path / "ev")],
+            "curves": ["curves", "--axis", "lifetime", "--out", str(tmp_path / "c.csv")],
+        }[command]
+        assert main(argv + ["--data", str(logs)]) == 2
+        assert "line 1: file is not UTF-8 text" in capsys.readouterr().err
+
+    def test_day_index_past_int64_is_data_error(self, tmp_path, capsys):
+        logs = tmp_path / "logs.csv"
+        logs.write_text(self.HEADER + "a,0,1.0,1,1,1,0\n"
+                        "a,99999999999999999999999,1.0,1,1,1,0\n")
+        rc = main(["curves", "--data", str(logs), "--axis", "lifetime",
+                   "--out", str(tmp_path / "c.csv")])
+        assert rc == 2
+        assert "line 3: column 'day_index' exceeds the int64" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy_stats_and_optimize():
+    """Start-up cost: only ``generate`` needs scipy.optimize, nothing needs
+    scipy.stats."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, convsurv.cli; "
+         "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

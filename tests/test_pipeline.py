@@ -1,15 +1,23 @@
 """Log ingestion, the two-day filter, features, and dataset labeling."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import oracles
+from convsurv import pipeline
 from convsurv.core import EventStatus, TimeAxis
 from convsurv.errors import LogParseError, LogValidationError
+from convsurv.generator import GeneratorConfig, generate_synthetic, write_logs_csv
 from convsurv.pipeline import (
     FEATURE_NAMES,
+    MODEL_FEATURES,
     FeatureSpec,
     PlayerLog,
+    PlayerLogs,
     PlayerRow,
     build_dataset,
     engineer_features,
@@ -40,7 +48,7 @@ class TestIngest:
         assert logs[0].registration_day == 0
 
     def test_header_only_is_empty(self, tmp_path):
-        assert ingest_logs(write_csv(tmp_path, "")) == []
+        assert len(ingest_logs(write_csv(tmp_path, ""))) == 0
 
     def test_decreasing_level_names_player(self, tmp_path):
         path = write_csv(tmp_path, "bob,0,1.0,5,1,1,0\nbob,1,1.0,4,1,1,0\n")
@@ -84,10 +92,10 @@ class TestFilterNewcomers:
     def test_single_day_removed(self):
         one = PlayerLog("x", 0, (row(0),))
         two = PlayerLog("y", 0, (row(0), row(5, level=2)))
-        assert filter_newcomers([one, two]) == [two]
+        assert list(filter_newcomers([one, two])) == [two]
 
     def test_empty_input(self):
-        assert filter_newcomers([]) == []
+        assert len(filter_newcomers([])) == 0
 
 
 class TestEngineerFeatures:
@@ -115,6 +123,15 @@ class TestEngineerFeatures:
         assert f["current_level"] == 1.0
         assert f["mean_daily_playtime"] == 0.0
         assert f["active_day_ratio"] == 0.0
+
+    def test_std_squares_like_python_pow(self):
+        """``x ** 2`` calls libm pow, which rounds some squares differently
+        from ``x * x``; these playtimes are one such case."""
+        log = PlayerLog("a", 0, (row(0, playtime=4.41), row(1, playtime=0.18),
+                                 row(2, playtime=4.0, level=2)))
+        f = dict(zip(FEATURE_NAMES, engineer_features(log, cutoff=3)))
+        assert f["std_daily_playtime"] == 1.9047717856886572
+        assert list(f.values()) == oracles.reference_features(log.rows, 0, 3)
 
     def test_post_cutoff_rows_never_read(self):
         """The leakage guard: rows at or after the cutoff are invisible."""
@@ -212,3 +229,199 @@ class TestFeatureSpec:
     def test_unknown_feature_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             FeatureSpec(features=("not_a_feature",))
+
+
+class TestPlayerLogs:
+    def logs(self):
+        return [PlayerLog("x", 0, (row(0),)),
+                PlayerLog("y", 2, (row(2, playtime=0.5), row(5, level=2, purchases=1)))]
+
+    def test_round_trip_through_columns(self):
+        table = PlayerLogs.from_logs(self.logs())
+        assert list(table) == self.logs()
+        assert table[-1] == self.logs()[1]
+        assert list(table[1:]) == self.logs()[1:]
+        assert PlayerLogs.from_logs(table) is table
+        with pytest.raises(IndexError):
+            table[2]
+
+    def test_columns_are_read_only(self):
+        table = PlayerLogs.from_logs(self.logs())
+        with pytest.raises(ValueError):
+            table.day_index[0] = 1
+
+    def test_take_keeps_rows_with_their_player(self):
+        table = PlayerLogs.from_logs(self.logs()).take([1])
+        assert table.ids == ("y",)
+        assert table.offsets.tolist() == [0, 2]
+        assert table.level.tolist() == [1, 2]
+
+
+@st.composite
+def cohort_csv(draw):
+    """A random log file body: unsorted rows, blank lines, one-day players,
+    first-day purchases; sometimes integers large enough that totals and
+    ratios pass 2**53."""
+    scale = draw(st.sampled_from([1, 1, 1, 3 ** 33]))
+    playtime = st.one_of(st.integers(0, 24000).map(lambda k: k / 1000),
+                         st.floats(0, 24), st.just(-0.0))
+    lines = []
+    for i in range(draw(st.integers(0, 8))):
+        days = sorted(draw(st.sets(st.integers(0, 30), min_size=1, max_size=10)))
+        n = len(days)
+        level = 1 + np.cumsum(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        for day, lv in zip(days, level.tolist()):
+            lines.append(",".join([
+                f"p{i}", str(day * scale), repr(draw(playtime)), str(lv * scale),
+                str(draw(st.integers(0, 4)) * scale), str(draw(st.integers(0, 60)) * scale),
+                str(draw(st.sampled_from([0, 0, 0, 1, 2])))]))
+    lines = draw(st.permutations(lines))
+    for at in draw(st.lists(st.integers(0, len(lines)), max_size=3)):
+        lines.insert(at, "")
+    return "".join(line + "\n" for line in lines), scale
+
+
+def error_outcome(ingest, path):
+    try:
+        ingest(path)
+    except (LogParseError, LogValidationError) as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "line_number", None),
+                getattr(exc, "player_id", None))
+    return None
+
+
+class TestColumnarEquivalence:
+    """The columnar pipeline against the row-wise reference in oracles.py."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cohort=cohort_csv(), block_rows=st.sampled_from([1, 3, 1024]),
+           churn_window=st.integers(0, 12),
+           data_end_shift=st.one_of(st.none(), st.integers(0, 12)),
+           cutoff=st.integers(-2, 40))
+    def test_datasets_match_reference(self, tmp_path, cohort, block_rows,
+                                      churn_window, data_end_shift, cutoff):
+        body, scale = cohort
+        path = write_csv(tmp_path, body)
+        with mock.patch.object(pipeline, "_BLOCK_ROWS", block_rows):
+            logs = filter_newcomers(ingest_logs(path))
+        reference = [log for log in oracles.reference_ingest(path) if len(log[2]) >= 2]
+        data_end = None
+        if data_end_shift is not None:
+            last = max((rows[-1].day_index for _, _, rows in reference), default=0)
+            data_end = last + data_end_shift * scale
+        for axis in TimeAxis:
+            for competing in (False, True):
+                for features in (MODEL_FEATURES, FEATURE_NAMES):
+                    d = build_dataset(logs, axis, competing, FeatureSpec(features),
+                                      churn_window=churn_window, data_end=data_end)
+                    ids, times, status, covariates = oracles.reference_dataset(
+                        reference, axis.value, competing, features, churn_window,
+                        data_end)
+                    assert [r.subject_id for r in d.records] == ids
+                    assert np.array_equal(d.times, np.array(times, dtype=float))
+                    assert np.array_equal(d.status_codes, np.array(status, dtype=np.int8))
+                    assert np.array_equal(
+                        d.covariate_matrix,
+                        np.array(covariates, dtype=float).reshape(len(ids), len(features)))
+        for pid, registration, rows in reference:
+            got = engineer_features(PlayerLog(pid, registration, rows), cutoff * scale)
+            want = oracles.reference_features(rows, registration, cutoff * scale)
+            assert np.array_equal(got, np.array(want))
+
+    def test_generated_cohort_matches_reference(self, tmp_path):
+        """The generator's cohort shape: long logs, three-decimal playtimes."""
+        logs, _ = generate_synthetic(GeneratorConfig(n_players=2000, seed=11))
+        path = tmp_path / "logs.csv"
+        write_logs_csv(logs, path)
+        table = filter_newcomers(ingest_logs(path))
+        reference = [log for log in oracles.reference_ingest(path) if len(log[2]) >= 2]
+        for axis in TimeAxis:
+            d = build_dataset(table, axis, True, FeatureSpec(FEATURE_NAMES))
+            _, times, status, covariates = oracles.reference_dataset(
+                reference, axis.value, True, FEATURE_NAMES, 9)
+            assert np.array_equal(d.times, times)
+            assert np.array_equal(d.status_codes, status)
+            assert np.array_equal(d.covariate_matrix, covariates)
+
+    VALID = ["a,0,1.5,1,2,30,0", "b,1,0.25,2,1,12,0", "", "a,3,2.0,3,1,5,1",
+             "c,2,1.0,1,1,1,0", "b,4,1.0,2,0,0,0"]
+
+    @pytest.mark.parametrize("block_rows", [2, 1024])
+    @pytest.mark.parametrize("column,value", [
+        (0, ""), (0, "  "),
+        (1, "one"), (1, ""), (1, "-1"), (1, "1.5"), (1, "1e3"), (1, "0x1f"),
+        (2, "abc"), (2, ""), (2, "-0.5"), (2, "nan"), (2, "inf"), (2, "1e400"),
+        (3, "0"), (3, "-3"), (4, "-1"), (5, "x"), (6, "-2"), (6, "1,0"),
+    ])
+    def test_single_cell_errors_match_reference(self, tmp_path, column, value,
+                                                block_rows):
+        lines = list(self.VALID)
+        cells = lines[3].split(",")
+        cells[column] = value
+        lines[3] = ",".join(cells)
+        self.assert_same_error(tmp_path, lines, block_rows)
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 1024])
+    @pytest.mark.parametrize("edit", {
+        "width-after-bad-value": {1: "b,1,0.25,two,1,12,0", 4: "c,2,1.0,1,1,1"},
+        "width": {4: "c,2,1.0,1,1,1,0,9"},
+        "empty-id": {4: ",2,1.0,1,1,1,0"},
+        "duplicate-day": {6: "c,2,1.0,1,1,1,0"},
+        "decreasing-level": {6: "b,9,1.0,1,1,1,0"},
+        "earlier-player-wins": {6: "c,2,1.0,1,1,1,0", 7: "b,9,1.0,1,1,1,0"},
+        "duplicate-wins-within-player": {6: "b,9,1.0,1,1,1,0", 7: "b,4,1.0,2,0,0,0"},
+        "unsorted-decreasing": {6: "c,2,1.0,1,1,1,0", 7: "a,2,1.0,5,1,1,0"},
+    }.items(), ids=lambda item: item[0])
+    def test_structural_errors_match_reference(self, tmp_path, edit, block_rows):
+        lines = list(self.VALID) + ["", ""]
+        for at, line in edit[1].items():
+            lines[at] = line
+        self.assert_same_error(tmp_path, lines, block_rows)
+
+    def assert_same_error(self, tmp_path, lines, block_rows):
+        path = write_csv(tmp_path, "".join(line + "\n" for line in lines))
+        want = error_outcome(oracles.reference_ingest, path)
+        assert want is not None
+        with mock.patch.object(pipeline, "_BLOCK_ROWS", block_rows):
+            assert error_outcome(ingest_logs, path) == want
+
+
+class TestInputEdges:
+    def test_integer_past_int64_names_line_and_column(self, tmp_path):
+        path = write_csv(tmp_path, "a,0,1.0,1,1,1,0\na,99999999999999999999999,1.0,1,1,1,0\n")
+        with pytest.raises(LogParseError, match="line 3: column 'day_index'") as info:
+            ingest_logs(path)
+        assert info.value.line_number == 3
+
+    def test_int64_maximum_is_accepted(self, tmp_path):
+        big = 2 ** 63 - 1
+        path = write_csv(tmp_path, f"a,0,1.0,1,1,{big},0\na,1,1.0,1,1,1,0\n")
+        assert ingest_logs(path).actions.tolist() == [big, 1]
+
+    def test_utf16_file_fails_on_line_one(self, tmp_path):
+        path = tmp_path / "logs.csv"
+        path.write_text(HEADER + "a,0,1.0,1,1,1,0\n", encoding="utf-16")
+        with pytest.raises(LogParseError, match="line 1: .*UTF-8") as info:
+            ingest_logs(path)
+        assert info.value.line_number == 1
+
+    def test_undecodable_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "logs.csv"
+        good = "a,0,1.0,1,1,1,0\n" * 3000
+        path.write_bytes((HEADER + good).encode() + b"b\xff,1,1.0,1,1,1,0\n" + good.encode())
+        with pytest.raises(LogParseError, match="line 3002: .*UTF-8"):
+            ingest_logs(path)
+
+    def test_earlier_bad_value_wins_over_later_bad_byte(self, tmp_path):
+        path = tmp_path / "logs.csv"
+        body = "a,0,1.0,1,1,1,0\na,x,1.0,1,1,1,0\n"
+        path.write_bytes((HEADER + body).encode() + b"b\xff,1,1.0,1,1,1,0\n")
+        with pytest.raises(LogParseError, match="line 3: column 'day_index'"):
+            ingest_logs(path)
+
+    def test_oversized_field_is_a_parse_error(self, tmp_path):
+        path = write_csv(tmp_path, "a,0,1.0,1,1,1,0\n" + "b" * 200_000 + ",1,1.0,1,1,1,0\n")
+        with pytest.raises(LogParseError, match="line 3") as info:
+            ingest_logs(path)
+        assert info.value.line_number == 3
