@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -22,11 +23,9 @@ import numpy as np
 
 from . import model_io
 from .core import EventStatus, StepFunction, SurvivalDataset, TimeAxis, complement
-from .cox import fit_cox, predict_median_batch as cox_median_batch
 from .errors import (
     CompatibilityError,
     ConfigError,
-    ConvsurvError,
     DegenerateFitError,
     EmptyInputError,
     InvalidEventError,
@@ -47,15 +46,13 @@ from .evaluation import (
     EvaluationReport,
     SplitSpec,
     evaluate_models,
+    fit_model,
+    predict_medians,
     scatter_pairs,
     stratified_split,
 )
 from .forest import (
     ForestConfig,
-    fit_conditional_ensemble,
-    fit_rsf,
-    fit_rsf_competing,
-    predict_median_batch as forest_median_batch,
     predict_forest_incidence,
     predict_forest_survival,
     resolve_jobs,
@@ -74,11 +71,20 @@ from .pipeline import (
     ingest_logs,
 )
 
+# Not called here: perfbench/spans.py patches these names on this module.
+from .cox import fit_cox, predict_median_batch as cox_median_batch  # noqa: F401
+from .forest import (  # noqa: F401
+    fit_conditional_ensemble,
+    fit_rsf,
+    fit_rsf_competing,
+    predict_median_batch as forest_median_batch,
+)
+
 _AXES = tuple(a.value for a in TimeAxis)
 
 _DATA_ERRORS = (LogParseError, LogValidationError, EmptyInputError,
                 StratificationError, CompatibilityError, WrongEstimatorError,
-                DegenerateFitError, InvalidEventError, ShapeMismatchError)
+                DegenerateFitError, InvalidEventError, ShapeMismatchError, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,6 +94,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(value: float) -> str:
     return repr(float(value))
+
+
+def _write_csv(path, header: list, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _exit_code(exc: Exception) -> int:
@@ -104,6 +117,20 @@ def _load_filtered(path) -> list:
         raise EmptyInputError(
             "no players with >= 2 active days after the newcomer filter")
     return logs
+
+
+def _ridge(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
+def _level(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text!r}")
+    return value
 
 
 def _forest_config(args) -> ForestConfig:
@@ -129,7 +156,7 @@ def _add_train_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-depth", type=int, default=None)
     p.add_argument("--aggregate", choices=("pooled", "mean"), default="pooled",
                    help="conditional-ensemble curve aggregation")
-    p.add_argument("--ridge", type=float, default=1e-6,
+    p.add_argument("--ridge", type=_ridge, default=1e-6,
                    help="Cox ridge penalty")
     p.add_argument("--train-frac", type=float, default=0.30)
     p.add_argument("--churn-window", type=int, default=DEFAULT_CHURN_WINDOW,
@@ -170,11 +197,8 @@ def _require_churn_labels(models, churn_window: int) -> None:
 def _build_for_model(logs, target: str, model_kind: str, churn_window: int
                      ) -> SurvivalDataset:
     _require_churn_labels((model_kind,), churn_window)
-    data = build_dataset(logs, TimeAxis(target), competing=churn_window > 0,
+    return build_dataset(logs, TimeAxis(target), competing=churn_window > 0,
                          churn_window=churn_window)
-    if model_kind != "rsf-cr":
-        data = data.recode_competing_as_censored()
-    return data
 
 
 def cmd_train(args) -> int:
@@ -183,18 +207,11 @@ def cmd_train(args) -> int:
     train, _test = stratified_split(
         data, SplitSpec(train_fraction=args.train_frac, seed=args.seed))
     spec = FeatureSpec()
-    cfg = _forest_config(args)
+    fitted = fit_model(args.model, train, _forest_config(args), ridge=args.ridge,
+                       n_jobs=args.threads)
     if args.model == "cox":
-        fitted = fit_cox(train, ridge=args.ridge)
-        diagnostics = {
-            "iterations": fitted.convergence.iterations,
-            "gradient_norm": fitted.convergence.gradient_norm,
-            "log_partial_likelihood": fitted.convergence.log_partial_likelihood,
-        }
+        diagnostics = dataclasses.asdict(fitted.convergence)
     else:
-        fit_fn = {"rsf": fit_rsf, "cif": fit_conditional_ensemble,
-                  "rsf-cr": fit_rsf_competing}[args.model]
-        fitted = fit_fn(train, cfg, args.threads)
         n_leaves = [len(t.leaves) for t in fitted.trees]
         diagnostics = {
             "n_trees": len(fitted.trees),
@@ -235,11 +252,9 @@ def cmd_train(args) -> int:
 
 def _subject_curve(model_file: model_io.ModelFile, data: SurvivalDataset,
                    player_id: str) -> StepFunction:
-    idx = next((i for i, r in enumerate(data.records)
-                if r.subject_id == player_id), None)
-    if idx is None:
+    if player_id not in data.subject_ids:
         raise EmptyInputError(f"player {player_id!r} not found in input data")
-    x = np.asarray(data.records[idx].covariates, dtype=float)
+    x = data.covariate_matrix[data.subject_ids.index(player_id)]
     model = model_file.model
     if model_file.kind == "cox":
         from .cox import predict_cox_survival
@@ -261,25 +276,15 @@ def cmd_predict(args) -> int:
                             churn_window)
     if args.curve is not None:
         curve = _subject_curve(model_file, data, args.curve)
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time", "value"])
-            for t, v in zip(curve.knots, curve.values):
-                writer.writerow([_fmt(t), _fmt(v)])
+        _write_csv(args.out, ["time", "value"],
+                   ([_fmt(t), _fmt(v)] for t, v in zip(curve.knots, curve.values)))
         print(f"wrote curve for {args.curve} to {args.out}")
         return 0
-    if model_file.kind == "cox":
-        medians = cox_median_batch(model_file.model, data.covariate_matrix)
-    else:
-        medians = forest_median_batch(model_file.model, data.covariate_matrix)
-    rows = sorted(zip((r.subject_id for r in data.records), medians))
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["player_id", "predicted_median", "predicted_converter"])
-        for pid, med in rows:
-            absent = bool(np.isnan(med))
-            writer.writerow([pid, "" if absent else _fmt(med),
-                             "false" if absent else "true"])
+    medians = predict_medians(model_file.model, data.covariate_matrix)
+    rows = sorted(zip(data.subject_ids, medians))
+    _write_csv(args.out, ["player_id", "predicted_median", "predicted_converter"],
+               ([pid, "", "false"] if np.isnan(med) else [pid, _fmt(med), "true"]
+                for pid, med in rows))
     print(f"wrote predictions for {len(rows)} players to {args.out}")
     return 0
 
@@ -309,17 +314,11 @@ def cmd_evaluate(args) -> int:
         for kind, kind_outcomes in outcomes.items():
             pairs = scatter_pairs(kind_outcomes)
             base = f"scatter_{kind}_{target}"
-            with open(out / f"{base}.csv", "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["observed", "predicted"])
-                for obs, pred in pairs:
-                    writer.writerow([_fmt(obs), _fmt(pred)])
-            with open(out / f"{base}_loglog.csv", "w", newline="",
-                      encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["log1p_observed", "log1p_predicted"])
-                for obs, pred in pairs:
-                    writer.writerow([_fmt(math.log1p(obs)), _fmt(math.log1p(pred))])
+            _write_csv(out / f"{base}.csv", ["observed", "predicted"],
+                       ([_fmt(obs), _fmt(pred)] for obs, pred in pairs))
+            _write_csv(out / f"{base}_loglog.csv", ["log1p_observed", "log1p_predicted"],
+                       ([_fmt(math.log1p(obs)), _fmt(math.log1p(pred))]
+                        for obs, pred in pairs))
     report = EvaluationReport(tuple(rows))
     doc = {
         "config": {
@@ -346,34 +345,22 @@ def cmd_curves(args) -> int:
     axis = TimeAxis(args.axis)
     if args.population == "converters":
         data = build_dataset(logs, axis, competing=False)
-        keep = [i for i, r in enumerate(data.records)
-                if r.status == EventStatus.CONVERTED]
-        if not keep:
+        data = data.subset(np.flatnonzero(data.status_codes == EventStatus.CONVERTED))
+        if len(data) == 0:
             raise EmptyInputError("no converters in the input data")
-        sub = data.subset(keep)
-        surv = kaplan_meier(sub)
-        lo_s, hi_s = km_confidence_band(sub, args.level)
-        estimate = complement(surv)
-        lower, upper = complement(hi_s), complement(lo_s)
     else:
-        competing = args.churn_window > 0
-        data = build_dataset(logs, axis, competing=competing,
+        data = build_dataset(logs, axis, competing=args.churn_window > 0,
                              churn_window=args.churn_window)
-        if competing:
-            estimate = aalen_johansen(data, EventStatus.CONVERTED)
-            lower, upper = cif_confidence_band(
-                data, EventStatus.CONVERTED, args.level)
-        else:
-            surv = kaplan_meier(data)
-            lo_s, hi_s = km_confidence_band(data, args.level)
-            estimate = complement(surv)
-            lower, upper = complement(hi_s), complement(lo_s)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "estimate", "lower", "upper"])
-        for i, t in enumerate(estimate.knots):
-            writer.writerow([_fmt(t), _fmt(estimate.values[i]),
-                             _fmt(lower.values[i]), _fmt(upper.values[i])])
+    if data.competing_risks:
+        estimate = aalen_johansen(data, EventStatus.CONVERTED)
+        lower, upper = cif_confidence_band(data, EventStatus.CONVERTED, args.level)
+    else:
+        estimate = complement(kaplan_meier(data))
+        lo_s, hi_s = km_confidence_band(data, args.level)
+        lower, upper = complement(hi_s), complement(lo_s)
+    _write_csv(args.out, ["time", "estimate", "lower", "upper"],
+               ([_fmt(t), _fmt(e), _fmt(lo), _fmt(hi)] for t, e, lo, hi in
+                zip(estimate.knots, estimate.values, lower.values, upper.values)))
     print(f"wrote {estimate.knots.size} incidence knots to {args.out}")
     return 0
 
@@ -428,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="player-log CSV")
     p.add_argument("--axis", choices=_AXES, required=True)
     p.add_argument("--population", choices=("all", "converters"), default="all")
-    p.add_argument("--level", type=float, default=0.95)
+    p.add_argument("--level", type=_level, default=0.95)
     p.add_argument("--churn-window", type=int, default=DEFAULT_CHURN_WINDOW)
     p.add_argument("--out", required=True, help="output CSV")
     p.set_defaults(func=cmd_curves)
@@ -443,12 +430,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(raw)
         return args.func(args)
     except Exception as exc:
-        if isinstance(exc, ConvsurvError):
-            code = _exit_code(exc)
-        elif isinstance(exc, OSError):
-            code = 2
-        else:
-            code = 3
+        code = _exit_code(exc)
         if json_errors:
             payload = {"error": type(exc).__name__, "message": str(exc),
                        "exit_code": code}

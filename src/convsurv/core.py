@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -179,65 +178,72 @@ class SurvivalRecord:
         object.__setattr__(self, "covariates", cov)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurvivalDataset:
-    """Immutable container of records sharing one time axis.
+    """Immutable columnar dataset: one row per subject, one time axis.
 
-    When ``competing_risks`` is False no record may carry CHURNED status.
-    Subject ids are unique and all records share covariate dimensionality.
+    ``times`` (float64), ``status_codes`` (int8) and ``covariate_matrix``
+    (float64, n x p) are read-only copies aligned with ``subject_ids``.
+    Subject ids are unique, and when ``competing_risks`` is False no
+    subject may be CHURNED.
     """
 
-    records: tuple[SurvivalRecord, ...]
+    subject_ids: tuple[str, ...]
+    times: np.ndarray
+    status_codes: np.ndarray
+    covariate_matrix: np.ndarray
     feature_names: tuple[str, ...]
     axis: TimeAxis
     competing_risks: bool = False
 
     def __post_init__(self):
-        records = tuple(self.records)
+        ids = tuple(self.subject_ids)
         names = tuple(self.feature_names)
-        object.__setattr__(self, "records", records)
-        object.__setattr__(self, "feature_names", names)
-        object.__setattr__(self, "axis", TimeAxis(self.axis))
-        p = len(names)
+        times = np.array(self.times, dtype=float)
+        codes = np.asarray(self.status_codes)
+        x = np.array(self.covariate_matrix, dtype=float)
+        n = len(ids)
+        if times.shape != (n,) or codes.shape != (n,) or x.ndim != 2 or len(x) != n:
+            raise ShapeMismatchError(
+                f"{n} subject ids need {n} times, status codes and covariate rows")
+
+        def reject(bad: np.ndarray, problem: str) -> None:
+            if bad.any():
+                raise ValueError(f"subject {ids[int(np.argmax(bad))]!r}: {problem}")
+
+        reject(~(np.isfinite(times) & (times >= 0)), "time must be finite and >= 0")
+        reject(~np.isin(codes, list(EventStatus)), "status is not an EventStatus code")
+        reject(~np.isfinite(x).all(axis=1), "covariates contain non-finite entries")
+        if x.shape[1] != len(names):
+            raise ShapeMismatchError(
+                f"covariate matrix has {x.shape[1]} columns, expected {len(names)}")
         seen = set()
-        for r in records:
-            if len(r.covariates) != p:
-                raise ShapeMismatchError(
-                    f"record {r.subject_id!r} has {len(r.covariates)} covariates, expected {p}"
-                )
-            if r.subject_id in seen:
-                raise ValueError(f"duplicate subject_id {r.subject_id!r}")
-            seen.add(r.subject_id)
-            if not self.competing_risks and r.status == EventStatus.CHURNED:
-                raise ValueError(
-                    f"record {r.subject_id!r} is CHURNED in a single-risk dataset"
-                )
+        for sid in ids:
+            if sid in seen:
+                raise ValueError(f"duplicate subject_id {sid!r}")
+            seen.add(sid)
+        codes = codes.astype(np.int8)
+        if not self.competing_risks:
+            reject(codes == EventStatus.CHURNED, "CHURNED in a single-risk dataset")
+        for arr in (times, codes, x):
+            arr.setflags(write=False)
+        for name, value in (("subject_ids", ids), ("times", times),
+                            ("status_codes", codes), ("covariate_matrix", x),
+                            ("feature_names", names), ("axis", TimeAxis(self.axis))):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.subject_ids)
 
     @property
     def n_features(self) -> int:
         return len(self.feature_names)
 
     @cached_property
-    def times(self) -> np.ndarray:
-        return _as_readonly([r.time for r in self.records])
-
-    @cached_property
-    def status_codes(self) -> np.ndarray:
-        arr = np.asarray([int(r.status) for r in self.records], dtype=np.int8)
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
-    def covariate_matrix(self) -> np.ndarray:
-        if not self.records:
-            arr = np.empty((0, self.n_features), dtype=float)
-        else:
-            arr = np.asarray([r.covariates for r in self.records], dtype=float)
-        arr.setflags(write=False)
-        return arr
+    def records(self) -> tuple[SurvivalRecord, ...]:
+        """The rows as ``SurvivalRecord``s, built on first access."""
+        return tuple(map(SurvivalRecord, self.subject_ids, self.times.tolist(),
+                         self.status_codes.tolist(), self.covariate_matrix.tolist()))
 
     def n_events(self, status: EventStatus = EventStatus.CONVERTED) -> int:
         return int(np.sum(self.status_codes == int(status)))
@@ -246,17 +252,17 @@ class SurvivalDataset:
         """Single-risk view of a competing-risks dataset (CHURNED -> CENSORED)."""
         if not self.competing_risks:
             return self
-        recoded = tuple(
-            SurvivalRecord(r.subject_id, r.time, EventStatus.CENSORED, r.covariates)
-            if r.status == EventStatus.CHURNED
-            else r
-            for r in self.records
-        )
-        return SurvivalDataset(recoded, self.feature_names, self.axis, False)
+        codes = np.where(self.status_codes == EventStatus.CHURNED,
+                         EventStatus.CENSORED, self.status_codes)
+        return replace(self, status_codes=codes, competing_risks=False)
 
-    def subset(self, indices: Iterable[int]) -> "SurvivalDataset":
-        recs = tuple(self.records[i] for i in indices)
-        return SurvivalDataset(recs, self.feature_names, self.axis, self.competing_risks)
+    def subset(self, indices) -> "SurvivalDataset":
+        """The rows at ``indices`` (a sequence or array of ints), in that order."""
+        idx = np.asarray(indices, dtype=np.intp)
+        ids = self.subject_ids
+        return replace(self, subject_ids=tuple(ids[i] for i in idx.tolist()),
+                       times=self.times[idx], status_codes=self.status_codes[idx],
+                       covariate_matrix=self.covariate_matrix[idx])
 
 
 def require_nonempty(data: SurvivalDataset, what: str = "dataset") -> None:

@@ -12,12 +12,14 @@ covariates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import EventStatus, StepFunction, SurvivalDataset, median_crossing
 from .errors import (
+    ConfigError,
     ConvergenceError,
     DegenerateFitError,
     MonotoneLikelihoodError,
@@ -120,8 +122,10 @@ def fit_cox(data: SurvivalDataset, *, max_iter: int = 100, tol: float = 1e-8,
     covariate. (A separating covariate whose scale keeps the diverging
     coefficient below the guard converges instead to a large finite value
     of order -ln(tol) over the group gap; any positive ridge removes the
-    issue entirely.)
+    issue entirely.) Raises ConfigError unless ``ridge`` is finite and >= 0.
     """
+    if not (math.isfinite(ridge) and ridge >= 0.0):
+        raise ConfigError(f"ridge must be finite and >= 0, got {ridge!r}")
     if data.competing_risks:
         raise WrongEstimatorError("fit_cox requires a single-risk dataset")
     events_all = data.status_codes == int(EventStatus.CONVERTED)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EventStatus, SurvivalDataset
-from .cox import fit_cox, predict_median_batch as cox_median_batch
+from .cox import CoxFit, fit_cox, predict_median_batch as cox_median_batch
 from .errors import ConfigError, EmptyInputError, StratificationError, UndefinedMetricError
 from .forest import (
     ForestConfig,
@@ -101,20 +101,18 @@ def stratified_split(data: SurvivalDataset, spec: SplitSpec
         groups = [conv_idx, other_idx]
     else:
         groups = [np.arange(n)]
-    train_idx: list[int] = []
+    in_train = np.zeros(n, dtype=bool)
     for group in groups:
         perm = rng.permutation(group)
-        train_idx.extend(perm[:_take(group.size, spec.train_fraction)])
-    train_set = set(train_idx)
-    train = data.subset(sorted(train_set))
-    test = data.subset([i for i in range(n) if i not in train_set])
+        in_train[perm[:_take(group.size, spec.train_fraction)]] = True
+    train = data.subset(np.flatnonzero(in_train))
+    test = data.subset(np.flatnonzero(~in_train))
     return train, test
 
 
 def rmsle(outcomes: list[PredictionOutcome]) -> float:
     """Root mean square log1p error over predicted, observed converters."""
-    pairs = [(o.observed_time, o.predicted_median) for o in outcomes
-             if o.observed_converted and o.predicted_median is not None]
+    pairs = scatter_pairs(outcomes)
     if not pairs:
         raise UndefinedMetricError(
             "no subject both converted and received a prediction")
@@ -143,41 +141,49 @@ def churn_qualified_fp_rate(outcomes: list[PredictionOutcome]) -> float:
     return fp / len(outcomes)
 
 
-def _fit_and_predict(kind: str, train: SurvivalDataset, test: SurvivalDataset,
-                     forest_config: ForestConfig, ridge: float,
-                     n_jobs: int | None) -> np.ndarray:
-    x_test = test.covariate_matrix
-    if kind == "cox":
-        fit = fit_cox(train.recode_competing_as_censored(), ridge=ridge)
-        return cox_median_batch(fit, x_test)
-    if kind == "rsf":
-        model = fit_rsf(train.recode_competing_as_censored(), forest_config, n_jobs)
-    elif kind == "cif":
-        model = fit_conditional_ensemble(
-            train.recode_competing_as_censored(), forest_config, n_jobs)
-    elif kind == "rsf-cr":
+def fit_model(kind: str, train: SurvivalDataset, forest_config: ForestConfig,
+              *, ridge: float, n_jobs: int | None):
+    """Fit one model kind on ``train``: a ``CoxFit`` or a ``ForestModel``.
+
+    Every kind but ``rsf-cr`` sees churn as censoring. The fit functions
+    are read as module globals at each call, so patching them on this
+    module (as perfbench/spans.py does) reaches every caller.
+    """
+    if kind not in MODEL_KINDS:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    if kind == "rsf-cr":
         if not train.competing_risks:
             raise ConfigError(
                 "rsf-cr needs competing-risks labels; rebuild the dataset "
                 "with --churn-window > 0")
-        model = fit_rsf_competing(train, forest_config, n_jobs)
-    else:
-        raise ConfigError(f"unknown model kind {kind!r}")
-    return forest_median_batch(model, x_test)
+        return fit_rsf_competing(train, forest_config, n_jobs)
+    train = train.recode_competing_as_censored()
+    if kind == "cox":
+        return fit_cox(train, ridge=ridge)
+    fit = fit_rsf if kind == "rsf" else fit_conditional_ensemble
+    return fit(train, forest_config, n_jobs)
+
+
+def predict_medians(model, x) -> np.ndarray:
+    """Median conversion time per row of ``x``; NaN where none is predicted."""
+    if isinstance(model, CoxFit):
+        return cox_median_batch(model, x)
+    return forest_median_batch(model, x)
 
 
 def build_outcomes(test: SurvivalDataset, medians: np.ndarray
                    ) -> list[PredictionOutcome]:
-    out = []
-    for record, med in zip(test.records, medians):
-        out.append(PredictionOutcome(
-            subject_id=record.subject_id,
-            observed_time=record.time,
-            observed_converted=record.status == EventStatus.CONVERTED,
-            observed_churned=record.status == EventStatus.CHURNED,
+    return [
+        PredictionOutcome(
+            subject_id=sid,
+            observed_time=time,
+            observed_converted=code == EventStatus.CONVERTED,
+            observed_churned=code == EventStatus.CHURNED,
             predicted_median=None if np.isnan(med) else float(med),
-        ))
-    return out
+        )
+        for sid, time, code, med in zip(test.subject_ids, test.times.tolist(),
+                                        test.status_codes.tolist(), medians)
+    ]
 
 
 def evaluate_models(train: SurvivalDataset, test: SurvivalDataset,
@@ -200,8 +206,8 @@ def evaluate_models(train: SurvivalDataset, test: SurvivalDataset,
         if kind not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {kind!r}")
         try:
-            medians = _fit_and_predict(kind, train, test, forest_config,
-                                       ridge, n_jobs)
+            model = fit_model(kind, train, forest_config, ridge=ridge, n_jobs=n_jobs)
+            medians = predict_medians(model, test.covariate_matrix)
         except Exception as exc:  # isolate per-model failures
             results.append(ModelAxisResult(
                 model=kind, axis=axis, n_test=len(test),
@@ -255,14 +261,8 @@ class EvaluationReport:
         }
 
     def to_text(self) -> str:
-        axes = []
-        for r in self.rows:
-            if r.axis not in axes:
-                axes.append(r.axis)
-        models = []
-        for r in self.rows:
-            if r.model not in models:
-                models.append(r.model)
+        axes = list(dict.fromkeys(r.axis for r in self.rows))
+        models = list(dict.fromkeys(r.model for r in self.rows))
         by_key = {(r.model, r.axis): r for r in self.rows}
 
         def cell(r: ModelAxisResult | None, metric: str) -> str:

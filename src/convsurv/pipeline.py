@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import EventStatus, SurvivalDataset, SurvivalRecord, TimeAxis
+from .core import EventStatus, SurvivalDataset, TimeAxis
 from .errors import LogParseError, LogValidationError
 
 EXPECTED_HEADER = ["player_id", "day_index", "playtime_hours", "level",
@@ -481,6 +481,9 @@ def _window_features(logs: PlayerLogs, cutoff: np.ndarray) -> tuple[dict, np.nda
                           lambda acc, v: np.where(v > acc, v, acc), -np.inf)
     mean = _ratio(play_sum, n)
     deviation = (playtime - mean[owner])[in_window]
+    # pow raises OverflowError past the float maximum; an infinite square
+    # instead lets build_dataset name the player
+    deviation[np.abs(deviation) >= 2.0 ** 512] = np.inf
     squares = np.zeros(playtime.size)
     squares[in_window] = np.fromiter(map(math.pow, deviation.tolist(), repeat(2.0)),
                                      np.float64, deviation.size)
@@ -556,8 +559,11 @@ def build_dataset(logs, axis: TimeAxis, competing: bool = False,
         times = play_sum + logs.playtime_hours[event_row]
     covariates = np.column_stack(
         [values[f] for f in spec.features] or [np.empty((len(logs), 0))])
-    records = tuple(
-        SurvivalRecord(pid, t, s, tuple(x))
-        for pid, t, s, x in zip(logs.ids, times.tolist(), status.tolist(),
-                                covariates.tolist()))
-    return SurvivalDataset(records, spec.features, axis, competing)
+    overflow = ~(np.isfinite(times) & np.isfinite(covariates).all(axis=1))
+    if overflow.any():
+        pid = logs.ids[int(np.argmax(overflow))]
+        raise LogValidationError(
+            f"player {pid!r}: playtime_hours sum or square overflows the float range",
+            pid)
+    return SurvivalDataset(logs.ids, times, status, covariates, spec.features,
+                           axis, competing)

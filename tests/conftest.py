@@ -1,25 +1,24 @@
 import numpy as np
 import pytest
 
-from convsurv.core import EventStatus, SurvivalDataset, SurvivalRecord, TimeAxis
+from convsurv.core import EventStatus, SurvivalDataset, TimeAxis
 
 
 def make_dataset(times, statuses, x=None, competing=False,
                  axis=TimeAxis.LIFETIME, feature_names=None):
     """Build a dataset from parallel lists; x defaults to a zero column."""
-    times = list(times)
-    statuses = [EventStatus(s) for s in statuses]
+    times = np.asarray(times, dtype=float)
+    n = times.size
     if x is None:
-        x = [(0.0,)] * len(times)
+        x = np.zeros((n, 1 if n else 0))
     else:
-        x = [tuple(float(v) for v in np.atleast_1d(row)) for row in x]
+        x = (np.array([np.atleast_1d(row) for row in x], dtype=float).reshape(n, -1)
+             if n else np.empty((0, 0)))
     if feature_names is None:
-        feature_names = tuple(f"f{i}" for i in range(len(x[0]) if x else 0))
-    records = tuple(
-        SurvivalRecord(f"s{i}", t, s, cov)
-        for i, (t, s, cov) in enumerate(zip(times, statuses, x))
-    )
-    return SurvivalDataset(records, tuple(feature_names), axis, competing)
+        feature_names = tuple(f"f{i}" for i in range(x.shape[1]))
+    return SurvivalDataset(tuple(f"s{i}" for i in range(n)), times,
+                           [int(EventStatus(s)) for s in statuses], x,
+                           tuple(feature_names), axis, competing)
 
 
 def random_dataset(rng, n, competing=False, p=1, tie_prob=0.3):

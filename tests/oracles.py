@@ -3,16 +3,26 @@
 Everything here evaluates the defining formulas directly with fresh counts
 per time point (no risk tables, no cumulative tricks, no code shared with
 the library), deliberately O(n^2), so library bugs cannot cancel out. The
-log-pipeline reference at the end shares only the exception types.
+record-based dataset reference shares ``SurvivalRecord`` and the exception
+types; the log-pipeline reference at the end shares only the exception
+types.
 """
 
 import csv
 import math
 from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
-from convsurv.errors import LogParseError, LogValidationError
+from convsurv.core import EventStatus, SurvivalRecord, TimeAxis
+from convsurv.errors import (
+    EmptyInputError,
+    LogParseError,
+    LogValidationError,
+    ShapeMismatchError,
+    StratificationError,
+)
 
 
 def _distinct_event_times(times, event_mask):
@@ -101,6 +111,108 @@ def grid_partial_loglik(grid, times, event_mask, x_col):
         eta = np.outer(grid, [x_col[i] for i in risk])
         out += grid * s_x - len(at_t) * np.log(np.exp(eta).sum(axis=1))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Record-based reference for the dataset container: the SurvivalDataset and
+# stratified split that the columnar dataset replaced, kept as they were
+# written. Records are the library's SurvivalRecord, which keeps its checks.
+
+@dataclass(frozen=True)
+class ReferenceDataset:
+    records: tuple
+    feature_names: tuple
+    axis: TimeAxis
+    competing_risks: bool = False
+
+    def __post_init__(self):
+        records = tuple(self.records)
+        names = tuple(self.feature_names)
+        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "feature_names", names)
+        object.__setattr__(self, "axis", TimeAxis(self.axis))
+        p = len(names)
+        seen = set()
+        for r in records:
+            if len(r.covariates) != p:
+                raise ShapeMismatchError(
+                    f"record {r.subject_id!r} has {len(r.covariates)} covariates, expected {p}"
+                )
+            if r.subject_id in seen:
+                raise ValueError(f"duplicate subject_id {r.subject_id!r}")
+            seen.add(r.subject_id)
+            if not self.competing_risks and r.status == EventStatus.CHURNED:
+                raise ValueError(
+                    f"record {r.subject_id!r} is CHURNED in a single-risk dataset"
+                )
+
+    def __len__(self):
+        return len(self.records)
+
+    @property
+    def times(self):
+        arr = np.asarray([r.time for r in self.records], dtype=float)
+        arr.setflags(write=False)
+        return arr
+
+    @property
+    def status_codes(self):
+        arr = np.asarray([int(r.status) for r in self.records], dtype=np.int8)
+        arr.setflags(write=False)
+        return arr
+
+    @property
+    def covariate_matrix(self):
+        if not self.records:
+            arr = np.empty((0, len(self.feature_names)), dtype=float)
+        else:
+            arr = np.asarray([r.covariates for r in self.records], dtype=float)
+        arr.setflags(write=False)
+        return arr
+
+    def n_events(self, status=EventStatus.CONVERTED):
+        return int(np.sum(self.status_codes == int(status)))
+
+    def recode_competing_as_censored(self):
+        if not self.competing_risks:
+            return self
+        recoded = tuple(
+            SurvivalRecord(r.subject_id, r.time, EventStatus.CENSORED, r.covariates)
+            if r.status == EventStatus.CHURNED
+            else r
+            for r in self.records
+        )
+        return ReferenceDataset(recoded, self.feature_names, self.axis, False)
+
+    def subset(self, indices):
+        recs = tuple(self.records[i] for i in indices)
+        return ReferenceDataset(recs, self.feature_names, self.axis, self.competing_risks)
+
+
+def reference_split(data, spec):
+    """Converter-stratified (train, test) of a ReferenceDataset."""
+    n = len(data)
+    if n == 0:
+        raise EmptyInputError("cannot split an empty dataset")
+    conv_mask = data.status_codes == int(EventStatus.CONVERTED)
+    rng = np.random.default_rng(spec.seed)
+    if spec.stratify_on_converter:
+        conv_idx = np.nonzero(conv_mask)[0]
+        other_idx = np.nonzero(~conv_mask)[0]
+        if conv_idx.size == 0 or other_idx.size == 0:
+            raise StratificationError(
+                "stratified split needs at least one converter and one non-converter")
+        groups = [conv_idx, other_idx]
+    else:
+        groups = [np.arange(n)]
+    train_idx = []
+    for group in groups:
+        perm = rng.permutation(group)
+        train_idx.extend(perm[:int(math.floor(group.size * spec.train_fraction + 0.5))])
+    train_set = set(train_idx)
+    train = data.subset(sorted(train_set))
+    test = data.subset([i for i in range(n) if i not in train_set])
+    return train, test
 
 
 # ---------------------------------------------------------------------------

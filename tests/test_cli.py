@@ -317,6 +317,29 @@ class TestErrorHandling:
         assert "--churn-window" in capsys.readouterr().err
         assert not (tmp_path / "ev").exists()  # rejected before any fitting
 
+    @pytest.mark.parametrize("ridge", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_bad_ridge_is_config_error_before_ingest(self, command, ridge, tmp_path,
+                                                     capsys):
+        # the log file does not exist: reading it first would exit 2
+        argv = {"train": ["train", "--model", "cox", "--target", "lifetime",
+                          "--out", str(tmp_path / "m.json")],
+                "evaluate": ["evaluate", "--models", "cox", "--seed", "1",
+                             "--out", str(tmp_path / "ev")]}[command]
+        rc = main(argv + ["--data", str(tmp_path / "missing.csv"), "--ridge", ridge])
+        assert rc == 1
+        assert "--ridge" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists() and not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("level", ["1.5", "0", "1", "-0.2", "nan"])
+    def test_curves_level_outside_unit_interval_is_config_error(self, level, tmp_path,
+                                                                capsys):
+        rc = main(["curves", "--data", str(tmp_path / "missing.csv"),
+                   "--axis", "lifetime", "--level", level,
+                   "--out", str(tmp_path / "c.csv")])
+        assert rc == 1
+        assert "--level" in capsys.readouterr().err
+
 
 class _StillRunning(BaseException):
     """Raised by the alarm so that ``main`` cannot report it as an error."""
@@ -456,6 +479,24 @@ class TestLogFileEdges:
                    "--out", str(tmp_path / "c.csv")])
         assert rc == 2
         assert "line 3: column 'day_index' exceeds the int64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("playtimes", [("1e308", "1e308", "1e308"), ("1e200", "3e200", "1")],
+                             ids=["sum", "square"])
+    @pytest.mark.parametrize("command", ["train", "evaluate", "curves"])
+    def test_playtime_overflow_is_data_error(self, command, playtimes, tmp_path, capsys):
+        logs = tmp_path / "logs.csv"
+        logs.write_text(self.HEADER + "".join(
+            f"p1,{day},{hours},1,1,1,0\n" for day, hours in enumerate(playtimes)))
+        argv = {
+            "train": ["train", "--model", "rsf", "--target", "playtime",
+                      "--trees", "2", "--seed", "1",
+                      "--out", str(tmp_path / "m.json")],
+            "evaluate": ["evaluate", "--trees", "2", "--seed", "1",
+                         "--out", str(tmp_path / "ev")],
+            "curves": ["curves", "--axis", "playtime", "--out", str(tmp_path / "c.csv")],
+        }[command]
+        assert main(argv + ["--data", str(logs)]) == 2
+        assert "player 'p1'" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_out_scipy_stats_and_optimize():

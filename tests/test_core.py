@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from convsurv.core import (
@@ -16,8 +17,10 @@ from convsurv.core import (
     survival_to_incidence,
 )
 from convsurv.errors import InvalidCurveError, ShapeMismatchError
+from convsurv.evaluation import SplitSpec, stratified_split
 
 from conftest import make_dataset
+from oracles import ReferenceDataset, reference_split
 
 
 def survival_f():
@@ -155,15 +158,14 @@ class TestRecordsAndDataset:
             make_dataset([1.0], [EventStatus.CHURNED])
 
     def test_duplicate_subject_ids_rejected(self):
-        r = SurvivalRecord("a", 1.0, EventStatus.CENSORED, (0.0,))
         with pytest.raises(ValueError, match="duplicate"):
-            SurvivalDataset((r, r), ("f0",), TimeAxis.LIFETIME, False)
+            SurvivalDataset(("a", "a"), [1.0, 1.0], [0, 0], [[0.0], [0.0]],
+                            ("f0",), TimeAxis.LIFETIME, False)
 
     def test_covariate_dimension_checked(self):
-        r1 = SurvivalRecord("a", 1.0, EventStatus.CENSORED, (0.0,))
-        r2 = SurvivalRecord("b", 1.0, EventStatus.CENSORED, (0.0, 1.0))
         with pytest.raises(ShapeMismatchError):
-            SurvivalDataset((r1, r2), ("f0",), TimeAxis.LIFETIME, False)
+            SurvivalDataset(("a", "b"), [1.0, 1.0], [0, 0], [[0.0, 1.0], [0.0, 1.0]],
+                            ("f0",), TimeAxis.LIFETIME, False)
 
     def test_recode_competing_as_censored(self):
         d = make_dataset([1, 2, 3],
@@ -179,3 +181,120 @@ class TestRecordsAndDataset:
         d = make_dataset([1, 2], [1, 0], x=[(1.0, 2.0), (3.0, 4.0)])
         assert d.covariate_matrix.shape == (2, 2)
         assert d.n_features == 2
+
+
+# --- columnar dataset against the record-based reference --------------------
+
+FAULTS = ("negative-time", "nan-time", "inf-time", "nan-covariate",
+          "unknown-status", "churned-single-risk", "duplicate-id",
+          "wide-covariates")
+
+
+def make_case(times, codes, x, p, competing, fault=None, where=0):
+    """Parallel subject columns, with ``fault`` injected at row ``where``."""
+    n = len(times)
+    ids = [f"s{i}" for i in range(n)]
+    times, codes, x = list(times), list(codes), [list(row) for row in x]
+    if fault == "negative-time":
+        times[where] = -1.0
+    elif fault == "nan-time":
+        times[where] = float("nan")
+    elif fault == "inf-time":
+        times[where] = float("inf")
+    elif fault == "nan-covariate" and p:
+        x[where][0] = float("nan")
+    elif fault == "unknown-status":
+        codes[where] = 3
+    elif fault == "churned-single-risk":
+        codes[where], competing = 2, False
+    elif fault == "duplicate-id" and n > 1:
+        ids[where] = ids[where - 1]
+    elif fault == "wide-covariates":
+        x = [row + [0.0] for row in x]
+    return ids, times, codes, x, p, competing
+
+
+@st.composite
+def subject_cases(draw):
+    n = draw(st.integers(0, 10))
+    p = draw(st.integers(0, 3))
+    competing = draw(st.booleans())
+    times = draw(st.lists(st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0, 50),
+                          min_size=n, max_size=n))
+    codes = draw(st.lists(st.sampled_from([0, 1, 2] if competing else [0, 1]),
+                          min_size=n, max_size=n))
+    x = draw(st.lists(st.lists(st.floats(-1e3, 1e3), min_size=p, max_size=p),
+                      min_size=n, max_size=n))
+    fault = draw(st.sampled_from((None,) + FAULTS)) if n else None
+    where = draw(st.integers(0, max(n - 1, 0)))
+    return make_case(times, codes, x, p, competing, fault, where)
+
+
+def outcome(build):
+    """(result, None) or (None, the exception type) of ``build()``."""
+    try:
+        return build(), None
+    except Exception as exc:  # the type is what gets compared
+        return None, type(exc)
+
+
+def build_both(case):
+    ids, times, codes, x, p, competing = case
+    names = tuple(f"f{j}" for j in range(p))
+    width = len(x[0]) if x else p
+    columnar = outcome(lambda: SurvivalDataset(
+        tuple(ids), times, codes, np.array(x, dtype=float).reshape(len(ids), width),
+        names, TimeAxis.LEVEL, competing))
+    reference = outcome(lambda: ReferenceDataset(
+        tuple(SurvivalRecord(*row) for row in zip(ids, times, codes, x)),
+        names, TimeAxis.LEVEL, competing))
+    return columnar, reference
+
+
+def assert_same(col, ref):
+    assert col.subject_ids == tuple(r.subject_id for r in ref.records)
+    for name in ("times", "status_codes", "covariate_matrix"):
+        got, want = getattr(col, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+    assert col.records == ref.records
+    assert len(col) == len(ref) and col.competing_risks == ref.competing_risks
+    assert all(col.n_events(s) == ref.n_events(s) for s in EventStatus)
+
+
+class TestColumnarDataset:
+    @settings(max_examples=300, deadline=None)
+    @given(case=subject_cases(), data=st.data())
+    def test_matches_record_reference(self, case, data):
+        (col, col_err), (ref, ref_err) = build_both(case)
+        assert col_err is ref_err
+        if ref is None:
+            return
+        assert_same(col, ref)
+        assert_same(col.recode_competing_as_censored(), ref.recode_competing_as_censored())
+        n = len(ref)
+        indices = data.draw(st.lists(st.integers(-n, n - 1), max_size=12) if n
+                            else st.just([]))
+        (sub, sub_err), (ref_sub, ref_sub_err) = (
+            outcome(lambda: col.subset(indices)), outcome(lambda: ref.subset(indices)))
+        assert sub_err is ref_sub_err
+        if ref_sub is not None:
+            assert_same(sub, ref_sub)
+        spec = SplitSpec(train_fraction=data.draw(st.sampled_from([0.3, 0.5, 0.7])),
+                         stratify_on_converter=data.draw(st.booleans()),
+                         seed=data.draw(st.integers(0, 5)))
+        (split, split_err), (ref_split, ref_split_err) = (
+            outcome(lambda: stratified_split(col, spec)),
+            outcome(lambda: reference_split(ref, spec)))
+        assert split_err is ref_split_err
+        if ref_split is not None:
+            for got, want in zip(split, ref_split):
+                assert_same(got, want)
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_every_fault_is_rejected_like_the_reference(self, fault):
+        case = make_case([1.0, 2.0, 3.0], [1, 0, 1], [[0.5], [1.5], [2.5]], 1,
+                         True, fault, where=1)
+        (_, col_err), (_, ref_err) = build_both(case)
+        assert ref_err is not None and col_err is ref_err

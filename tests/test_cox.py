@@ -15,6 +15,7 @@ from convsurv.cox import (
     predict_median_batch,
 )
 from convsurv.errors import (
+    ConfigError,
     ConvergenceError,
     DegenerateFitError,
     MonotoneLikelihoodError,
@@ -115,6 +116,14 @@ class TestFitCox:
         x = [(1.0,)] * 4 + [(0.0,)] * 4
         fit = fit_cox(make_dataset(times, statuses, x), ridge=0.1)
         assert np.isfinite(fit.beta).all()
+
+    @pytest.mark.parametrize("ridge", [-1.0, float("nan"), float("inf")])
+    def test_ridge_must_be_finite_and_nonnegative(self, ridge):
+        # a negative or NaN ridge used to fit the unpenalized model silently
+        data = make_dataset([1, 2, 3, 4], [CONV, CENS, CONV, CENS],
+                            [(0.0,), (1.0,), (0.5,), (2.0,)])
+        with pytest.raises(ConfigError, match="ridge"):
+            fit_cox(data, ridge=ridge)
 
 
 class TestDerivatives:
