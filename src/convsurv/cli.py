@@ -134,6 +134,11 @@ def _level(text: str) -> float:
 
 
 def _forest_config(args) -> ForestConfig:
+    """The forest flags, checked before any input is read."""
+    n_features = len(FeatureSpec().features)
+    if args.mtry is not None and args.mtry > n_features:
+        raise ConfigError(
+            f"--mtry {args.mtry} exceeds the {n_features} model features")
     return ForestConfig(
         n_trees=args.trees,
         mtry=args.mtry,
@@ -202,12 +207,13 @@ def _build_for_model(logs, target: str, model_kind: str, churn_window: int
 
 
 def cmd_train(args) -> int:
+    cfg = _forest_config(args)
     logs = _load_filtered(args.data)
     data = _build_for_model(logs, args.target, args.model, args.churn_window)
     train, _test = stratified_split(
         data, SplitSpec(train_fraction=args.train_frac, seed=args.seed))
     spec = FeatureSpec()
-    fitted = fit_model(args.model, train, _forest_config(args), ridge=args.ridge,
+    fitted = fit_model(args.model, train, cfg, ridge=args.ridge,
                        n_jobs=args.threads)
     if args.model == "cox":
         diagnostics = dataclasses.asdict(fitted.convergence)
@@ -297,10 +303,10 @@ def cmd_evaluate(args) -> int:
             raise ConfigError(f"unknown target {t!r}")
     _require_churn_labels(models, args.churn_window)
     resolve_jobs(args.threads)  # a malformed CONVSURV_THREADS fails here, once
+    cfg = _forest_config(args)
     logs = _load_filtered(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = _forest_config(args)
     rows = []
     competing = args.churn_window > 0
     for target in targets:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EventStatus, StepFunction, SurvivalDataset, median_crossing
+from .core import EventStatus, StepFunction, SurvivalDataset
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -232,7 +232,8 @@ def predict_cox_survival(fit: CoxFit, x) -> StepFunction:
 
 def predict_cox_median(fit: CoxFit, x) -> float | None:
     """Median conversion time: first knot where survival drops to 0.5."""
-    return median_crossing(predict_cox_survival(fit, x), 0.5)
+    median = predict_median_batch(fit, x)[0]
+    return None if np.isnan(median) else float(median)
 
 
 def predict_median_batch(fit: CoxFit, x) -> np.ndarray:

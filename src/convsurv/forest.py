@@ -162,44 +162,36 @@ def _bin_matrix(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) ->
     return flat.reshape(n_rows, n_cols).astype(float)
 
 
-def _admissible_mask(tb: np.ndarray, any_event: np.ndarray, n_thr: int,
-                     min_events: int) -> np.ndarray:
-    ev_left = np.bincount(tb[any_event], minlength=n_thr + 1).cumsum()[:n_thr]
-    total = int(any_event.sum())
-    return (ev_left >= min_events) & (total - ev_left >= min_events)
+def _cuts(x, any_event, min_events, cap):
+    """(thresholds, row bins, admissible mask) of one feature's cutpoints.
+
+    Row i goes left of threshold j iff its bin is <= j; a cut is admissible
+    when each daughter keeps ``min_events`` events of any type.
+    """
+    thresholds = _candidate_thresholds(x, cap)
+    tb = np.searchsorted(thresholds, x, side="left")
+    ev = np.bincount(tb[any_event], minlength=thresholds.size + 1).cumsum()
+    return thresholds, tb, (ev[:-1] >= min_events) & (ev[-1] - ev[:-1] >= min_events)
 
 
-def _logrank_scan(x, times, cause_event, any_event, min_events, cap):
+def _logrank_scan(x, cause_event, any_event, terms, min_events, cap):
     """Standardized log-rank statistic for every admissible cutpoint.
 
     Returns (thresholds, stats); inadmissible or zero-variance cutpoints
     get -inf. The statistic's events are ``cause_event`` (other causes act
-    as censorings); admissibility counts ``any_event`` per daughter.
+    as censorings), counted by the node's ``terms`` (see _best_split_rsf);
+    admissibility counts ``any_event`` per daughter.
     """
-    thresholds = _candidate_thresholds(x, cap)
+    thresholds, tb, adm = _cuts(x, any_event, min_events, cap)
     c = thresholds.size
-    if c == 0:
-        return thresholds, np.empty(0)
-    ets = np.unique(times[cause_event])
-    k = ets.size
     stats = np.full(c, -np.inf)
-    adm = _admissible_mask(np.searchsorted(thresholds, x, side="left"),
-                           any_event, c, min_events)
-    if k == 0 or not adm.any():
+    if not adm.any():
         return thresholds, stats
-
-    tb = np.searchsorted(thresholds, x, side="left")          # x <= thr[j] iff tb <= j
-    rb = np.searchsorted(ets, times, side="right")            # at risk at k iff k < rb
-    h_all = _bin_matrix(rb, tb, k + 1, c + 1)
-    suffix = np.cumsum(h_all[::-1], axis=0)[::-1]
+    rb, de, q, d = terms
+    k = q.size
+    suffix = np.cumsum(_bin_matrix(rb, tb, k + 1, c + 1)[::-1], axis=0)[::-1]
     ql = np.cumsum(suffix[1:k + 1], axis=1)[:, :c]            # at risk, left side
-    q = suffix[1:k + 1].sum(axis=1)
-
-    de = np.searchsorted(ets, times[cause_event])
-    h_ev = _bin_matrix(de, tb[cause_event], k, c + 1)
-    dl = np.cumsum(h_ev, axis=1)[:, :c]
-    d = h_ev.sum(axis=1)
-
+    dl = np.cumsum(_bin_matrix(de, tb[cause_event], k, c + 1), axis=1)[:, :c]
     frac = ql / q[:, None]
     oe = (dl - d[:, None] * frac).sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -211,17 +203,12 @@ def _logrank_scan(x, times, cause_event, any_event, min_events, cap):
     return thresholds, stats
 
 
-def _logrank_scores(times: np.ndarray, events: np.ndarray) -> np.ndarray:
-    """Censoring-adjusted scores a_i = delta_i - H(t_i), H from node data."""
-    ets = np.unique(times[events])
-    if ets.size == 0:
-        return np.zeros(times.size)
-    sorted_t = np.sort(times)
-    q = times.size - np.searchsorted(sorted_t, ets, side="left")
-    d = np.bincount(np.searchsorted(ets, times[events]), minlength=ets.size)
-    cumhaz = np.concatenate(([0.0], np.cumsum(d / q)))
-    idx = np.searchsorted(ets, times, side="right")
-    return events.astype(float) - cumhaz[idx]
+def _logrank_scores(times: np.ndarray, status: np.ndarray) -> np.ndarray:
+    """Scores a_i = delta_i - H(t_i), H the node's Nelson-Aalen conversion hazard."""
+    event_times, at_risk, d_conv, _, _ = event_counts(times, status)
+    cumhaz = np.concatenate(([0.0], na_values_from_counts(at_risk, d_conv)))
+    events = status == int(EventStatus.CONVERTED)
+    return events.astype(float) - cumhaz[np.searchsorted(event_times, times, side="right")]
 
 
 def _score_moments(a: np.ndarray):
@@ -249,14 +236,10 @@ def _feature_pvalues(xmat: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def _two_sample_scan(x, a, any_event, min_events, cap):
     """Standardized two-sample score statistic for every admissible cutpoint."""
-    thresholds = _candidate_thresholds(x, cap)
+    thresholds, tb, adm = _cuts(x, any_event, min_events, cap)
     c = thresholds.size
-    if c == 0:
-        return thresholds, np.empty(0)
     n = a.size
-    tb = np.searchsorted(thresholds, x, side="left")
     stats = np.full(c, -np.inf)
-    adm = _admissible_mask(tb, any_event, c, min_events)
     if not adm.any() or n < 2:
         return thresholds, stats
     sum_left = np.bincount(tb, weights=a, minlength=c + 1).cumsum()[:c]
@@ -273,28 +256,32 @@ def _two_sample_scan(x, a, any_event, min_events, cap):
 
 def _best_split_rsf(x_node, t_node, s_node, candidates, min_events, cap):
     cause = s_node == int(EventStatus.CONVERTED)
+    # feature-independent terms, once per node: at-risk bins (at risk at
+    # cause-event time k iff k < rb), cause-event time indices, and the
+    # numbers at risk and of cause events at each cause-event time
+    ets, q, d, _, _ = event_counts(t_node, cause.astype(np.int8))
+    if ets.size == 0:
+        return None
+    terms = (np.searchsorted(ets, t_node, side="right"),
+             np.searchsorted(ets, t_node[cause]), q.astype(float), d.astype(float))
     any_ev = s_node != int(EventStatus.CENSORED)
     best = (-np.inf, -1, np.nan)
     for f in candidates:
-        thr, stats = _logrank_scan(x_node[:, f], t_node, cause, any_ev,
+        thr, stats = _logrank_scan(x_node[:, f], cause, any_ev, terms,
                                    min_events, cap)
         if stats.size == 0:
             continue
         j = int(np.argmax(stats))
         if stats[j] > best[0]:
             best = (float(stats[j]), int(f), float(thr[j]))
-    if not np.isfinite(best[0]):
-        return None
-    return best[1], best[2]
+    return (best[1], best[2]) if np.isfinite(best[0]) else None
 
 
 def _best_split_conditional(x_node, t_node, s_node, candidates, min_events,
                             cap, alpha):
-    events = s_node == int(EventStatus.CONVERTED)
-    scores = _logrank_scores(t_node, events)
+    scores = _logrank_scores(t_node, s_node)
     pvals = _feature_pvalues(x_node[:, candidates], scores)
-    testable = pvals < 1.0
-    n_tests = int(testable.sum())
+    n_tests = int((pvals < 1.0).sum())
     if n_tests == 0:
         return None
     best_i = int(np.argmin(pvals))

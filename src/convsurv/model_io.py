@@ -59,16 +59,42 @@ def _cox_payload(fit: CoxFit) -> dict:
 
 
 def _cox_from_payload(payload: dict, feature_names) -> CoxFit:
+    beta = np.array(payload["beta"], dtype=float)
+    knots = np.array(payload["baseline_knots"], dtype=float)
+    values = np.array(payload["baseline_values"], dtype=float)
+    if beta.shape != (len(feature_names),):
+        raise CompatibilityError(
+            f"Cox beta has shape {beta.shape} for {len(feature_names)} features")
+    if (knots.ndim != 1 or not np.all(np.isfinite(knots))
+            or np.any(~(np.diff(knots) > 0))):
+        raise CompatibilityError(
+            "Cox baseline knots are not finite and strictly increasing")
+    if (values.shape != knots.shape or not np.all(np.isfinite(values))
+            or np.any(values < 0) or np.any(np.diff(values) < 0)):
+        raise CompatibilityError(
+            "Cox baseline cumulative hazard is not one finite, non-negative, "
+            "non-decreasing value per knot")
     return CoxFit(
-        beta=np.array(payload["beta"], dtype=float),
-        baseline_cum_hazard=StepFunction(
-            np.array(payload["baseline_knots"], dtype=float),
-            np.array(payload["baseline_values"], dtype=float),
-            0.0,
-        ),
+        beta=beta,
+        baseline_cum_hazard=StepFunction(knots, values, 0.0),
         feature_names=tuple(feature_names),
         convergence=ConvergenceInfo(**payload["convergence"]),
     )
+
+
+def _check_train_config(config, kind: str) -> None:
+    """``predict`` rebuilds labels with the training churn window."""
+    if not isinstance(config, dict):
+        raise CompatibilityError("train_config is not an object")
+    if "churn_window" not in config:
+        return
+    window = config["churn_window"]
+    if isinstance(window, bool) or not isinstance(window, int):
+        raise CompatibilityError(
+            f"train_config churn_window {window!r} is not an integer")
+    if kind == "rsf-cr" and window <= 0:
+        raise CompatibilityError(
+            f"train_config churn_window {window} must be > 0 for an rsf-cr model")
 
 
 def _tree_payload(tree: SurvivalTree) -> dict:
@@ -245,6 +271,7 @@ def _model_file(doc: dict) -> ModelFile:
     kind = doc["kind"]
     axis = TimeAxis(doc["axis"])
     names = tuple(doc["feature_names"])
+    _check_train_config(doc["train_config"], kind)
     if kind == "cox":
         model = _cox_from_payload(doc["model"], names)
     elif kind in ("rsf", "cif", "rsf-cr"):

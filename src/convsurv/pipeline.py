@@ -430,12 +430,14 @@ def _fold_rows(values: np.ndarray, starts: np.ndarray, n: np.ndarray,
     """Fold each player's first ``n`` rows left to right, ``acc = step(acc, row)``.
 
     One vectorized step per row position, so float sums accumulate in the
-    order of Python's ``sum``.
+    order of Python's ``sum``. A sum past the float range becomes inf
+    quietly: build_dataset reports the player.
     """
     acc = np.full(n.size, initial)
-    for k in range(n.max(initial=0)):
-        live = n > k
-        acc[live] = step(acc[live], values[starts[live] + k])
+    with np.errstate(over="ignore"):
+        for k in range(n.max(initial=0)):
+            live = n > k
+            acc[live] = step(acc[live], values[starts[live] + k])
     return acc
 
 
@@ -556,7 +558,8 @@ def build_dataset(logs, axis: TimeAxis, competing: bool = False,
     elif axis == TimeAxis.LEVEL:
         times = logs.level[event_row].astype(float)
     else:
-        times = play_sum + logs.playtime_hours[event_row]
+        with np.errstate(over="ignore"):
+            times = play_sum + logs.playtime_hours[event_row]
     covariates = np.column_stack(
         [values[f] for f in spec.features] or [np.empty((len(logs), 0))])
     overflow = ~(np.isfinite(times) & np.isfinite(covariates).all(axis=1))

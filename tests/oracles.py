@@ -4,8 +4,10 @@ Everything here evaluates the defining formulas directly with fresh counts
 per time point (no risk tables, no cumulative tricks, no code shared with
 the library), deliberately O(n^2), so library bugs cannot cancel out. The
 record-based dataset reference shares ``SurvivalRecord`` and the exception
-types; the log-pipeline reference at the end shares only the exception
-types.
+types; the log-pipeline reference shares only the exception types. The
+split-rule reference at the end is the per-feature tree-growth code that
+the per-node hoist replaced; it shares the forest's unchanged threshold,
+bin-count and permutation-test helpers.
 """
 
 import csv
@@ -22,6 +24,12 @@ from convsurv.errors import (
     LogValidationError,
     ShapeMismatchError,
     StratificationError,
+)
+from convsurv.forest import (
+    _bin_matrix,
+    _candidate_thresholds,
+    _feature_pvalues,
+    _score_moments,
 )
 
 
@@ -368,3 +376,126 @@ def reference_dataset(logs, axis, competing, features, churn_window, data_end=No
         status.append(code)
         covariates.append([values[f] for f in features])
     return ids, times, status, covariates
+
+
+# ---------------------------------------------------------------------------
+# Split-rule reference: the log-rank and two-sample cut scans as they were
+# before each node's feature-independent terms were computed once. Every
+# candidate feature recomputes the node's event times, risk-set bins and
+# Nelson-Aalen hazard.
+
+def _admissible_mask(tb, any_event, n_thr, min_events):
+    ev_left = np.bincount(tb[any_event], minlength=n_thr + 1).cumsum()[:n_thr]
+    total = int(any_event.sum())
+    return (ev_left >= min_events) & (total - ev_left >= min_events)
+
+
+def reference_logrank_scan(x, times, cause_event, any_event, min_events, cap):
+    thresholds = _candidate_thresholds(x, cap)
+    c = thresholds.size
+    if c == 0:
+        return thresholds, np.empty(0)
+    ets = np.unique(times[cause_event])
+    k = ets.size
+    stats = np.full(c, -np.inf)
+    adm = _admissible_mask(np.searchsorted(thresholds, x, side="left"),
+                           any_event, c, min_events)
+    if k == 0 or not adm.any():
+        return thresholds, stats
+
+    tb = np.searchsorted(thresholds, x, side="left")
+    rb = np.searchsorted(ets, times, side="right")
+    h_all = _bin_matrix(rb, tb, k + 1, c + 1)
+    suffix = np.cumsum(h_all[::-1], axis=0)[::-1]
+    ql = np.cumsum(suffix[1:k + 1], axis=1)[:, :c]
+    q = suffix[1:k + 1].sum(axis=1)
+
+    de = np.searchsorted(ets, times[cause_event])
+    h_ev = _bin_matrix(de, tb[cause_event], k, c + 1)
+    dl = np.cumsum(h_ev, axis=1)[:, :c]
+    d = h_ev.sum(axis=1)
+
+    frac = ql / q[:, None]
+    oe = (dl - d[:, None] * frac).sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vterm = d[:, None] * frac * (1.0 - frac) * ((q - d) / (q - 1.0))[:, None]
+    vterm[q <= 1.0] = 0.0
+    v = vterm.sum(axis=0)
+    ok = adm & (v > 0.0)
+    stats[ok] = np.abs(oe[ok]) / np.sqrt(v[ok])
+    return thresholds, stats
+
+
+def reference_logrank_scores(times, events):
+    ets = np.unique(times[events])
+    if ets.size == 0:
+        return np.zeros(times.size)
+    sorted_t = np.sort(times)
+    q = times.size - np.searchsorted(sorted_t, ets, side="left")
+    d = np.bincount(np.searchsorted(ets, times[events]), minlength=ets.size)
+    cumhaz = np.concatenate(([0.0], np.cumsum(d / q)))
+    idx = np.searchsorted(ets, times, side="right")
+    return events.astype(float) - cumhaz[idx]
+
+
+def reference_two_sample_scan(x, a, any_event, min_events, cap):
+    thresholds = _candidate_thresholds(x, cap)
+    c = thresholds.size
+    if c == 0:
+        return thresholds, np.empty(0)
+    n = a.size
+    tb = np.searchsorted(thresholds, x, side="left")
+    stats = np.full(c, -np.inf)
+    adm = _admissible_mask(tb, any_event, c, min_events)
+    if not adm.any() or n < 2:
+        return thresholds, stats
+    sum_left = np.bincount(tb, weights=a, minlength=c + 1).cumsum()[:c]
+    n_left = np.bincount(tb, minlength=c + 1).cumsum()[:c]
+    _, var_a = _score_moments(a)
+    expected = n_left * a.mean()
+    v = var_a * n_left * (n - n_left) / (n - 1.0)
+    ok = adm & (v > 0.0)
+    stats[ok] = np.abs(sum_left[ok] - expected[ok]) / np.sqrt(v[ok])
+    return thresholds, stats
+
+
+def reference_best_split_rsf(x_node, t_node, s_node, candidates, min_events, cap):
+    """(feature, threshold) of the largest log-rank statistic, or None."""
+    cause = s_node == int(EventStatus.CONVERTED)
+    any_ev = s_node != int(EventStatus.CENSORED)
+    best = (-np.inf, -1, np.nan)
+    for f in candidates:
+        thr, stats = reference_logrank_scan(x_node[:, f], t_node, cause, any_ev,
+                                            min_events, cap)
+        if stats.size == 0:
+            continue
+        j = int(np.argmax(stats))
+        if stats[j] > best[0]:
+            best = (float(stats[j]), int(f), float(thr[j]))
+    if not np.isfinite(best[0]):
+        return None
+    return best[1], best[2]
+
+
+def reference_best_split_conditional(x_node, t_node, s_node, candidates,
+                                     min_events, cap, alpha):
+    """Two-step conditional-inference split (feature test, then cutpoint)."""
+    events = s_node == int(EventStatus.CONVERTED)
+    scores = reference_logrank_scores(t_node, events)
+    pvals = _feature_pvalues(x_node[:, candidates], scores)
+    testable = pvals < 1.0
+    n_tests = int(testable.sum())
+    if n_tests == 0:
+        return None
+    best_i = int(np.argmin(pvals))
+    adjusted = min(1.0, pvals[best_i] * n_tests)
+    if adjusted > alpha:
+        return None
+    f = int(candidates[best_i])
+    any_ev = s_node != int(EventStatus.CENSORED)
+    thr, stats = reference_two_sample_scan(x_node[:, f], scores, any_ev,
+                                           min_events, cap)
+    if stats.size == 0 or not np.isfinite(stats.max()):
+        return None
+    j = int(np.argmax(stats))
+    return f, float(thr[j])

@@ -331,6 +331,19 @@ class TestErrorHandling:
         assert "--ridge" in capsys.readouterr().err
         assert not (tmp_path / "ev").exists() and not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_mtry_above_feature_count_is_config_error_before_ingest(
+            self, command, tmp_path, capsys):
+        # six model features; the log file does not exist
+        argv = {"train": ["train", "--model", "rsf", "--target", "lifetime",
+                          "--out", str(tmp_path / "m.json")],
+                "evaluate": ["evaluate", "--seed", "1", "--out", str(tmp_path / "ev")]
+                }[command]
+        rc = main(argv + ["--data", str(tmp_path / "missing.csv"), "--mtry", "7"])
+        assert rc == 1
+        assert "--mtry 7" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists() and not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize("level", ["1.5", "0", "1", "-0.2", "nan"])
     def test_curves_level_outside_unit_interval_is_config_error(self, level, tmp_path,
                                                                 capsys):
@@ -357,7 +370,27 @@ def main_within(argv, seconds=30):
         signal.signal(signal.SIGALRM, previous)
 
 
+HEADER_CORRUPTIONS = {
+    "train-config-not-object": lambda doc: doc.update(train_config=[9]),
+    "churn-window-string": lambda doc: doc["train_config"].update(churn_window="9"),
+    "churn-window-bool": lambda doc: doc["train_config"].update(churn_window=True),
+    "churn-window-zero": lambda doc: doc["train_config"].update(churn_window=0),
+}
+COX_CORRUPTIONS = {
+    "reversed-knots": lambda cox: cox["baseline_knots"].reverse(),
+    "short-baseline-values": lambda cox: cox["baseline_values"].pop(),
+    "nan-baseline-value": lambda cox: cox["baseline_values"].__setitem__(0, float("nan")),
+    "decreasing-baseline": lambda cox: cox["baseline_values"].reverse(),
+    "negative-baseline": lambda cox: cox["baseline_values"].__setitem__(0, -1.0),
+    "short-beta": lambda cox: cox["beta"].pop(),
+}
+
+
 def corrupt_model(doc, corruption):
+    if corruption in HEADER_CORRUPTIONS:
+        return HEADER_CORRUPTIONS[corruption](doc)
+    if corruption in COX_CORRUPTIONS:
+        return COX_CORRUPTIONS[corruption](doc["model"])
     trees = doc["model"]["trees"]
     tree = next((t for t in trees if t["feature"][0] >= 0), trees[0])
     leaf = next(lf for lf in tree["leaves"] if lf["times"])
@@ -387,6 +420,16 @@ def corrupt_model(doc, corruption):
             times[0] = (grid[k] + grid[k + 1]) / 2
         else:
             times[-1] = grid[-1] + 1000
+
+
+@pytest.fixture(scope="module")
+def cox_model(data_dir, tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "cox.json"
+    rc = main(["train", "--data", str(data_dir / "logs.csv"),
+               "--model", "cox", "--target", "lifetime",
+               "--seed", "5", "--out", str(path)])
+    assert rc == 0
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -451,6 +494,17 @@ class TestModelFileCorruption:
         assert_predict_rejects(rsfcr_playtime_model, corruption, data_dir,
                                tmp_path, capsys)
 
+    @pytest.mark.parametrize("corruption", [*COX_CORRUPTIONS, "train-config-not-object",
+                                            "churn-window-string", "churn-window-bool"])
+    def test_corrupt_cox_file_is_data_error(self, corruption, data_dir, cox_model,
+                                            tmp_path, capsys):
+        assert_predict_rejects(cox_model, corruption, data_dir, tmp_path, capsys)
+
+    def test_rsf_cr_file_without_churn_window_is_data_error(
+            self, data_dir, rsfcr_playtime_model, tmp_path, capsys):
+        assert_predict_rejects(rsfcr_playtime_model, "churn-window-zero", data_dir,
+                               tmp_path, capsys)
+
 
 class TestLogFileEdges:
     HEADER = "player_id,day_index,playtime_hours,level,sessions,actions,purchases\n"
@@ -496,7 +550,21 @@ class TestLogFileEdges:
             "curves": ["curves", "--axis", "playtime", "--out", str(tmp_path / "c.csv")],
         }[command]
         assert main(argv + ["--data", str(logs)]) == 2
-        assert "player 'p1'" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "player 'p1'" in err[0]
+
+    def test_playtime_sum_overflowing_at_the_event_row_is_data_error(self, tmp_path,
+                                                                     capsys):
+        # the window sum before the purchase is finite; adding the event
+        # row's hours overflows
+        logs = tmp_path / "logs.csv"
+        logs.write_text(self.HEADER + "p1,0,1e308,1,1,1,0\np1,1,1e308,1,1,1,1\n")
+        rc = main(["curves", "--data", str(logs), "--axis", "playtime",
+                   "--out", str(tmp_path / "c.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "player 'p1'" in err[0]
 
 
 def test_cli_import_leaves_out_scipy_stats_and_optimize():

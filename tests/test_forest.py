@@ -38,6 +38,7 @@ from convsurv.forest import (
     predict_survival_matrix,
 )
 
+import oracles
 from conftest import make_dataset
 
 CONV = EventStatus.CONVERTED
@@ -542,13 +543,103 @@ class TestMedianBisection:
         assert peak(20000) < 2 * peak(2000)
 
 
+# P(censored, converted, churned) per node; the last two hold no conversion
+STATUS_MIXES = ((0.4, 0.6, 0.0), (0.3, 0.4, 0.3), (0.1, 0.9, 0.0),
+                (1.0, 0.0, 0.0), (0.5, 0.0, 0.5))
+
+
+def random_node(rng):
+    """A tree node for the split rules: tied or distinct times, a status
+    mix that may hold churn or no conversion, constant, two-valued, tied or
+    continuous features, and ``min_events`` and ``cap`` from 1 to past n."""
+    n = int(rng.integers(2, 61))
+    pool = np.round(rng.exponential(5.0, int(rng.choice([1, 3, n]))), 2) + 0.01
+    times = rng.choice(pool, size=n)
+    mix = STATUS_MIXES[rng.integers(len(STATUS_MIXES))]
+    status = rng.choice(3, size=n, p=mix).astype(np.int8)
+    columns = {
+        "constant": lambda: np.full(n, 1.5),
+        "two-valued": lambda: rng.integers(0, 2, n).astype(float),
+        "tied": lambda: rng.integers(0, 5, n).astype(float),
+        "continuous": lambda: rng.standard_normal(n),
+    }
+    p = int(rng.integers(1, 5))
+    x = np.column_stack([columns[k]() for k in rng.choice(list(columns), size=p)])
+    candidates = np.sort(rng.choice(p, size=int(rng.integers(1, p + 1)),
+                                    replace=False))
+    min_events = int(rng.integers(1, rng.choice([4, n + 1])))
+    return x, times, status, candidates, min_events, int(rng.integers(1, n + 2))
+
+
+def split_choices(node, alpha, rules):
+    """(rsf, conditional) splits of ``node`` under forest-like ``rules``.
+
+    The conditional rule sees churn as censoring, as in single-risk trees.
+    """
+    x, times, status, candidates, min_events, cap = node
+    single = np.where(status == int(CHURN), int(CENS), status).astype(np.int8)
+    best_rsf, best_conditional = rules
+    return (best_rsf(x, times, status, candidates, min_events, cap),
+            best_conditional(x, times, single, candidates, min_events, cap, alpha))
+
+
+REFERENCE_RULES = (oracles.reference_best_split_rsf,
+                   oracles.reference_best_split_conditional)
+
+
+class TestSplitRules:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from([0.05, 0.5, 1.0]))
+    def test_split_choice_matches_reference(self, seed, alpha):
+        """Both rules pick the reference's (feature, threshold), or both
+        find no split."""
+        node = random_node(np.random.default_rng(seed))
+        rules = (forest._best_split_rsf, forest._best_split_conditional)
+        assert split_choices(node, alpha, rules) == split_choices(
+            node, alpha, REFERENCE_RULES)
+
+    def test_reference_sees_every_case(self):
+        """Seeded nodes give splits and no splits under both rules, and
+        nodes without a conversion."""
+        outcomes = set()
+        for seed in range(200):
+            node = random_node(np.random.default_rng(seed))
+            splits = split_choices(node, 1.0, REFERENCE_RULES)
+            outcomes.update((rule, split is None) for rule, split in enumerate(splits))
+            outcomes.add(("no conversion", not np.any(node[2] == int(CONV))))
+        assert len(outcomes) == 6
+
+
+def assert_same_trees(m1, m2):
+    """Node arrays and leaf counts equal in value and dtype, tree by tree."""
+    assert len(m1.trees) == len(m2.trees)
+    for t1, t2 in zip(m1.trees, m2.trees):
+        pairs = [(getattr(t1, f), getattr(t2, f))
+                 for f in ("feature", "threshold", "left", "right", "leaf_index")]
+        assert len(t1.leaves) == len(t2.leaves)
+        for l1, l2 in zip(t1.leaves, t2.leaves):
+            pairs += [(getattr(l1, f), getattr(l2, f))
+                      for f in ("times", "at_risk", "d_conv", "d_churn")]
+            assert (l1.at_risk_grid is None) == (l2.at_risk_grid is None)
+            if l1.at_risk_grid is not None:
+                pairs.append((l1.at_risk_grid, l2.at_risk_grid))
+        for a, b in pairs:
+            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+
+
 class TestParallelism:
-    def test_thread_count_does_not_change_results(self, rng, monkeypatch):
-        d = generic_dataset(rng, 150)
-        cfg = ForestConfig(n_trees=16, min_node_events=10, seed=12)
+    @pytest.mark.parametrize("fit, competing", [
+        (fit_rsf, False), (fit_conditional_ensemble, False), (fit_rsf_competing, True),
+    ], ids=["rsf", "cif", "rsf-cr"])
+    def test_thread_count_does_not_change_results(self, fit, competing, rng,
+                                                  monkeypatch):
+        d = competing_dataset(rng, 150) if competing else generic_dataset(rng, 150)
+        cfg = ForestConfig(n_trees=16, min_node_events=10, seed=12, alpha=0.5)
         monkeypatch.delenv("CONVSURV_THREADS", raising=False)
-        m1 = fit_rsf(d, cfg, n_jobs=1)
-        m2 = fit_rsf(d, cfg, n_jobs=2)
+        m1 = fit(d, cfg, n_jobs=1)
+        m2 = fit(d, cfg, n_jobs=2)
+        assert max(len(t.leaves) for t in m1.trees) > 1
+        assert_same_trees(m1, m2)
         x = rng.standard_normal((20, 3))
         assert np.array_equal(predict_survival_matrix(m1, x),
                               predict_survival_matrix(m2, x))
