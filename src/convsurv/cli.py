@@ -126,7 +126,7 @@ def _ridge(text: str) -> float:
     return value
 
 
-def _level(text: str) -> float:
+def _fraction(text: str) -> float:
     value = float(text)
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text!r}")
@@ -163,7 +163,7 @@ def _add_train_options(p: argparse.ArgumentParser) -> None:
                    help="conditional-ensemble curve aggregation")
     p.add_argument("--ridge", type=_ridge, default=1e-6,
                    help="Cox ridge penalty")
-    p.add_argument("--train-frac", type=float, default=0.30)
+    p.add_argument("--train-frac", type=_fraction, default=0.30)
     p.add_argument("--churn-window", type=int, default=DEFAULT_CHURN_WINDOW,
                    help="inactivity days labeling churn; 0 disables churn labels")
     p.add_argument("--threads", type=int, default=None,
@@ -185,11 +185,13 @@ def cmd_generate(args) -> int:
     truth_path = out / "ground_truth.csv"
     write_logs_csv(logs, logs_path)
     write_ground_truth_csv(truths, truth_path)
-    multi = [log for log in logs if len(log.rows) >= 2]
-    converters = sum(1 for log in multi if log.first_purchase_row() is not None)
+    multi = logs.row_counts >= 2
+    # every player has a row, so no reduceat segment is empty
+    bought = np.add.reduceat(logs.purchases, logs.offsets[:-1]) > 0
+    n_multi, converters = int(multi.sum()), int((multi & bought).sum())
     print(f"wrote {logs_path} and {truth_path}: {len(logs)} players, "
-          f"{len(multi)} multi-day, {converters} observed converters "
-          f"({100.0 * converters / max(1, len(multi)):.2f}% of multi-day)")
+          f"{n_multi} multi-day, {converters} observed converters "
+          f"({100.0 * converters / max(1, n_multi):.2f}% of multi-day)")
     return 0
 
 
@@ -301,6 +303,9 @@ def cmd_evaluate(args) -> int:
     for t in targets:
         if t not in _AXES:
             raise ConfigError(f"unknown target {t!r}")
+    for kind in models:
+        if kind not in MODEL_KINDS:
+            raise ConfigError(f"unknown model kind {kind!r}")
     _require_churn_labels(models, args.churn_window)
     resolve_jobs(args.threads)  # a malformed CONVSURV_THREADS fails here, once
     cfg = _forest_config(args)
@@ -421,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="player-log CSV")
     p.add_argument("--axis", choices=_AXES, required=True)
     p.add_argument("--population", choices=("all", "converters"), default="all")
-    p.add_argument("--level", type=_level, default=0.95)
+    p.add_argument("--level", type=_fraction, default=0.95)
     p.add_argument("--churn-window", type=int, default=DEFAULT_CHURN_WINDOW)
     p.add_argument("--out", required=True, help="output CSV")
     p.set_defaults(func=cmd_curves)

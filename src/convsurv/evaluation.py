@@ -50,6 +50,8 @@ class SplitSpec:
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must lie in (0, 1)")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

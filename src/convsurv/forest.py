@@ -94,6 +94,8 @@ class ForestConfig:
             raise ConfigError("max_candidates must be >= 1")
         if self.aggregate not in ("pooled", "mean"):
             raise ConfigError("aggregate must be 'pooled' or 'mean'")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 @dataclass

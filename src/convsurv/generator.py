@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .pipeline import PlayerLog, PlayerRow
+from .pipeline import EXPECTED_HEADER, PlayerLog, PlayerLogs
 
 # propensity weights: engaged, skilled players convert far more often; the
 # steep near-linear form concentrates a third of the conversion mass in a
@@ -96,6 +96,8 @@ class GeneratorConfig:
                      "churn_scale"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -181,7 +183,8 @@ def _calibrate_intercept(cfg: GeneratorConfig) -> float:
 
 
 def _simulate_player(pid: str, rng: np.random.Generator, cfg: GeneratorConfig,
-                     intercept: float) -> tuple[PlayerLog, GroundTruth]:
+                     intercept: float) -> tuple[tuple[np.ndarray, ...], GroundTruth]:
+    """The player's log columns, in ``PlayerRow`` field order, and ground truth."""
     # draw order is fixed; changing it would silently reshuffle all output
     z1 = rng.standard_normal()
     z2 = rng.standard_normal()
@@ -234,52 +237,38 @@ def _simulate_player(pid: str, rng: np.random.Generator, cfg: GeneratorConfig,
         later = rng.random(n_days - conv_pos - 1) < 0.2
         purchases[conv_pos + 1:][later] += 1
 
-    rows = tuple(
-        PlayerRow(
-            day_index=int(reg + d),
-            playtime_hours=float(round(playtime[i], 3)),
-            level=int(levels[i]),
-            sessions=int(sessions[i]),
-            actions=int(actions[i]),
-            purchases=int(purchases[i]),
-        )
-        for i, d in enumerate(active_days)
-    )
-    log = PlayerLog(pid, reg, rows)
     truth = GroundTruth(
         player_id=pid,
         true_converter=conv_day is not None,
         true_conversion_day=conv_day,
         true_churn_day=churn_day if churned else None,
     )
-    return log, truth
+    columns = (reg + active_days, np.round(playtime, 3), levels, sessions,
+               actions, purchases)
+    return columns, truth
 
 
-def generate_synthetic(cfg: GeneratorConfig) -> tuple[list[PlayerLog], list[GroundTruth]]:
-    """Simulate ``cfg.n_players`` players; returns (logs, ground_truth)."""
+def generate_synthetic(cfg: GeneratorConfig) -> tuple[PlayerLogs, list[GroundTruth]]:
+    """Simulate ``cfg.n_players`` players; returns (log table, ground truth)."""
     intercept = _calibrate_intercept(cfg) if cfg.pu_propensity > 0 else -math.inf
-    logs: list[PlayerLog] = []
-    truths: list[GroundTruth] = []
     width = len(str(cfg.n_players - 1))
-    for i in range(cfg.n_players):
-        rng = np.random.default_rng((cfg.seed, i))
-        pid = f"p{i:0{width}d}"
-        log, truth = _simulate_player(pid, rng, cfg, intercept)
-        logs.append(log)
-        truths.append(truth)
-    return logs, truths
+    ids = [f"p{i:0{width}d}" for i in range(cfg.n_players)]
+    players, truths = zip(*(
+        _simulate_player(pid, np.random.default_rng((cfg.seed, i)), cfg, intercept)
+        for i, pid in enumerate(ids)))
+    day, *columns = (np.concatenate(c) for c in zip(*players))
+    offsets = np.cumsum([0] + [p[0].size for p in players])
+    # every player is active on its registration day
+    return PlayerLogs(ids, day[offsets[:-1]], offsets, day, *columns), list(truths)
 
 
-def write_logs_csv(logs: list[PlayerLog], path) -> None:
+def write_logs_csv(logs: PlayerLogs | list[PlayerLog], path) -> None:
+    table = PlayerLogs.from_logs(logs)
+    ids = np.repeat(np.array(table.ids, dtype=object), table.row_counts)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["player_id", "day_index", "playtime_hours", "level",
-                         "sessions", "actions", "purchases"])
-        for log in logs:
-            for r in log.rows:
-                writer.writerow([log.player_id, r.day_index,
-                                 repr(r.playtime_hours), r.level, r.sessions,
-                                 r.actions, r.purchases])
+        writer.writerow(EXPECTED_HEADER)
+        writer.writerows(zip(ids.tolist(), *(c.tolist() for c in table.columns)))
 
 
 def write_ground_truth_csv(truths: list[GroundTruth], path) -> None:

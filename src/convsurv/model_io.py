@@ -33,7 +33,7 @@ import numpy as np
 
 from .core import TimeAxis
 from .cox import ConvergenceInfo, CoxFit, StepFunction
-from .errors import CompatibilityError
+from .errors import CompatibilityError, ConfigError
 from .forest import ForestConfig, ForestKind, ForestModel, Leaf, SurvivalTree
 
 FORMAT_VERSION = 1
@@ -215,13 +215,17 @@ def _forest_from_payload(payload: dict, kind: str, feature_names, axis) -> Fores
     grid = np.array(payload["grid"], dtype=float)
     if grid.ndim != 1 or np.any(~(np.diff(grid) > 0)):
         raise CompatibilityError("model grid is not strictly increasing")
+    try:
+        config = ForestConfig(**payload["config"])
+    except ConfigError as exc:
+        raise CompatibilityError(f"forest config: {exc}") from None
     kind = ForestKind(kind)
     conditional = kind == ForestKind.CONDITIONAL
     return ForestModel(
         kind=kind,
         trees=tuple(_tree_from_payload(t, len(feature_names), grid, conditional)
                     for t in payload["trees"]),
-        config=ForestConfig(**payload["config"]),
+        config=config,
         feature_names=tuple(feature_names),
         axis=axis,
         grid=grid,

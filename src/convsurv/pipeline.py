@@ -94,45 +94,18 @@ _DTYPES = tuple(np.float64 if c == "playtime_hours" else np.int64 for c in _COLU
 
 @dataclass(frozen=True)
 class PlayerLog:
-    """Daily activity rows for one player, sorted by day, unique per day."""
+    """Daily activity rows for one player, a plain record.
+
+    A ``PlayerLogs`` table checks the rows: sorted by day, unique per day,
+    none before registration, levels non-decreasing.
+    """
 
     player_id: str
     registration_day: int
     rows: tuple[PlayerRow, ...]
 
     def __post_init__(self):
-        rows = tuple(self.rows)
-        object.__setattr__(self, "rows", rows)
-        if not rows:
-            raise LogValidationError(
-                f"player {self.player_id!r} has no activity rows", self.player_id)
-        days = [r.day_index for r in rows]
-        if any(b <= a for a, b in zip(days, days[1:])):
-            raise LogValidationError(
-                f"player {self.player_id!r} has unsorted or duplicate day rows",
-                self.player_id)
-        if self.registration_day > days[0]:
-            raise LogValidationError(
-                f"player {self.player_id!r} active before registration",
-                self.player_id)
-        levels = [r.level for r in rows]
-        if any(b < a for a, b in zip(levels, levels[1:])):
-            raise LogValidationError(
-                f"player {self.player_id!r} has a decreasing level", self.player_id)
-
-    @classmethod
-    def _validated(cls, player_id: str, registration_day: int,
-                   rows: tuple[PlayerRow, ...]) -> "PlayerLog":
-        """A log from rows a ``PlayerLogs`` table has already validated."""
-        log = object.__new__(cls)
-        object.__setattr__(log, "player_id", player_id)
-        object.__setattr__(log, "registration_day", registration_day)
-        object.__setattr__(log, "rows", rows)
-        return log
-
-    @property
-    def last_day(self) -> int:
-        return self.rows[-1].day_index
+        object.__setattr__(self, "rows", tuple(self.rows))
 
     def first_purchase_row(self) -> PlayerRow | None:
         for row in self.rows:
@@ -148,6 +121,11 @@ class PlayerLogs(Sequence):
     Player ``i`` owns rows ``offsets[i]:offsets[i + 1]`` of every column,
     sorted by day. As a read-only sequence of ``PlayerLog`` it builds one
     player's log on demand.
+
+    Construction is the one log check. The first offending player in table
+    order raises LogValidationError, for the first of its faults in this
+    order: no rows, a duplicate day, unsorted days, activity before
+    registration, a decreasing level.
     """
 
     ids: tuple[str, ...]
@@ -166,6 +144,26 @@ class PlayerLogs(Sequence):
             arr = np.asarray(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        counts = self.row_counts
+        owner = np.repeat(np.arange(len(self)), counts)
+        same = owner[1:] == owner[:-1]
+        day, level = self.day_index, self.level
+        has_rows = np.flatnonzero(counts)
+        faults = (
+            ("has no activity rows", np.flatnonzero(counts == 0)),
+            ("has duplicate day_index rows", owner[1:][same & (day[1:] == day[:-1])]),
+            ("has unsorted or duplicate day rows",
+             owner[1:][same & (day[1:] < day[:-1])]),
+            ("active before registration",
+             has_rows[self.registration[has_rows] > day[self.offsets[has_rows]]]),
+            ("has a decreasing level", owner[1:][same & (level[1:] < level[:-1])]),
+        )
+        first = [int(players.min(initial=len(self))) for _, players in faults]
+        player = min(first)
+        if player < len(self):
+            pid = self.ids[player]
+            raise LogValidationError(
+                f"player {pid!r} {faults[first.index(player)][0]}", pid)
 
     @classmethod
     def from_logs(cls, logs) -> "PlayerLogs":
@@ -197,7 +195,7 @@ class PlayerLogs(Sequence):
         i = range(len(self.ids))[i]
         lo, hi = self.offsets[i], self.offsets[i + 1]
         rows = tuple(map(PlayerRow, *(c[lo:hi].tolist() for c in self.columns)))
-        return PlayerLog._validated(self.ids[i], int(self.registration[i]), rows)
+        return PlayerLog(self.ids[i], int(self.registration[i]), rows)
 
     def take(self, players) -> "PlayerLogs":
         """The sub-table of ``players`` (indices or a boolean mask), in order."""
@@ -396,27 +394,16 @@ def ingest_logs(path) -> PlayerLogs:
 def _sorted_logs(ids: tuple[str, ...], blocks: list[tuple]) -> PlayerLogs:
     """The table of parsed blocks, each player's rows sorted by day.
 
-    Duplicate days and decreasing levels raise LogValidationError naming
-    the first such player in file order.
+    The table's check names the first player in file order with a
+    duplicate day or a decreasing level.
     """
     code, *columns = (np.concatenate(parts)
                       for parts in zip(_empty_block(), *blocks))
     order = np.lexsort((columns[0], code))
     code = code[order]
     columns = [c[order] for c in columns]
-    day, level = columns[0], columns[2]
-    same = code[1:] == code[:-1]
-    duplicate = code[1:][same & (day[1:] == day[:-1])]
-    decreasing = code[1:][same & (level[1:] < level[:-1])]
-    if duplicate.size or decreasing.size:
-        first = int(np.concatenate((duplicate, decreasing)).min())
-        pid = ids[first]
-        if first in duplicate:
-            raise LogValidationError(
-                f"player {pid!r} has duplicate day_index rows", pid)
-        raise LogValidationError(f"player {pid!r} has a decreasing level", pid)
     offsets = np.searchsorted(code, np.arange(len(ids) + 1))
-    return PlayerLogs(ids, day[offsets[:-1]], offsets, *columns)
+    return PlayerLogs(ids, columns[0][offsets[:-1]], offsets, *columns)
 
 
 def filter_newcomers(logs) -> PlayerLogs:

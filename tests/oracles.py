@@ -224,9 +224,10 @@ def reference_split(data, spec):
 
 
 # ---------------------------------------------------------------------------
-# Row-wise reference for the log pipeline: the per-player ingest, labelling
-# and feature code that the columnar pipeline replaced, kept as it was
-# written. Logs are (player_id, registration_day, rows) with rows sorted by
+# Row-wise reference for the log pipeline: the per-player ingest, log
+# checks, labelling and feature code that the columnar pipeline replaced,
+# kept as it was written except for the log check's split day-order
+# message. Logs are (player_id, registration_day, rows) with rows sorted by
 # day; datasets are (ids, times, status codes, covariate rows).
 
 REFERENCE_HEADER = ["player_id", "day_index", "playtime_hours", "level",
@@ -315,6 +316,32 @@ def reference_ingest(path):
             raise LogValidationError(f"player {pid!r} has a decreasing level", pid)
         logs.append((pid, rows[0].day_index, tuple(rows)))
     return logs
+
+
+def reference_log_check(logs):
+    """The per-log checks ``PlayerLog`` once ran on construction, applied to
+    (player_id, registration_day, rows) logs in order.
+
+    Equal neighbouring days read as ingest's duplicate; a day below its
+    predecessor reads as unsorted.
+    """
+    for pid, registration_day, rows in logs:
+        if not rows:
+            raise LogValidationError(f"player {pid!r} has no activity rows", pid)
+        days = [r.day_index for r in rows]
+        if any(b == a for a, b in zip(days, days[1:])):
+            raise LogValidationError(
+                f"player {pid!r} has duplicate day_index rows", pid)
+        if any(b < a for a, b in zip(days, days[1:])):
+            raise LogValidationError(
+                f"player {pid!r} has unsorted or duplicate day rows", pid)
+        if registration_day > days[0]:
+            raise LogValidationError(
+                f"player {pid!r} active before registration", pid)
+        levels = [r.level for r in rows]
+        if any(b < a for a, b in zip(levels, levels[1:])):
+            raise LogValidationError(
+                f"player {pid!r} has a decreasing level", pid)
 
 
 def reference_features(rows, registration_day, cutoff):

@@ -344,6 +344,45 @@ class TestErrorHandling:
         assert "--mtry 7" in capsys.readouterr().err
         assert not (tmp_path / "ev").exists() and not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("command", ["generate", "train", "evaluate"])
+    def test_negative_seed_is_config_error_before_ingest(self, command, tmp_path,
+                                                         capsys):
+        # the log file does not exist: reading it first would exit 2
+        argv = {"generate": ["generate", "--players", "5", "--out", str(tmp_path / "g")],
+                "train": ["train", "--model", "rsf", "--target", "lifetime",
+                          "--data", str(tmp_path / "missing.csv"),
+                          "--out", str(tmp_path / "m.json")],
+                "evaluate": ["evaluate", "--data", str(tmp_path / "missing.csv"),
+                             "--out", str(tmp_path / "ev")]}[command]
+        assert main(argv + ["--seed", "-1"]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("models,message", [
+        ("foo", "unknown model kind 'foo'"), (",", "unknown model kind ''"),
+        ("cox,gbm", "unknown model kind 'gbm'"),
+    ])
+    def test_unknown_model_is_config_error_before_ingest(self, models, message,
+                                                         tmp_path, capsys):
+        rc = main(["evaluate", "--data", str(tmp_path / "missing.csv"),
+                   "--models", models, "--seed", "1", "--out", str(tmp_path / "ev")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
+
+    @pytest.mark.parametrize("frac", ["1.5", "0", "1", "-0.3", "nan"])
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_train_frac_outside_unit_interval_is_config_error_before_ingest(
+            self, command, frac, tmp_path, capsys):
+        argv = {"train": ["train", "--model", "cox", "--target", "lifetime",
+                          "--out", str(tmp_path / "m.json")],
+                "evaluate": ["evaluate", "--models", "cox", "--seed", "1",
+                             "--out", str(tmp_path / "ev")]}[command]
+        rc = main(argv + ["--data", str(tmp_path / "missing.csv"), "--train-frac", frac])
+        assert rc == 1
+        assert "--train-frac" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists() and not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize("level", ["1.5", "0", "1", "-0.2", "nan"])
     def test_curves_level_outside_unit_interval_is_config_error(self, level, tmp_path,
                                                                 capsys):
@@ -376,6 +415,12 @@ HEADER_CORRUPTIONS = {
     "churn-window-bool": lambda doc: doc["train_config"].update(churn_window=True),
     "churn-window-zero": lambda doc: doc["train_config"].update(churn_window=0),
 }
+FOREST_CONFIG_CORRUPTIONS = {
+    "config-n-trees-zero": {"n_trees": 0},
+    "config-alpha-two": {"alpha": 2},
+    "config-aggregate-median": {"aggregate": "median"},
+    "config-seed-negative": {"seed": -1},
+}
 COX_CORRUPTIONS = {
     "reversed-knots": lambda cox: cox["baseline_knots"].reverse(),
     "short-baseline-values": lambda cox: cox["baseline_values"].pop(),
@@ -391,6 +436,8 @@ def corrupt_model(doc, corruption):
         return HEADER_CORRUPTIONS[corruption](doc)
     if corruption in COX_CORRUPTIONS:
         return COX_CORRUPTIONS[corruption](doc["model"])
+    if corruption in FOREST_CONFIG_CORRUPTIONS:
+        return doc["model"]["config"].update(FOREST_CONFIG_CORRUPTIONS[corruption])
     trees = doc["model"]["trees"]
     tree = next((t for t in trees if t["feature"][0] >= 0), trees[0])
     leaf = next(lf for lf in tree["leaves"] if lf["times"])
@@ -476,6 +523,11 @@ class TestModelFileCorruption:
     ])
     def test_corrupt_model_file_is_data_error(self, corruption, data_dir, rsf_model,
                                               tmp_path, capsys):
+        assert_predict_rejects(rsf_model, corruption, data_dir, tmp_path, capsys)
+
+    @pytest.mark.parametrize("corruption", FOREST_CONFIG_CORRUPTIONS)
+    def test_invalid_forest_config_is_data_error(self, corruption, data_dir, rsf_model,
+                                                 tmp_path, capsys):
         assert_predict_rejects(rsf_model, corruption, data_dir, tmp_path, capsys)
 
     @pytest.mark.parametrize("corruption", [

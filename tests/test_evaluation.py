@@ -86,6 +86,10 @@ class TestStratifiedSplit:
         with pytest.raises(ConfigError):
             SplitSpec(train_fraction=1.0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            SplitSpec(seed=-1)
+
 
 class TestRmsle:
     def test_perfect_predictions(self):

@@ -90,7 +90,7 @@ class TestForestConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"n_trees": 0}, {"alpha": 0.0}, {"aggregate": "median"},
-        {"min_node_events": 0}, {"mtry": 0}, {"max_candidates": 0},
+        {"min_node_events": 0}, {"mtry": 0}, {"max_candidates": 0}, {"seed": -1},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):

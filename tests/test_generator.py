@@ -1,8 +1,11 @@
 """Synthetic-generator calibration, determinism and label consistency."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from convsurv.cli import main
 from convsurv.core import EventStatus, TimeAxis
 from convsurv.errors import ConfigError
 from convsurv.generator import (
@@ -12,7 +15,7 @@ from convsurv.generator import (
     write_ground_truth_csv,
     write_logs_csv,
 )
-from convsurv.pipeline import build_dataset, filter_newcomers
+from convsurv.pipeline import build_dataset, filter_newcomers, ingest_logs
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +40,34 @@ class TestDeterminism:
         logs1, _ = generate_synthetic(GeneratorConfig(n_players=100, seed=1))
         logs2, _ = generate_synthetic(GeneratorConfig(n_players=100, seed=2))
         assert [len(l.rows) for l in logs1] != [len(l.rows) for l in logs2]
+
+    @pytest.mark.parametrize("argv,logs_sha,truth_sha,summary", [
+        (["--players", "300", "--seed", "7"],
+         "3773c6eb7bf5bc9cf9e5e7eea48743d0072494c7fd0658cdac7396b0f7129df8",
+         "4267a9295502153b3defad11ef7c0d638d7fe3014aaf7e8f849c392539d9b49c",
+         "300 players, 213 multi-day, 14 observed converters (6.57% of multi-day)"),
+        (["--players", "300", "--window", "60", "--seed", "11"],
+         "8311df128f950c1ba1664b0b6178bff389decaf3533799c96872df9dec9174ef",
+         "724a9cdce9c560a1441846174adddbb620a2b4e190ab05fa992fd38d3a1dc3d5",
+         "300 players, 211 multi-day, 16 observed converters (7.58% of multi-day)"),
+    ])
+    def test_pinned_files_and_summary(self, tmp_path, capsys, argv, logs_sha,
+                                      truth_sha, summary):
+        """The bytes of both files and the summary line are frozen per seed."""
+        assert main(["generate", *argv, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.rstrip("\n").endswith(".csv: " + summary)
+        for name, sha in (("logs.csv", logs_sha), ("ground_truth.csv", truth_sha)):
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha
+
+    def test_written_csv_ingests_to_the_generated_table(self, tmp_path):
+        logs, _ = generate_synthetic(GeneratorConfig(n_players=400, seed=9))
+        write_logs_csv(logs, tmp_path / "logs.csv")
+        table = ingest_logs(tmp_path / "logs.csv")
+        assert table.ids == logs.ids
+        for name in ("registration", "offsets", "day_index", "playtime_hours",
+                     "level", "sessions", "actions", "purchases"):
+            got, want = getattr(table, name), getattr(logs, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
 
     def test_ground_truth_roundtrip(self, tmp_path):
         _, truths = generate_synthetic(GeneratorConfig(n_players=120, seed=5))
@@ -84,8 +115,9 @@ class TestLabelConsistency:
                 assert rec.time == float(truth.true_churn_day)
 
     def test_logs_respect_invariants(self, medium_cohort):
-        """Levels non-decreasing and days unique come from PlayerLog
-        validation; purchases imply converter ground truth."""
+        """Sorted unique days, none before registration, and non-decreasing
+        levels come from the PlayerLogs table check on construction;
+        purchases imply converter ground truth."""
         _, (logs, truths) = medium_cohort
         truth_by_id = {t.player_id: t for t in truths}
         for log in logs:
@@ -97,7 +129,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"n_players": 0}, {"pu_propensity": 1.0}, {"pu_propensity": -0.1},
         {"observation_window_days": 2}, {"one_time_comer_rate": 1.0},
-        {"conversion_scale": 0.0},
+        {"conversion_scale": 0.0}, {"seed": -1},
     ])
     def test_bad_configs(self, kwargs):
         base = {"n_players": 10}

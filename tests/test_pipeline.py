@@ -257,6 +257,66 @@ class TestPlayerLogs:
         assert table.level.tolist() == [1, 2]
 
 
+LOG_FAULTS = ("empty", "duplicate-day", "swapped-days", "late-registration",
+              "decreasing-level")
+
+
+@st.composite
+def faulty_cohort(draw):
+    """0-5 valid player logs with none, one or several faults injected."""
+    logs = []
+    for i in range(draw(st.integers(0, 5))):
+        days = sorted(draw(st.sets(st.integers(0, 20), min_size=1, max_size=6)))
+        n = len(days)
+        level = 1 + np.cumsum(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        registration = max(0, days[0] - draw(st.integers(0, 2)))
+        logs.append([f"p{i}", registration,
+                     [row(d, level=lv, purchases=draw(st.sampled_from([0, 0, 1])))
+                      for d, lv in zip(days, level.tolist())]])
+    faults = st.tuples(st.sampled_from(LOG_FAULTS), st.integers(0, max(len(logs) - 1, 0)))
+    for fault, at in draw(st.lists(faults, max_size=3)) if logs else ():
+        rows = logs[at][2]
+        k = draw(st.integers(0, max(len(rows) - 2, 0)))
+        if fault == "empty":
+            rows.clear()
+        elif fault == "duplicate-day" and rows:
+            rows.insert(k, rows[k])
+        elif fault == "swapped-days" and len(rows) >= 2:
+            rows[k], rows[k + 1] = rows[k + 1], rows[k]
+        elif fault == "late-registration" and rows:
+            logs[at][1] = rows[0].day_index + draw(st.integers(1, 3))
+        elif fault == "decreasing-level" and len(rows) >= 2:
+            rows[k] = rows[k]._replace(level=rows[k + 1].level + 1)
+    return [PlayerLog(pid, registration, rows) for pid, registration, rows in logs]
+
+
+class TestTableCheck:
+    """``PlayerLogs`` construction against the per-log reference check."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(logs=faulty_cohort())
+    def test_errors_match_reference(self, logs):
+        want = error_outcome(oracles.reference_log_check,
+                             [(log.player_id, log.registration_day, log.rows)
+                              for log in logs])
+        assert error_outcome(PlayerLogs.from_logs, logs) == want
+        assert error_outcome(filter_newcomers, logs) == want
+        assert error_outcome(lambda l: build_dataset(l, TimeAxis.LIFETIME), logs) == want
+        for log in logs:
+            assert error_outcome(lambda l: engineer_features(l, 10), log) == \
+                error_outcome(oracles.reference_log_check,
+                              [(log.player_id, log.registration_day, log.rows)])
+        if want is None:
+            assert list(PlayerLogs.from_logs(logs)) == logs
+
+    def test_player_log_is_a_plain_record(self):
+        log = PlayerLog("c", 3, [row(2), row(2)])
+        assert log.rows == (row(2), row(2))
+        with pytest.raises(LogValidationError,
+                           match="^player 'c' has duplicate day_index rows$"):
+            PlayerLogs.from_logs([log])
+
+
 @st.composite
 def cohort_csv(draw):
     """A random log file body: unsorted rows, blank lines, one-day players,
