@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import sys
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import model_io
-from .core import EventStatus, StepFunction, SurvivalDataset, TimeAxis, complement
+from .core import EventStatus, TimeAxis, complement
 from .errors import (
     CompatibilityError,
     ConfigError,
@@ -45,18 +44,16 @@ from .evaluation import (
     MODEL_KINDS,
     EvaluationReport,
     SplitSpec,
+    check_model_kinds,
     evaluate_models,
+    fit_diagnostics,
     fit_model,
     predict_medians,
+    predict_subject_curve,
     scatter_pairs,
     stratified_split,
 )
-from .forest import (
-    ForestConfig,
-    predict_forest_incidence,
-    predict_forest_survival,
-    resolve_jobs,
-)
+from .forest import ForestConfig, resolve_jobs
 from .generator import (
     GeneratorConfig,
     generate_synthetic,
@@ -119,15 +116,22 @@ def _load_filtered(path) -> list:
     return logs
 
 
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+
+
 def _ridge(text: str) -> float:
-    value = float(text)
+    value = _number(text)
     if not (math.isfinite(value) and value >= 0.0):
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
     return value
 
 
 def _fraction(text: str) -> float:
-    value = float(text)
+    value = _number(text)
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text!r}")
     return value
@@ -195,37 +199,17 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _require_churn_labels(models, churn_window: int) -> None:
-    if "rsf-cr" in models and churn_window <= 0:
-        raise ConfigError(
-            "rsf-cr needs churn labels: set --churn-window > 0")
-
-
-def _build_for_model(logs, target: str, model_kind: str, churn_window: int
-                     ) -> SurvivalDataset:
-    _require_churn_labels((model_kind,), churn_window)
-    return build_dataset(logs, TimeAxis(target), competing=churn_window > 0,
-                         churn_window=churn_window)
-
-
 def cmd_train(args) -> int:
     cfg = _forest_config(args)
+    check_model_kinds((args.model,), args.churn_window)
     logs = _load_filtered(args.data)
-    data = _build_for_model(logs, args.target, args.model, args.churn_window)
+    data = build_dataset(logs, TimeAxis(args.target), competing=args.churn_window > 0,
+                         churn_window=args.churn_window)
     train, _test = stratified_split(
         data, SplitSpec(train_fraction=args.train_frac, seed=args.seed))
     spec = FeatureSpec()
     fitted = fit_model(args.model, train, cfg, ridge=args.ridge,
                        n_jobs=args.threads)
-    if args.model == "cox":
-        diagnostics = dataclasses.asdict(fitted.convergence)
-    else:
-        n_leaves = [len(t.leaves) for t in fitted.trees]
-        diagnostics = {
-            "n_trees": len(fitted.trees),
-            "mean_leaves_per_tree": sum(n_leaves) / len(n_leaves),
-            "grid_size": int(fitted.grid.size),
-        }
     train_config = {
         "model": args.model,
         "target": args.target,
@@ -249,7 +233,7 @@ def cmd_train(args) -> int:
         "n_players": len(logs),
         "n_train": len(train),
         "n_train_converters": train.n_events(EventStatus.CONVERTED),
-        "diagnostics": diagnostics,
+        "diagnostics": fit_diagnostics(fitted),
     }
     summary_path = Path(str(args.out) + ".summary.json")
     summary_path.write_text(json.dumps(summary, indent=2) + "\n")
@@ -258,32 +242,19 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _subject_curve(model_file: model_io.ModelFile, data: SurvivalDataset,
-                   player_id: str) -> StepFunction:
-    if player_id not in data.subject_ids:
-        raise EmptyInputError(f"player {player_id!r} not found in input data")
-    x = data.covariate_matrix[data.subject_ids.index(player_id)]
-    model = model_file.model
-    if model_file.kind == "cox":
-        from .cox import predict_cox_survival
-        return predict_cox_survival(model, x)
-    if model_file.kind == "rsf-cr":
-        return predict_forest_incidence(model, x, EventStatus.CONVERTED)
-    return predict_forest_survival(model, x)
-
-
 def cmd_predict(args) -> int:
     model_file = model_io.load_model(args.model)
     spec = FeatureSpec()
     if spec.spec_hash() != model_file.feature_spec_hash:
         raise CompatibilityError(
             "feature spec hash mismatch between the model file and this build")
-    logs = _load_filtered(args.data)
-    churn_window = model_file.train_config.get("churn_window", DEFAULT_CHURN_WINDOW)
-    data = _build_for_model(logs, model_file.axis.value, model_file.kind,
-                            churn_window)
+    # covariates only: prediction reads no labels
+    data = build_dataset(_load_filtered(args.data), model_file.axis)
     if args.curve is not None:
-        curve = _subject_curve(model_file, data, args.curve)
+        if args.curve not in data.subject_ids:
+            raise EmptyInputError(f"player {args.curve!r} not found in input data")
+        curve = predict_subject_curve(
+            model_file.model, data.covariate_matrix[data.subject_ids.index(args.curve)])
         _write_csv(args.out, ["time", "value"],
                    ([_fmt(t), _fmt(v)] for t, v in zip(curve.knots, curve.values)))
         print(f"wrote curve for {args.curve} to {args.out}")
@@ -303,10 +274,7 @@ def cmd_evaluate(args) -> int:
     for t in targets:
         if t not in _AXES:
             raise ConfigError(f"unknown target {t!r}")
-    for kind in models:
-        if kind not in MODEL_KINDS:
-            raise ConfigError(f"unknown model kind {kind!r}")
-    _require_churn_labels(models, args.churn_window)
+    check_model_kinds(models, args.churn_window)
     resolve_jobs(args.threads)  # a malformed CONVSURV_THREADS fails here, once
     cfg = _forest_config(args)
     logs = _load_filtered(args.data)

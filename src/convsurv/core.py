@@ -46,6 +46,15 @@ def _as_readonly(a) -> np.ndarray:
     return arr
 
 
+CHUNK_BYTES = 1 << 25  # one row chunk x width float64 block
+
+
+def row_chunks(n: int, width: int) -> list[slice]:
+    """Row slices whose chunk x ``width`` float64 block fits CHUNK_BYTES."""
+    step = max(1, CHUNK_BYTES // (8 * max(width, 1)))
+    return [slice(start, start + step) for start in range(0, n, step)]
+
+
 @dataclass(frozen=True)
 class StepFunction:
     """Right-continuous piecewise-constant function over time.

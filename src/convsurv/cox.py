@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EventStatus, StepFunction, SurvivalDataset
+from .core import EventStatus, StepFunction, SurvivalDataset, row_chunks
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -237,7 +237,11 @@ def predict_cox_median(fit: CoxFit, x) -> float | None:
 
 
 def predict_median_batch(fit: CoxFit, x) -> np.ndarray:
-    """Vectorized medians for a covariate matrix; NaN where never crossed."""
+    """Vectorized medians for a covariate matrix; NaN where never crossed.
+
+    Survival is evaluated one row chunk at a time, so memory stays at one
+    chunk x knots block whatever the row count.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != fit.beta.shape[0]:
         raise ShapeMismatchError(
@@ -248,8 +252,10 @@ def predict_median_batch(fit: CoxFit, x) -> np.ndarray:
     out = np.full(x.shape[0], np.nan)
     if h0.knots.size == 0:
         return out
-    crossed = np.exp(-np.outer(risk, h0.values)) <= 0.5
-    hit = crossed.any(axis=1)
-    first = np.argmax(crossed, axis=1)
-    out[hit] = h0.knots[first[hit]]
+    for rows in row_chunks(x.shape[0], h0.knots.size):
+        surv = np.outer(risk[rows], h0.values)
+        crossed = np.exp(np.negative(surv, out=surv), out=surv) <= 0.5
+        del surv  # the next chunk's block replaces it, not joins it
+        out[rows] = np.where(crossed.any(axis=1),
+                             h0.knots[np.argmax(crossed, axis=1)], np.nan)
     return out

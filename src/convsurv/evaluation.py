@@ -23,22 +23,25 @@ Metric definitions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import EventStatus, SurvivalDataset
-from .cox import CoxFit, fit_cox, predict_median_batch as cox_median_batch
+from .core import EventStatus, StepFunction, SurvivalDataset
+from .cox import CoxFit, fit_cox, predict_cox_survival, predict_median_batch as cox_median_batch
 from .errors import ConfigError, EmptyInputError, StratificationError, UndefinedMetricError
 from .forest import (
     ForestConfig,
+    ForestKind,
     fit_conditional_ensemble,
     fit_rsf,
     fit_rsf_competing,
+    predict_forest_incidence,
+    predict_forest_survival,
     predict_median_batch as forest_median_batch,
 )
 
-MODEL_KINDS = ("cox", "rsf", "cif", "rsf-cr")
+MODEL_KINDS = ("cox", *(kind.value for kind in ForestKind))
 
 
 @dataclass(frozen=True)
@@ -143,6 +146,28 @@ def churn_qualified_fp_rate(outcomes: list[PredictionOutcome]) -> float:
     return fp / len(outcomes)
 
 
+# --- the four model kinds: every per-kind decision is made below ---------
+
+def needs_churn_labels(kind: str) -> bool:
+    """Only the competing-risks forest models churn as an event of its own."""
+    return kind == ForestKind.COMPETING.value
+
+
+def check_model_kinds(kinds, churn_window: int | None = None) -> None:
+    """Reject an unknown kind, and rsf-cr when ``churn_window`` disables churn labels."""
+    for kind in kinds:
+        if kind not in MODEL_KINDS:
+            raise ConfigError(f"unknown model kind {kind!r}")
+    if (churn_window is not None and churn_window <= 0
+            and any(map(needs_churn_labels, kinds))):
+        raise ConfigError("rsf-cr needs churn labels: set --churn-window > 0")
+
+
+def model_kind(model) -> str:
+    """The kind name of a fitted ``CoxFit`` or ``ForestModel``."""
+    return "cox" if isinstance(model, CoxFit) else model.kind.value
+
+
 def fit_model(kind: str, train: SurvivalDataset, forest_config: ForestConfig,
               *, ridge: float, n_jobs: int | None):
     """Fit one model kind on ``train``: a ``CoxFit`` or a ``ForestModel``.
@@ -151,19 +176,24 @@ def fit_model(kind: str, train: SurvivalDataset, forest_config: ForestConfig,
     are read as module globals at each call, so patching them on this
     module (as perfbench/spans.py does) reaches every caller.
     """
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"unknown model kind {kind!r}")
-    if kind == "rsf-cr":
-        if not train.competing_risks:
-            raise ConfigError(
-                "rsf-cr needs competing-risks labels; rebuild the dataset "
-                "with --churn-window > 0")
-        return fit_rsf_competing(train, forest_config, n_jobs)
-    train = train.recode_competing_as_censored()
+    check_model_kinds((kind,))
+    if not needs_churn_labels(kind):
+        train = train.recode_competing_as_censored()
     if kind == "cox":
         return fit_cox(train, ridge=ridge)
-    fit = fit_rsf if kind == "rsf" else fit_conditional_ensemble
+    fit = {"rsf": fit_rsf, "cif": fit_conditional_ensemble,
+           "rsf-cr": fit_rsf_competing}[kind]
     return fit(train, forest_config, n_jobs)
+
+
+def fit_diagnostics(model) -> dict:
+    """Cox convergence, or the forest's tree count, mean leaves and grid size."""
+    if isinstance(model, CoxFit):
+        return asdict(model.convergence)
+    n_leaves = [len(t.leaves) for t in model.trees]
+    return {"n_trees": len(model.trees),
+            "mean_leaves_per_tree": sum(n_leaves) / len(n_leaves),
+            "grid_size": int(model.grid.size)}
 
 
 def predict_medians(model, x) -> np.ndarray:
@@ -171,6 +201,15 @@ def predict_medians(model, x) -> np.ndarray:
     if isinstance(model, CoxFit):
         return cox_median_batch(model, x)
     return forest_median_batch(model, x)
+
+
+def predict_subject_curve(model, x) -> StepFunction:
+    """One covariate row's survival curve; for rsf-cr, its conversion incidence."""
+    if isinstance(model, CoxFit):
+        return predict_cox_survival(model, x)
+    if model.kind == ForestKind.COMPETING:
+        return predict_forest_incidence(model, x, EventStatus.CONVERTED)
+    return predict_forest_survival(model, x)
 
 
 def build_outcomes(test: SurvivalDataset, medians: np.ndarray
@@ -204,9 +243,9 @@ def evaluate_models(train: SurvivalDataset, test: SurvivalDataset,
     results: list[ModelAxisResult] = []
     outcomes_by_kind: dict[str, list[PredictionOutcome]] = {}
     n_conv_test = test.n_events(EventStatus.CONVERTED)
+    kinds = tuple(kinds)
+    check_model_kinds(kinds)
     for kind in kinds:
-        if kind not in MODEL_KINDS:
-            raise ConfigError(f"unknown model kind {kind!r}")
         try:
             model = fit_model(kind, train, forest_config, ridge=ridge, n_jobs=n_jobs)
             medians = predict_medians(model, test.covariate_matrix)

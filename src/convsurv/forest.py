@@ -33,12 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .core import (
-    EventStatus,
-    StepFunction,
-    SurvivalDataset,
-    TimeAxis,
-)
+from .core import EventStatus, StepFunction, SurvivalDataset, TimeAxis, row_chunks
 from .errors import (
     ConfigError,
     DegenerateFitError,
@@ -59,6 +54,11 @@ class ForestKind(enum.Enum):
     RSF = "rsf"
     CONDITIONAL = "cif"
     COMPETING = "rsf-cr"
+
+    @property
+    def grid_at_risk(self) -> bool:
+        """Leaves also count their subjects at risk at every grid time."""
+        return self is ForestKind.CONDITIONAL
 
 
 @dataclass(frozen=True)
@@ -302,7 +302,7 @@ def _best_split_conditional(x_node, t_node, s_node, candidates, min_events,
 def _grow_tree(xs, ts, ss, kind: ForestKind, cfg: ForestConfig, mtry: int,
                rng: np.random.Generator, grid) -> SurvivalTree:
     p = xs.shape[1]
-    leaf_grid = grid if kind == ForestKind.CONDITIONAL else None
+    leaf_grid = grid if kind.grid_at_risk else None
     feature, threshold, left, right, leaf_index = [], [], [], [], []
     leaves: list[Leaf] = []
 
@@ -390,6 +390,15 @@ def resolve_jobs(n_jobs: int | None) -> int:
 
 def _fit_forest(data: SurvivalDataset, cfg: ForestConfig, kind: ForestKind,
                 n_jobs: int | None) -> ForestModel:
+    """The fit behind the three kinds' wrappers: only rsf-cr takes competing
+    risks (churn labels), and every kind needs a conversion event."""
+    competing = kind == ForestKind.COMPETING
+    if data.competing_risks != competing:
+        raise WrongEstimatorError(f"{kind.value} needs a " + (
+            "competing-risks dataset with churn labels" if competing else "single-risk dataset"))
+    if data.n_events(EventStatus.CONVERTED) == 0:
+        raise DegenerateFitError(
+            f"cannot grow {kind.value} trees with zero conversion events")
     x = np.asarray(data.covariate_matrix, dtype=float)
     times = data.times
     status = data.status_codes.astype(np.int8)
@@ -426,21 +435,12 @@ def _fit_forest(data: SurvivalDataset, cfg: ForestConfig, kind: ForestKind,
 def fit_rsf(data: SurvivalDataset, cfg: ForestConfig,
             n_jobs: int | None = None) -> ForestModel:
     """Random survival forest with log-rank splitting and hazard leaves."""
-    if data.competing_risks:
-        raise WrongEstimatorError("fit_rsf requires a single-risk dataset")
-    if data.n_events() == 0:
-        raise DegenerateFitError("cannot grow survival trees with zero events")
     return _fit_forest(data, cfg, ForestKind.RSF, n_jobs)
 
 
 def fit_conditional_ensemble(data: SurvivalDataset, cfg: ForestConfig,
                              n_jobs: int | None = None) -> ForestModel:
     """Conditional-inference survival ensemble with two-step splitting."""
-    if data.competing_risks:
-        raise WrongEstimatorError(
-            "fit_conditional_ensemble requires a single-risk dataset")
-    if data.n_events() == 0:
-        raise DegenerateFitError("cannot grow survival trees with zero events")
     return _fit_forest(data, cfg, ForestKind.CONDITIONAL, n_jobs)
 
 
@@ -451,12 +451,6 @@ def fit_rsf_competing(data: SurvivalDataset, cfg: ForestConfig,
     A dataset without churn events degenerates cleanly to the single-risk
     forest (same trees under the same seeds).
     """
-    if not data.competing_risks:
-        raise WrongEstimatorError(
-            "fit_rsf_competing requires a competing-risks dataset")
-    if data.n_events(EventStatus.CONVERTED) == 0:
-        raise DegenerateFitError(
-            "cannot grow competing-risks trees with zero conversion events")
     return _fit_forest(data, cfg, ForestKind.COMPETING, n_jobs)
 
 
@@ -466,17 +460,10 @@ def fit_rsf_competing(data: SurvivalDataset, cfg: ForestConfig,
 # counts they come from, not n_leaves x grid. Medians bisect the grid
 # against them one row chunk at a time.
 
-_CHUNK_BYTES = 1 << 25  # one row chunk x grid float64 block
 # Medians on shorter grids scan whole curves: there, gathering every grid
 # point of a row chunk costs less than log2(grid) knot-table searches
 # (measured crossover near 400 points, 60 trees, 15k rows).
 _BISECT_MIN_GRID = 400
-
-
-def _row_chunks(n: int, width: int) -> list[slice]:
-    """Row slices whose chunk x ``width`` float64 block fits _CHUNK_BYTES."""
-    step = max(1, _CHUNK_BYTES // (8 * max(width, 1)))
-    return [slice(start, start + step) for start in range(0, n, step)]
 
 
 def _curve_width(grid: np.ndarray, curve: str) -> int:
@@ -604,7 +591,7 @@ def _tree_sum(model: ForestModel, x, curve: str) -> np.ndarray:
     for tree in model.trees:
         table = _leaf_curve_matrix(tree, model.grid, curve)
         leaf = _route(tree, x)
-        for rows in _row_chunks(x.shape[0], width):
+        for rows in row_chunks(x.shape[0], width):
             acc[rows] += table[leaf[rows]]
     return acc
 
@@ -684,7 +671,7 @@ def _bisect_crossing(model: ForestModel, x: np.ndarray, curve: str,
     n_grid = model.grid.size
     tables = [_knot_table(tree, model.grid, curve) for tree in model.trees]
     first = np.empty(x.shape[0], dtype=np.int64)
-    for rows in _row_chunks(x.shape[0], n_grid):
+    for rows in row_chunks(x.shape[0], n_grid):
         xs = x[rows]
         leaf_keys = [_leaf_keys(_route(tree, xs), model.grid)
                      for tree in model.trees]
@@ -723,7 +710,7 @@ def predict_median_batch(model: ForestModel, x) -> np.ndarray:
         first = _bisect_crossing(model, x, curve, crossed)
     else:
         first = np.empty(x.shape[0], dtype=np.int64)
-        for rows in _row_chunks(x.shape[0], _curve_width(model.grid, curve)):
+        for rows in row_chunks(x.shape[0], _curve_width(model.grid, curve)):
             hit = crossed(_tree_sum(model, x[rows], curve))
             first[rows] = np.where(hit.any(axis=1), np.argmax(hit, axis=1), n_grid)
     found = first < n_grid

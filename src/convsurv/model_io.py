@@ -34,6 +34,7 @@ import numpy as np
 from .core import TimeAxis
 from .cox import ConvergenceInfo, CoxFit, StepFunction
 from .errors import CompatibilityError, ConfigError
+from .evaluation import model_kind, needs_churn_labels
 from .forest import ForestConfig, ForestKind, ForestModel, Leaf, SurvivalTree
 
 FORMAT_VERSION = 1
@@ -58,7 +59,7 @@ def _cox_payload(fit: CoxFit) -> dict:
     }
 
 
-def _cox_from_payload(payload: dict, feature_names) -> CoxFit:
+def _cox_from_payload(payload: dict, kind: str, feature_names, axis) -> CoxFit:
     beta = np.array(payload["beta"], dtype=float)
     knots = np.array(payload["baseline_knots"], dtype=float)
     values = np.array(payload["baseline_values"], dtype=float)
@@ -83,7 +84,8 @@ def _cox_from_payload(payload: dict, feature_names) -> CoxFit:
 
 
 def _check_train_config(config, kind: str) -> None:
-    """``predict`` rebuilds labels with the training churn window."""
+    """The training churn window, echoed for the record, must be one that
+    could have labelled the model's training data."""
     if not isinstance(config, dict):
         raise CompatibilityError("train_config is not an object")
     if "churn_window" not in config:
@@ -92,9 +94,9 @@ def _check_train_config(config, kind: str) -> None:
     if isinstance(window, bool) or not isinstance(window, int):
         raise CompatibilityError(
             f"train_config churn_window {window!r} is not an integer")
-    if kind == "rsf-cr" and window <= 0:
+    if needs_churn_labels(kind) and window <= 0:
         raise CompatibilityError(
-            f"train_config churn_window {window} must be > 0 for an rsf-cr model")
+            f"train_config churn_window {window} must be > 0 for an {kind} model")
 
 
 def _tree_payload(tree: SurvivalTree) -> dict:
@@ -120,7 +122,7 @@ def _tree_payload(tree: SurvivalTree) -> dict:
 
 
 def _tree_from_payload(payload: dict, n_features: int, grid: np.ndarray,
-                       conditional: bool) -> SurvivalTree:
+                       grid_at_risk: bool) -> SurvivalTree:
     leaves = [
         Leaf(
             times=np.array(lf["times"], dtype=float),
@@ -143,7 +145,7 @@ def _tree_from_payload(payload: dict, n_features: int, grid: np.ndarray,
         leaves=leaves,
     )
     _check_tree(tree, n_features)
-    _check_leaves(leaves, grid, conditional)
+    _check_leaves(leaves, grid, grid_at_risk)
     return tree
 
 
@@ -169,7 +171,7 @@ def _check_tree(tree: SurvivalTree, n_features: int) -> None:
         raise CompatibilityError("tree leaf_index lies outside its leaf list")
 
 
-def _check_leaves(leaves: list[Leaf], grid: np.ndarray, conditional: bool) -> None:
+def _check_leaves(leaves: list[Leaf], grid: np.ndarray, grid_at_risk: bool) -> None:
     """Reject leaf risk tables that are not counts of a risk set on ``grid``.
 
     Valid counts give monotone leaf curves, which median prediction
@@ -181,10 +183,10 @@ def _check_leaves(leaves: list[Leaf], grid: np.ndarray, conditional: bool) -> No
         if len(n) != 1 or any(a.shape != n for a in
                               (leaf.at_risk, leaf.d_conv, leaf.d_churn)):
             raise CompatibilityError("leaf count arrays differ in length")
-        if (leaf.at_risk_grid is not None) != conditional:
+        if (leaf.at_risk_grid is not None) != grid_at_risk:
             raise CompatibilityError(
                 "at_risk_grid must be present exactly in cif leaves")
-        if conditional and leaf.at_risk_grid.shape != grid.shape:
+        if grid_at_risk and leaf.at_risk_grid.shape != grid.shape:
             raise CompatibilityError("leaf at_risk_grid does not match the grid")
     times, at_risk, d_conv, d_churn = (
         np.concatenate([getattr(lf, f) for lf in leaves])
@@ -220,10 +222,9 @@ def _forest_from_payload(payload: dict, kind: str, feature_names, axis) -> Fores
     except ConfigError as exc:
         raise CompatibilityError(f"forest config: {exc}") from None
     kind = ForestKind(kind)
-    conditional = kind == ForestKind.CONDITIONAL
     return ForestModel(
         kind=kind,
-        trees=tuple(_tree_from_payload(t, len(feature_names), grid, conditional)
+        trees=tuple(_tree_from_payload(t, len(feature_names), grid, kind.grid_at_risk)
                     for t in payload["trees"]),
         config=config,
         feature_names=tuple(feature_names),
@@ -232,14 +233,15 @@ def _forest_from_payload(payload: dict, kind: str, feature_names, axis) -> Fores
     )
 
 
+# kind -> (payload writer, payload reader(payload, kind, feature names, axis)):
+# the one place this module names a kind
+_PAYLOADS = {"cox": (_cox_payload, _cox_from_payload),
+             **{k.value: (_forest_payload, _forest_from_payload) for k in ForestKind}}
+
+
 def save_model(path, model: CoxFit | ForestModel, *, axis: TimeAxis,
                feature_names, feature_spec_hash: str, train_config: dict) -> None:
-    if isinstance(model, CoxFit):
-        kind = "cox"
-        payload = _cox_payload(model)
-    else:
-        kind = model.kind.value
-        payload = _forest_payload(model)
+    kind = model_kind(model)
     doc = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
@@ -247,7 +249,7 @@ def save_model(path, model: CoxFit | ForestModel, *, axis: TimeAxis,
         "feature_names": list(feature_names),
         "feature_spec_hash": feature_spec_hash,
         "train_config": train_config,
-        "model": payload,
+        "model": _PAYLOADS[kind][0](model),
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, separators=(",", ":")))
@@ -276,12 +278,9 @@ def _model_file(doc: dict) -> ModelFile:
     axis = TimeAxis(doc["axis"])
     names = tuple(doc["feature_names"])
     _check_train_config(doc["train_config"], kind)
-    if kind == "cox":
-        model = _cox_from_payload(doc["model"], names)
-    elif kind in ("rsf", "cif", "rsf-cr"):
-        model = _forest_from_payload(doc["model"], kind, names, axis)
-    else:
+    if kind not in _PAYLOADS:
         raise CompatibilityError(f"unknown model kind {kind!r}")
+    model = _PAYLOADS[kind][1](doc["model"], kind, names, axis)
     return ModelFile(
         kind=kind,
         axis=axis,

@@ -231,49 +231,29 @@ class FeatureSpec:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _parse_int(raw: str, column: str, line: int, minimum: int = 0) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise LogParseError(
-            f"line {line}: column {column!r} is not an integer: {raw!r}", line
-        ) from None
-    if value < minimum:
-        raise LogParseError(
-            f"line {line}: column {column!r} must be >= {minimum}, got {value}", line)
-    if value > _INT64_MAX:
-        raise LogParseError(
-            f"line {line}: column {column!r} exceeds the int64 maximum "
-            f"{_INT64_MAX}: {raw!r}", line)
-    return value
-
-
-def _parse_float(raw: str, column: str, line: int) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise LogParseError(
-            f"line {line}: column {column!r} is not a number: {raw!r}", line
-        ) from None
-    if not math.isfinite(value) or value < 0:
-        raise LogParseError(
-            f"line {line}: column {column!r} must be finite and >= 0", line)
-    return value
-
-
 def _check_row(row: list[str], line: int) -> None:
     """Raise the LogParseError of one record, checking fields left to right."""
+    def error(message: str) -> LogParseError:
+        return LogParseError(f"line {line}: {message}", line)
+
     if len(row) != len(EXPECTED_HEADER):
-        raise LogParseError(
-            f"line {line}: expected {len(EXPECTED_HEADER)} columns, "
-            f"got {len(row)}", line)
+        raise error(f"expected {len(EXPECTED_HEADER)} columns, got {len(row)}")
     if not row[0].strip():
-        raise LogParseError(f"line {line}: empty player_id", line)
-    for column, raw in zip(_COLUMNS, row[1:]):
-        if column == "playtime_hours":
-            _parse_float(raw, column, line)
-        else:
-            _parse_int(raw, column, line, minimum=1 if column == "level" else 0)
+        raise error("empty player_id")
+    for column, raw, dtype in zip(_COLUMNS, row[1:], _DTYPES):
+        real = dtype is np.float64
+        try:
+            value = float(raw) if real else int(raw)
+        except ValueError:
+            what = "a number" if real else "an integer"
+            raise error(f"column {column!r} is not {what}: {raw!r}") from None
+        minimum = 1 if column == "level" else 0
+        if real and not (math.isfinite(value) and value >= 0):
+            raise error(f"column {column!r} must be finite and >= 0")
+        if not real and value < minimum:
+            raise error(f"column {column!r} must be >= {minimum}, got {value}")
+        if not real and value > _INT64_MAX:
+            raise error(f"column {column!r} exceeds the int64 maximum {_INT64_MAX}: {raw!r}")
 
 
 def _empty_block() -> tuple:

@@ -317,7 +317,7 @@ class TestErrorHandling:
         assert "--churn-window" in capsys.readouterr().err
         assert not (tmp_path / "ev").exists()  # rejected before any fitting
 
-    @pytest.mark.parametrize("ridge", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("ridge", ["-1", "nan", "inf", "abc"])
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_bad_ridge_is_config_error_before_ingest(self, command, ridge, tmp_path,
                                                      capsys):
@@ -328,7 +328,9 @@ class TestErrorHandling:
                              "--out", str(tmp_path / "ev")]}[command]
         rc = main(argv + ["--data", str(tmp_path / "missing.csv"), "--ridge", ridge])
         assert rc == 1
-        assert "--ridge" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--ridge" in err and "_ridge" not in err
+        assert ("not a number: 'abc'" in err) == (ridge == "abc")
         assert not (tmp_path / "ev").exists() and not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("command", ["train", "evaluate"])
@@ -370,7 +372,7 @@ class TestErrorHandling:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "ev").exists()
 
-    @pytest.mark.parametrize("frac", ["1.5", "0", "1", "-0.3", "nan"])
+    @pytest.mark.parametrize("frac", ["1.5", "0", "1", "-0.3", "nan", "abc"])
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_train_frac_outside_unit_interval_is_config_error_before_ingest(
             self, command, frac, tmp_path, capsys):
@@ -380,17 +382,35 @@ class TestErrorHandling:
                              "--out", str(tmp_path / "ev")]}[command]
         rc = main(argv + ["--data", str(tmp_path / "missing.csv"), "--train-frac", frac])
         assert rc == 1
-        assert "--train-frac" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--train-frac" in err and "_fraction" not in err
+        assert ("not a number: 'abc'" in err) == (frac == "abc")
         assert not (tmp_path / "ev").exists() and not (tmp_path / "m.json").exists()
 
-    @pytest.mark.parametrize("level", ["1.5", "0", "1", "-0.2", "nan"])
+    @pytest.mark.parametrize("level", ["1.5", "0", "1", "-0.2", "nan", "abc"])
     def test_curves_level_outside_unit_interval_is_config_error(self, level, tmp_path,
                                                                 capsys):
         rc = main(["curves", "--data", str(tmp_path / "missing.csv"),
                    "--axis", "lifetime", "--level", level,
                    "--out", str(tmp_path / "c.csv")])
         assert rc == 1
-        assert "--level" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--level" in err and "_fraction" not in err
+        assert ("not a number: 'abc'" in err) == (level == "abc")
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_rsf_cr_without_churn_window_is_config_error_before_ingest(
+            self, command, tmp_path, capsys):
+        # the log file does not exist: reading it first would exit 2
+        argv = {"train": ["train", "--model", "rsf-cr", "--target", "lifetime",
+                          "--out", str(tmp_path / "m.json")],
+                "evaluate": ["evaluate", "--models", "cox,rsf-cr", "--seed", "1",
+                             "--out", str(tmp_path / "ev")]}[command]
+        rc = main(argv + ["--data", str(tmp_path / "missing.csv"),
+                          "--churn-window", "0"])
+        assert rc == 1
+        assert "--churn-window" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class _StillRunning(BaseException):

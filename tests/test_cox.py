@@ -1,9 +1,14 @@
 """Proportional-hazards fitting against oracles, identities and guards."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from convsurv import core
 from convsurv.core import EventStatus, StepFunction
 from convsurv.cox import (
     ConvergenceInfo,
@@ -259,3 +264,46 @@ class TestMedian:
                 assert np.isnan(batch[i])
             else:
                 assert batch[i] == scalar
+
+    @staticmethod
+    def many_knot_fit(n_knots=1500):
+        """A baseline whose 0.5 crossing falls inside the knots for some
+        risks and past them for others."""
+        knots = np.arange(1.0, n_knots + 1.0)
+        return CoxFit(beta=np.array([1.0, -0.5]),
+                      baseline_cum_hazard=StepFunction(knots, knots / n_knots, 0.0),
+                      feature_names=("f0", "f1"),
+                      convergence=ConvergenceInfo(0, 0.0, 0.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), chunk_rows=st.integers(1, 45),
+           seed=st.integers(0, 2**32 - 1))
+    def test_row_chunks_match_the_whole_matrix(self, n, chunk_rows, seed):
+        """Medians computed one row chunk at a time equal the first
+        crossing of every row's full survival curve."""
+        fit = self.many_knot_fit(50)
+        x = np.random.default_rng(seed).standard_normal((n, 2)) * 2
+        h0 = fit.baseline_cum_hazard
+        crossed = np.exp(-np.outer(np.exp(x @ fit.beta), h0.values)) <= 0.5
+        expect = np.where(crossed.any(axis=1), h0.knots[np.argmax(crossed, axis=1)],
+                          np.nan)
+        with mock.patch.object(core, "CHUNK_BYTES", chunk_rows * 8 * h0.knots.size):
+            got = predict_median_batch(fit, x)
+        assert np.array_equal(got, expect, equal_nan=True)
+
+    def test_memory_does_not_grow_with_rows(self):
+        """Peak traced memory of a median batch over 1,500 baseline knots
+        stays at about one row chunk as rows grow."""
+        fit = self.many_knot_fit()
+        rng = np.random.default_rng(2)
+
+        def peak(rows):
+            x = rng.standard_normal((rows, 2))
+            tracemalloc.start()
+            try:
+                predict_median_batch(fit, x)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(20000) < 2 * peak(2000)

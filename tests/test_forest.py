@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from convsurv import forest
+from convsurv import core, forest
 from convsurv.core import EventStatus, TimeAxis
 from convsurv.errors import (
     ConfigError,
@@ -498,7 +498,7 @@ class TestMedianBisection:
         x = np.random.default_rng(seed).standard_normal((n, model.n_features)) * 2
         expect = scan_medians(model, x)
         chunk_bytes = chunk_rows * 8 * model.grid.size
-        with mock.patch.object(forest, "_CHUNK_BYTES", chunk_bytes), \
+        with mock.patch.object(core, "CHUNK_BYTES", chunk_bytes), \
                 mock.patch.object(forest, "_BISECT_MIN_GRID", 0 if bisect else 10**9):
             got = predict_median_batch(model, x)
         assert np.array_equal(got, expect, equal_nan=True)

@@ -1,13 +1,22 @@
 """Model-file round trips must reproduce predictions bit-identically."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convsurv.core import EventStatus, TimeAxis
 from convsurv.cox import fit_cox, predict_median_batch as cox_medians
 from convsurv.errors import CompatibilityError
+from convsurv.evaluation import (
+    MODEL_KINDS,
+    fit_model,
+    predict_medians,
+    predict_subject_curve,
+)
 from convsurv.forest import (
     ForestConfig,
     fit_conditional_ensemble,
@@ -19,7 +28,7 @@ from convsurv.forest import (
 )
 from convsurv.model_io import FORMAT_VERSION, load_model, save_model
 
-from conftest import make_dataset
+from conftest import make_dataset, random_dataset
 
 CONV = EventStatus.CONVERTED
 CENS = EventStatus.CENSORED
@@ -79,6 +88,37 @@ class TestForestRoundTrips:
             assert np.array_equal(
                 predict_incidence_matrix(model, x, CONV),
                 predict_incidence_matrix(loaded.model, x, CONV))
+
+
+class TestEveryKindRoundTrips:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(MODEL_KINDS), n=st.integers(30, 90),
+           seed=st.integers(0, 2**32 - 1))
+    def test_load_predicts_and_saves_identically(self, kind, n, seed):
+        """fit -> save -> load keeps medians and subject curves
+        bit-identical, and saving the loaded model writes the same bytes."""
+        rng = np.random.default_rng(seed)
+        data = random_dataset(rng, n, competing=True, p=3)
+        cfg = ForestConfig(n_trees=3, min_node_events=3, seed=seed % 1000)
+        model = fit_model(kind, data, cfg, ridge=1.0, n_jobs=1)
+        x = np.vstack([data.covariate_matrix, rng.standard_normal((10, 3)) * 2])
+        meta = dict(axis=TimeAxis.LEVEL, feature_names=("f0", "f1", "f2"),
+                    feature_spec_hash="abc123", train_config={"churn_window": 9})
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "a.json"), Path(tmp, "b.json")
+            save_model(first, model, **meta)
+            loaded = load_model(first)
+            save_model(second, loaded.model, **meta)
+            assert first.read_bytes() == second.read_bytes()
+        assert loaded.kind == kind
+        assert np.array_equal(predict_medians(model, x),
+                              predict_medians(loaded.model, x), equal_nan=True)
+        for row in x[:5]:
+            want = predict_subject_curve(model, row)
+            got = predict_subject_curve(loaded.model, row)
+            assert np.array_equal(want.knots, got.knots)
+            assert np.array_equal(want.values, got.values)
+            assert want.left_value == got.left_value
 
 
 class TestFormatGuards:
