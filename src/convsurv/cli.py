@@ -22,18 +22,7 @@ import numpy as np
 
 from . import model_io
 from .core import EventStatus, TimeAxis, complement
-from .errors import (
-    CompatibilityError,
-    ConfigError,
-    DegenerateFitError,
-    EmptyInputError,
-    InvalidEventError,
-    LogParseError,
-    LogValidationError,
-    ShapeMismatchError,
-    StratificationError,
-    WrongEstimatorError,
-)
+from .errors import CompatibilityError, ConfigError, EmptyInputError
 from .estimators import (
     aalen_johansen,
     cif_confidence_band,
@@ -79,10 +68,6 @@ from .forest import (  # noqa: F401
 
 _AXES = tuple(a.value for a in TimeAxis)
 
-_DATA_ERRORS = (LogParseError, LogValidationError, EmptyInputError,
-                StratificationError, CompatibilityError, WrongEstimatorError,
-                DegenerateFitError, InvalidEventError, ShapeMismatchError, OSError)
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -101,11 +86,8 @@ def _write_csv(path, header: list, rows) -> None:
 
 
 def _exit_code(exc: Exception) -> int:
-    if isinstance(exc, ConfigError):
-        return 1
-    if isinstance(exc, _DATA_ERRORS):
-        return 2
-    return 3
+    """The exit code a library error carries; an unreadable file is a data error."""
+    return 2 if isinstance(exc, OSError) else getattr(exc, "exit_code", 3)
 
 
 def _load_filtered(path) -> list:
@@ -137,8 +119,10 @@ def _fraction(text: str) -> float:
     return value
 
 
-def _forest_config(args) -> ForestConfig:
-    """The forest flags, checked before any input is read."""
+def _training_config(args, models) -> ForestConfig:
+    """The training flags of ``models``, checked before any input is read."""
+    check_model_kinds(models, args.churn_window)
+    resolve_jobs(args.threads)  # a malformed CONVSURV_THREADS fails here
     n_features = len(FeatureSpec().features)
     if args.mtry is not None and args.mtry > n_features:
         raise ConfigError(
@@ -200,8 +184,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _forest_config(args)
-    check_model_kinds((args.model,), args.churn_window)
+    cfg = _training_config(args, (args.model,))
     logs = _load_filtered(args.data)
     data = build_dataset(logs, TimeAxis(args.target), competing=args.churn_window > 0,
                          churn_window=args.churn_window)
@@ -274,9 +257,7 @@ def cmd_evaluate(args) -> int:
     for t in targets:
         if t not in _AXES:
             raise ConfigError(f"unknown target {t!r}")
-    check_model_kinds(models, args.churn_window)
-    resolve_jobs(args.threads)  # a malformed CONVSURV_THREADS fails here, once
-    cfg = _forest_config(args)
+    cfg = _training_config(args, models)
     logs = _load_filtered(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -225,9 +225,9 @@ def predict_cox_survival(fit: CoxFit, x) -> StepFunction:
         raise ShapeMismatchError(
             f"covariate vector has shape {x.shape}, expected {fit.beta.shape}"
         )
-    risk = float(np.exp(fit.beta @ x))
     h0 = fit.baseline_cum_hazard
-    return StepFunction(h0.knots, np.exp(-h0.values * risk), 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in predict_median_batch
+        return StepFunction(h0.knots, np.exp(-h0.values * np.exp(fit.beta @ x)), 1.0)
 
 
 def predict_cox_median(fit: CoxFit, x) -> float | None:
@@ -247,15 +247,18 @@ def predict_median_batch(fit: CoxFit, x) -> np.ndarray:
         raise ShapeMismatchError(
             f"covariate matrix has {x.shape[1]} columns, expected {fit.beta.shape[0]}"
         )
-    risk = np.exp(x @ fit.beta)
     h0 = fit.baseline_cum_hazard
     out = np.full(x.shape[0], np.nan)
     if h0.knots.size == 0:
         return out
-    for rows in row_chunks(x.shape[0], h0.knots.size):
-        surv = np.outer(risk[rows], h0.values)
-        crossed = np.exp(np.negative(surv, out=surv), out=surv) <= 0.5
-        del surv  # the next chunk's block replaces it, not joins it
-        out[rows] = np.where(crossed.any(axis=1),
-                             h0.knots[np.argmax(crossed, axis=1)], np.nan)
+    # a huge beta' x overflows to an infinite risk, which times a zero
+    # baseline hazard is NaN: that row never crosses
+    with np.errstate(over="ignore", invalid="ignore"):
+        risk = np.exp(x @ fit.beta)
+        for rows in row_chunks(x.shape[0], h0.knots.size):
+            surv = np.outer(risk[rows], h0.values)
+            crossed = np.exp(np.negative(surv, out=surv), out=surv) <= 0.5
+            del surv  # the next chunk's block replaces it, not joins it
+            out[rows] = np.where(crossed.any(axis=1),
+                                 h0.knots[np.argmax(crossed, axis=1)], np.nan)
     return out

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the library.
 
-The CLI maps these onto exit codes: configuration problems exit 1, data and
-validation problems exit 2, everything else exits 3.
+Each class carries the CLI exit code of its failures as ``exit_code``:
+configuration problems exit 1, data and validation problems (``DataError``)
+exit 2, everything else exits 3.
 """
 
 from __future__ import annotations
@@ -10,12 +11,22 @@ from __future__ import annotations
 class ConvsurvError(Exception):
     """Base class for all library errors."""
 
+    exit_code = 3
+
 
 class ConfigError(ConvsurvError):
     """Invalid configuration or incompatible option combination."""
 
+    exit_code = 1
 
-class EmptyInputError(ConvsurvError):
+
+class DataError(ConvsurvError):
+    """Input data or a model file the operation cannot use."""
+
+    exit_code = 2
+
+
+class EmptyInputError(DataError):
     """An operation received an empty dataset or empty population."""
 
 
@@ -23,15 +34,15 @@ class InvalidCurveError(ConvsurvError):
     """A step function violates the invariants required by the operation."""
 
 
-class WrongEstimatorError(ConvsurvError):
+class WrongEstimatorError(DataError):
     """Single-risk estimator applied to a competing-risks dataset."""
 
 
-class InvalidEventError(ConvsurvError):
+class InvalidEventError(DataError):
     """Unknown or inapplicable event type."""
 
 
-class DegenerateFitError(ConvsurvError):
+class DegenerateFitError(DataError):
     """Training data cannot support a fit (e.g. no events)."""
 
 
@@ -47,7 +58,7 @@ class MonotoneLikelihoodError(ConvsurvError):
     """Perfect separation drove an unpenalized Cox coefficient to diverge."""
 
 
-class ShapeMismatchError(ConvsurvError):
+class ShapeMismatchError(DataError):
     """Covariate vector dimensionality does not match the fitted model."""
 
 
@@ -55,7 +66,7 @@ class InvalidModelError(ConvsurvError):
     """Operation is not defined for this model kind."""
 
 
-class StratificationError(ConvsurvError):
+class StratificationError(DataError):
     """Stratified split impossible (single-class dataset)."""
 
 
@@ -63,7 +74,7 @@ class UndefinedMetricError(ConvsurvError):
     """Metric has an empty population and no defined value."""
 
 
-class LogParseError(ConvsurvError):
+class LogParseError(DataError):
     """Malformed player-log input; carries the offending line number."""
 
     def __init__(self, message: str, line_number: int | None = None):
@@ -71,7 +82,7 @@ class LogParseError(ConvsurvError):
         self.line_number = line_number
 
 
-class LogValidationError(ConvsurvError):
+class LogValidationError(DataError):
     """Player log violates a structural invariant; carries the player id."""
 
     def __init__(self, message: str, player_id: str | None = None):
@@ -79,5 +90,5 @@ class LogValidationError(ConvsurvError):
         self.player_id = player_id
 
 
-class CompatibilityError(ConvsurvError):
+class CompatibilityError(DataError):
     """Model file and input data disagree (feature spec hash, version)."""

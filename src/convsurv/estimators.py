@@ -129,33 +129,47 @@ def cif_values_from_counts(at_risk: np.ndarray, events_total: np.ndarray,
     return np.cumsum(surv_lag * events_cause / at_risk, axis=-1)
 
 
+# curve name -> (its values at the event times from the counts (at_risk,
+# d_conv, d_churn), its value before the first event time). Churn counts
+# as an event in every curve; single-risk counts have none.
+COUNT_CURVES = {
+    "cumhaz": (lambda q, dc, dh: na_values_from_counts(q, dc + dh), 0.0),
+    "survival": (lambda q, dc, dh: km_values_from_counts(q, dc + dh), 1.0),
+    "cif_conv": (lambda q, dc, dh: cif_values_from_counts(q, dc + dh, dc), 0.0),
+    "cif_churn": (lambda q, dc, dh: cif_values_from_counts(q, dc + dh, dh), 0.0),
+}
+
+
 # --- estimators --------------------------------------------------------
+
+def _count_curve(data: SurvivalDataset, curve: str) -> StepFunction:
+    """One ``COUNT_CURVES`` curve of the whole dataset's risk table."""
+    table = risk_table(data)
+    values_at_knots, left_value = COUNT_CURVES[curve]
+    return StepFunction(table.event_times, values_at_knots(
+        table.at_risk, table.events_converted, table.events_churned), left_value)
+
+
+def _single_risk_curve(data: SurvivalDataset, curve: str, estimator: str) -> StepFunction:
+    """``curve`` of a single-risk dataset; the error names ``estimator``."""
+    require_nonempty(data)
+    if data.competing_risks:
+        raise WrongEstimatorError(
+            f"{estimator} requires a single-risk dataset; recode churn first")
+    return _count_curve(data, curve)
+
 
 def kaplan_meier(data: SurvivalDataset) -> StepFunction:
     """Product-limit estimate of the survival function.
 
     With no censoring this equals the empirical survival function exactly.
     """
-    require_nonempty(data)
-    if data.competing_risks:
-        raise WrongEstimatorError(
-            "kaplan_meier requires a single-risk dataset; recode churn first"
-        )
-    table = risk_table(data)
-    values = km_values_from_counts(table.at_risk, table.events)
-    return StepFunction(table.event_times, values, 1.0)
+    return _single_risk_curve(data, "survival", "kaplan_meier")
 
 
 def nelson_aalen(data: SurvivalDataset) -> StepFunction:
     """Nonparametric estimate of the cumulative hazard H(t)."""
-    require_nonempty(data)
-    if data.competing_risks:
-        raise WrongEstimatorError(
-            "nelson_aalen requires a single-risk dataset; recode churn first"
-        )
-    table = risk_table(data)
-    values = na_values_from_counts(table.at_risk, table.events)
-    return StepFunction(table.event_times, values, 0.0)
+    return _single_risk_curve(data, "cumhaz", "nelson_aalen")
 
 
 def all_cause_survival(data: SurvivalDataset) -> StepFunction:
@@ -165,9 +179,7 @@ def all_cause_survival(data: SurvivalDataset) -> StepFunction:
     all_cause_survival + sum of aalen_johansen over event types = 1.
     """
     require_nonempty(data)
-    table = risk_table(data)
-    values = km_values_from_counts(table.at_risk, table.events)
-    return StepFunction(table.event_times, values, 1.0)
+    return _count_curve(data, "survival")
 
 
 def aalen_johansen(data: SurvivalDataset, event: EventStatus) -> StepFunction:
@@ -185,11 +197,8 @@ def aalen_johansen(data: SurvivalDataset, event: EventStatus) -> StepFunction:
         raise WrongEstimatorError(
             "aalen_johansen requires a competing-risks dataset"
         )
-    table = risk_table(data)
-    d_cause = (table.events_converted if event == EventStatus.CONVERTED
-               else table.events_churned)
-    values = cif_values_from_counts(table.at_risk, table.events, d_cause)
-    return StepFunction(table.event_times, values, 0.0)
+    return _count_curve(data, "cif_conv" if event == EventStatus.CONVERTED
+                        else "cif_churn")
 
 
 def km_confidence_band(data: SurvivalDataset, level: float = 0.95

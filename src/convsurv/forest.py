@@ -42,12 +42,7 @@ from .errors import (
     ShapeMismatchError,
     WrongEstimatorError,
 )
-from .estimators import (
-    cif_values_from_counts,
-    event_counts,
-    km_values_from_counts,
-    na_values_from_counts,
-)
+from .estimators import COUNT_CURVES, event_counts, na_values_from_counts
 
 
 class ForestKind(enum.Enum):
@@ -88,6 +83,8 @@ class ForestConfig:
             raise ConfigError("mtry must be >= 1")
         if self.min_node_events < 1:
             raise ConfigError("min_node_events must be >= 1")
+        if self.max_depth is not None and self.max_depth < 0:
+            raise ConfigError("max_depth must be >= 0")
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigError("alpha must lie in (0, 1]")
         if self.max_candidates < 1:
@@ -510,16 +507,6 @@ def _leaf_counts(tree: SurvivalTree, grid: np.ndarray) -> tuple:
             rows(np.concatenate([lf.d_churn for lf in leaves]), 0))
 
 
-# curve name -> (values at the knots from leaf count rows, value before the
-# first knot)
-_LEAF_CURVES = {
-    "cumhaz": (lambda q, dc, dh: na_values_from_counts(q, dc + dh), 0.0),
-    "survival": (lambda q, dc, dh: km_values_from_counts(q, dc + dh), 1.0),
-    "cif_conv": (lambda q, dc, dh: cif_values_from_counts(q, dc + dh, dc), 0.0),
-    "cif_churn": (lambda q, dc, dh: cif_values_from_counts(q, dc + dh, dh), 0.0),
-}
-
-
 def _leaf_keys(leaf: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Knot-table key of grid index 0 in each ``leaf``; index g adds g."""
     return (grid.size + 2) * np.asarray(leaf, dtype=np.int64)
@@ -534,7 +521,7 @@ def _knot_table(tree: SurvivalTree, grid: np.ndarray, curve: str) -> tuple:
     entry keyed <= _leaf_keys(l) + g (see _knot_lookup).
     """
     present, ranks, at_risk, d_conv, d_churn = _leaf_counts(tree, grid)
-    values_at_knots, left_value = _LEAF_CURVES[curve]
+    values_at_knots, left_value = COUNT_CURVES[curve]
     n_leaves = present.shape[0]
     keys = (np.hstack([np.full((n_leaves, 1), -1), ranks])
             + _leaf_keys(np.arange(n_leaves), grid)[:, None])

@@ -14,13 +14,14 @@ Top-level object:
 
 Cox payload: {"beta", "baseline_knots", "baseline_values", "convergence"}.
 
-Forest payload: {"config": {...}, "grid": [...], "trees": [...]} where each
-tree is flat node arrays {"feature", "threshold", "left", "right",
-"leaf_index"} (threshold null at leaves) plus "leaves": per-leaf risk
-tables {"times", "at_risk", "d_conv", "d_churn"} and, for conditional
-ensembles, "at_risk_grid". Leaf curves are recomputed from the counts on
-load, so a save/load round trip reproduces predictions bit-identically
-(JSON floats use shortest round-trip representation).
+Forest payload: {"config": {...}, "grid": [...], "trees": [...]} with
+config["n_trees"] trees, where each tree is flat node arrays {"feature",
+"threshold", "left", "right", "leaf_index"} (threshold null at leaves,
+finite at splits) plus "leaves": per-leaf risk tables {"times",
+"at_risk", "d_conv", "d_churn"} and, for conditional ensembles,
+"at_risk_grid". Leaf curves are recomputed from the counts on load, so a
+save/load round trip reproduces predictions bit-identically (JSON floats
+use shortest round-trip representation).
 """
 
 from __future__ import annotations
@@ -164,6 +165,8 @@ def _check_tree(tree: SurvivalTree, n_features: int) -> None:
     for child in (tree.left[inner], tree.right[inner]):
         if np.any((child <= inner) | (child >= n)):
             raise CompatibilityError("tree child ids break the preorder layout")
+    if not np.all(np.isfinite(tree.threshold[inner])):
+        raise CompatibilityError("tree split thresholds are not finite")
     if np.any(tree.feature >= n_features):
         raise CompatibilityError("tree splits on a feature the model lacks")
     leaf_ids = tree.leaf_index[tree.feature < 0]
@@ -221,6 +224,10 @@ def _forest_from_payload(payload: dict, kind: str, feature_names, axis) -> Fores
         config = ForestConfig(**payload["config"])
     except ConfigError as exc:
         raise CompatibilityError(f"forest config: {exc}") from None
+    if len(payload["trees"]) != config.n_trees:
+        raise CompatibilityError(
+            f"forest has {len(payload['trees'])} trees but its config "
+            f"names {config.n_trees}")
     kind = ForestKind(kind)
     return ForestModel(
         kind=kind,

@@ -88,8 +88,13 @@ class PlayerRow(NamedTuple):
     purchases: int
 
 
-_COLUMNS = PlayerRow._fields
-_DTYPES = tuple(np.float64 if c == "playtime_hours" else np.int64 for c in _COLUMNS)
+# The rule of each numeric field, in PlayerRow order: (column, dtype, lowest
+# value). A playtime must also be finite.
+_FIELDS = (("day_index", np.int64, 0), ("playtime_hours", np.float64, 0),
+           ("level", np.int64, 1), ("sessions", np.int64, 0),
+           ("actions", np.int64, 0), ("purchases", np.int64, 0))
+_COLUMNS = tuple(column for column, _, _ in _FIELDS)
+_DTYPES = tuple(dtype for _, dtype, _ in _FIELDS)
 
 
 @dataclass(frozen=True)
@@ -240,18 +245,17 @@ def _check_row(row: list[str], line: int) -> None:
         raise error(f"expected {len(EXPECTED_HEADER)} columns, got {len(row)}")
     if not row[0].strip():
         raise error("empty player_id")
-    for column, raw, dtype in zip(_COLUMNS, row[1:], _DTYPES):
+    for (column, dtype, lowest), raw in zip(_FIELDS, row[1:]):
         real = dtype is np.float64
         try:
             value = float(raw) if real else int(raw)
         except ValueError:
             what = "a number" if real else "an integer"
             raise error(f"column {column!r} is not {what}: {raw!r}") from None
-        minimum = 1 if column == "level" else 0
-        if real and not (math.isfinite(value) and value >= 0):
-            raise error(f"column {column!r} must be finite and >= 0")
-        if not real and value < minimum:
-            raise error(f"column {column!r} must be >= {minimum}, got {value}")
+        if real and not (math.isfinite(value) and value >= lowest):
+            raise error(f"column {column!r} must be finite and >= {lowest}")
+        if not real and value < lowest:
+            raise error(f"column {column!r} must be >= {lowest}, got {value}")
         if not real and value > _INT64_MAX:
             raise error(f"column {column!r} exceeds the int64 maximum {_INT64_MAX}: {raw!r}")
 
@@ -260,48 +264,38 @@ def _empty_block() -> tuple:
     return tuple(np.empty(0, dtype=t) for t in (np.int64,) + _DTYPES)
 
 
-def _convert_block(block: list[list[str]], index: dict[str, int]) -> tuple:
-    """Player codes and typed columns of one block of non-blank records.
-
-    Raises ValueError or OverflowError when any record would fail
-    ``_check_row``. Player codes number ids in order of first appearance.
-    """
-    if not block:
-        return _empty_block()
-    if set(map(len, block)) != {len(EXPECTED_HEADER)}:
-        raise ValueError("record width")
-    ids, *cells = zip(*block)
-    ids = list(map(str.strip, ids))
-    if "" in ids:
-        raise ValueError("empty player_id")
-    n = len(ids)
-    columns = [np.fromiter(map(float if t is np.float64 else int, c), t, n)
-               for c, t in zip(cells, _DTYPES)]
-    day, playtime, level, *counts = columns
-    if not (np.all(np.isfinite(playtime) & (playtime >= 0)) and np.all(level >= 1)
-            and all(np.all(c >= 0) for c in [day, *counts])):
-        raise ValueError("value out of range")
-    for pid in dict.fromkeys(ids):
-        index.setdefault(pid, len(index))
-    return np.fromiter(map(index.__getitem__, ids), np.int64, n), *columns
-
-
 def _parse_block(block: list[list[str]], first_line: int,
                  index: dict[str, int]) -> tuple:
-    """``_convert_block`` of a block whose first record is ``first_line``.
+    """Player codes and typed columns of a block whose first record is ``first_line``.
 
-    Blank records are skipped but keep their line numbers. A block that
-    fails conversion is checked record by record, so the first bad record
-    raises exactly as it would alone.
+    Blank records are skipped but keep their line numbers. Player codes
+    number ids in order of first appearance. A block that fails conversion
+    is checked record by record, so the first bad record raises exactly as
+    it would alone.
     """
     rows = [row for row in block if row] if [] in block else block
+    if not rows:
+        return _empty_block()
     try:
-        return _convert_block(rows, index)
+        if set(map(len, rows)) != {len(EXPECTED_HEADER)}:
+            raise ValueError("record width")
+        ids, *cells = zip(*rows)
+        ids = list(map(str.strip, ids))
+        if "" in ids:
+            raise ValueError("empty player_id")
+        columns = [np.fromiter(map(float if t is np.float64 else int, c), t, len(ids))
+                   for c, t in zip(cells, _DTYPES)]
+        if not all(np.all(np.isfinite(c) & (c >= lowest))
+                   for c, (_, _, lowest) in zip(columns, _FIELDS)):
+            raise ValueError("value out of range")
     except (ValueError, OverflowError):
         for line, row in enumerate(block, start=first_line):
             if row:
                 _check_row(row, line)
         raise
+    for pid in dict.fromkeys(ids):
+        index.setdefault(pid, len(index))
+    return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids)), *columns
 
 
 def _undecodable_line(path) -> int | None:

@@ -1,8 +1,10 @@
 """CLI behavior: flags, file outputs, determinism and exit codes."""
 
 import csv
+import inspect
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -11,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convsurv.cli import main
+from convsurv import errors
+from convsurv.cli import _exit_code, main
 
 
 @pytest.fixture(scope="module")
@@ -308,6 +311,40 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.count("CONVSURV_THREADS") == 2
 
+    def test_every_error_type_exits_with_its_readme_code(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        table = readme.split("| Exit | Error types |", 1)[1].split("\n\n", 1)[0]
+        documented = [(name, int(code)) for code, names in
+                      re.findall(r"^\| (\d) \| (.*) \|$", table, re.MULTILINE)
+                      for name in re.findall(r"`(\w+)`", names)]
+        types = {name: cls for name, cls in inspect.getmembers(errors, inspect.isclass)
+                 if issubclass(cls, errors.ConvsurvError)}
+        assert sorted(name for name, _ in documented) == sorted(types)
+        for name, code in documented:
+            assert types[name].exit_code == code, name
+            assert _exit_code(types[name]("message")) == code, name
+        assert _exit_code(FileNotFoundError("missing.csv")) == 2
+        assert _exit_code(ValueError("internal")) == 3
+
+    @pytest.mark.parametrize("env,flags,message", [
+        ("abc", [], "CONVSURV_THREADS must be an integer, got 'abc'"),
+        (None, ["--max-depth", "-2"], "max_depth must be >= 0"),
+    ], ids=["threads-env", "max-depth"])
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_training_flags_are_config_errors_before_ingest(
+            self, command, env, flags, message, tmp_path, monkeypatch, capsys):
+        # the log file does not exist: reading it first would exit 2
+        if env is not None:
+            monkeypatch.setenv("CONVSURV_THREADS", env)
+        argv = {"train": ["train", "--model", "rsf", "--target", "lifetime",
+                          "--out", str(tmp_path / "m.json")],
+                "evaluate": ["evaluate", "--seed", "1", "--out", str(tmp_path / "ev")]
+                }[command]
+        rc = main(argv + ["--data", str(tmp_path / "missing.csv"), *flags])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_evaluate_rsf_cr_without_churn_window_names_flag(self, data_dir, tmp_path,
                                                             capsys):
         rc = main(["evaluate", "--data", str(data_dir / "logs.csv"),
@@ -440,6 +477,7 @@ FOREST_CONFIG_CORRUPTIONS = {
     "config-alpha-two": {"alpha": 2},
     "config-aggregate-median": {"aggregate": "median"},
     "config-seed-negative": {"seed": -1},
+    "config-max-depth-negative": {"max_depth": -2},
 }
 COX_CORRUPTIONS = {
     "reversed-knots": lambda cox: cox["baseline_knots"].reverse(),
@@ -463,6 +501,12 @@ def corrupt_model(doc, corruption):
     leaf = next(lf for lf in tree["leaves"] if lf["times"])
     if corruption == "cycle":
         tree["left"][0] = 0
+    elif corruption == "zero-trees":
+        trees.clear()
+    elif corruption == "one-tree-short":
+        trees.pop()
+    elif corruption == "null-threshold":
+        tree["threshold"][0] = None
     elif corruption == "child-out-of-range":
         tree["right"][0] = len(tree["feature"]) + 5
     elif corruption == "bad-leaf-index":
@@ -539,7 +583,8 @@ def assert_predict_rejects(model_path, corruption, data_dir, tmp_path, capsys):
 class TestModelFileCorruption:
     @pytest.mark.parametrize("corruption", [
         "cycle", "child-out-of-range", "bad-leaf-index", "bad-feature",
-        "short-node-array", "missing-key", "not-json",
+        "short-node-array", "missing-key", "not-json", "zero-trees", "one-tree-short",
+        "null-threshold",
     ])
     def test_corrupt_model_file_is_data_error(self, corruption, data_dir, rsf_model,
                                               tmp_path, capsys):

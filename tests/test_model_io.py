@@ -1,13 +1,17 @@
-"""Model-file round trips must reproduce predictions bit-identically."""
+"""Model-file round trips must reproduce predictions bit-identically, and a
+corrupt model file must never fail as an internal error."""
 
+import functools
 import json
+import signal
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from convsurv.cli import _exit_code
 from convsurv.core import EventStatus, TimeAxis
 from convsurv.cox import fit_cox, predict_median_batch as cox_medians
 from convsurv.errors import CompatibilityError
@@ -153,3 +157,83 @@ class TestFormatGuards:
         assert loaded.axis == TimeAxis.PLAYTIME
         assert loaded.feature_spec_hash == "abc123"
         assert loaded.train_config == {"seed": 1}
+
+
+@functools.lru_cache(maxsize=None)
+def small_model_file(kind):
+    """The text of a small model file of ``kind``."""
+    rng = np.random.default_rng(11)
+    data = random_dataset(rng, 40, competing=True, p=3)
+    model = fit_model(kind, data, ForestConfig(n_trees=2, min_node_events=3, seed=1),
+                      ridge=1.0, n_jobs=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "m.json")
+        save_model(path, model, axis=TimeAxis.LEVEL, feature_names=("f0", "f1", "f2"),
+                   feature_spec_hash="abc123", train_config={"churn_window": 9})
+        return path.read_text()
+
+
+DELETE = object()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=3)),
+    max_leaves=6)
+
+
+def corrupt_field(doc, walk, value):
+    """Replace (or delete, for DELETE) the field that ``walk`` reaches: each
+    step picks a child of the current object or array, modulo its size."""
+    parent, key, node = None, None, doc
+    for step in walk:
+        keys = list(node) if isinstance(node, dict) else (
+            range(len(node)) if isinstance(node, list) else ())
+        if not keys:
+            break
+        parent, key = node, keys[step % len(keys)]
+        node = node[key]
+    if value is DELETE:
+        del parent[key]
+    else:
+        parent[key] = value
+
+
+class _Hung(BaseException):
+    """Raised by the alarm, past any ``except Exception``."""
+
+
+def _hung(signum, frame):
+    raise _Hung("a corrupted model file still runs after 30 s")
+
+
+class TestCorruptModelFiles:
+    X = np.array([[0.0, 0.0, 0.0], [3.0, -3.0, 1.0], [-1.0, 0.5, 4.0]])
+
+    @settings(max_examples=400, deadline=None)
+    @given(kind=st.sampled_from(MODEL_KINDS),
+           walk=st.lists(st.integers(0, 63), min_size=1, max_size=6),
+           value=st.just(DELETE) | JSON_VALUES)
+    @example(kind="rsf", walk=[6, 2], value=[])  # doc["model"]["trees"]: none
+    @example(kind="cox", walk=[6, 0, 0], value=1e308)  # doc["model"]["beta"][0]
+    def test_one_corrupt_field_never_exits_3(self, kind, walk, value):
+        """Loading, medians and subject curves either work or raise an
+        error the CLI maps to exit 2; none hangs."""
+        doc = json.loads(small_model_file(kind))
+        corrupt_field(doc, walk, value)
+        previous = signal.signal(signal.SIGALRM, _hung)
+        signal.alarm(30)
+        try:
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp, "m.json")
+                path.write_text(json.dumps(doc))
+                model = load_model(path).model
+                predict_medians(model, self.X)
+                for row in self.X:
+                    predict_subject_curve(model, row)
+            code = 0
+        except Exception as exc:
+            code = _exit_code(exc)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code in (0, 2), f"exit {code} for {kind} {walk} {value!r}"
