@@ -122,7 +122,8 @@ def fit_cox(data: SurvivalDataset, *, max_iter: int = 100, tol: float = 1e-8,
     covariate. (A separating covariate whose scale keeps the diverging
     coefficient below the guard converges instead to a large finite value
     of order -ln(tol) over the group gap; any positive ridge removes the
-    issue entirely.) Raises ConfigError unless ``ridge`` is finite and >= 0.
+    issue entirely.) Raises DegenerateFitError when the baseline hazard
+    leaves float range, and ConfigError unless ``ridge`` is finite and >= 0.
     """
     if not (math.isfinite(ridge) and ridge >= 0.0):
         raise ConfigError(f"ridge must be finite and >= 0, got {ridge!r}")
@@ -162,7 +163,9 @@ def fit_cox(data: SurvivalDataset, *, max_iter: int = 100, tol: float = 1e-8,
         noise = 1e-9 * (1.0 + abs(loglik))
         while step >= 2.0**-30:
             cand = beta + step * delta
-            cand_ll, cand_g, cand_h = _penalized(cand, times, events, x, ridge)
+            # a far step can empty late risk sets; its NaN likelihood fails below
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                cand_ll, cand_g, cand_h = _penalized(cand, times, events, x, ridge)
             # near the optimum the likelihood gain falls below float
             # resolution while the gradient still shrinks quadratically;
             # accept those terminal Newton steps too
@@ -186,15 +189,18 @@ def fit_cox(data: SurvivalDataset, *, max_iter: int = 100, tol: float = 1e-8,
 
     gnorm = float(np.max(np.abs(grad))) if p else 0.0
     unpenalized_ll = partial_loglik_grad_hess(beta, times, events, x)[0]
-    baseline = _breslow_baseline(beta, times, events, x)
-    # fold standardization back out: predictions use raw covariates
     beta_raw = beta / scale_sd
-    shift = float(np.exp(-(beta_raw @ center)))
+    try:  # diverging coefficients can take the baseline out of float range
+        with np.errstate(all="raise", under="ignore"):
+            baseline = _breslow_baseline(beta, times, events, x)
+            # fold standardization back out: predictions use raw covariates
+            values = baseline.values * float(np.exp(-(beta_raw @ center)))
+    except FloatingPointError:
+        raise DegenerateFitError("the Cox baseline hazard overflows: the coefficients "
+                                 "diverge; refit with a larger ridge") from None
     fit = CoxFit(
         beta=beta_raw,
-        baseline_cum_hazard=StepFunction(
-            baseline.knots, baseline.values * shift, 0.0
-        ),
+        baseline_cum_hazard=StepFunction(baseline.knots, values, 0.0),
         feature_names=data.feature_names,
         convergence=ConvergenceInfo(iterations, gnorm, float(unpenalized_ll)),
     )

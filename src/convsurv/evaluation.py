@@ -47,7 +47,6 @@ MODEL_KINDS = ("cox", *(kind.value for kind in ForestKind))
 @dataclass(frozen=True)
 class SplitSpec:
     train_fraction: float = 0.30
-    stratify_on_converter: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -97,15 +96,10 @@ def stratified_split(data: SurvivalDataset, spec: SplitSpec
         raise EmptyInputError("cannot split an empty dataset")
     conv_mask = data.status_codes == int(EventStatus.CONVERTED)
     rng = np.random.default_rng(spec.seed)
-    if spec.stratify_on_converter:
-        conv_idx = np.nonzero(conv_mask)[0]
-        other_idx = np.nonzero(~conv_mask)[0]
-        if conv_idx.size == 0 or other_idx.size == 0:
-            raise StratificationError(
-                "stratified split needs at least one converter and one non-converter")
-        groups = [conv_idx, other_idx]
-    else:
-        groups = [np.arange(n)]
+    groups = (np.nonzero(conv_mask)[0], np.nonzero(~conv_mask)[0])
+    if min(group.size for group in groups) == 0:
+        raise StratificationError(
+            "stratified split needs at least one converter and one non-converter")
     in_train = np.zeros(n, dtype=bool)
     for group in groups:
         perm = rng.permutation(group)

@@ -13,7 +13,7 @@ finding so that the fraction of observed converters among players with
 follows a Weibull law whose scale combines an engagement term, a
 threshold-gated interaction and a two-regime impulse/deliberate mixture,
 
-    scale = conversion_scale * regime(z2)
+    scale = 12 * regime(z2)
             * exp(-0.25 z1 - 0.25 max(z1,0) max(z2,0)),
 
 with regime 0.35 (impulse buyer, probability sigmoid(0.9 z1 + 0.9 z2 + 0.2))
@@ -21,13 +21,13 @@ or 1.5 (deliberate buyer), so engaged players buy on impulse early while
 deliberate purchases come from casual players with little accumulation. The mixture and the gate are deliberately outside the
 linear-exponential family, so proportional-hazard models are misspecified
 in the timing while the observable features (playtime, sessions, level
-velocity, activity) still carry the signal. The small default scale
+velocity, activity) still carry the signal. The small scale
 concentrates purchases in the first weeks, mirroring freemium reality:
 long-time non-payers rarely convert, so the population baseline survival
 stays far above one half. Churn time is Weibull with a log-linear scale
 in the latents. A purchase is observed only if it falls within the
 player's activity span, the observation window and the intent horizon
-(``conversion_horizon_days``): players who have not purchased within a few
+(21 days): players who have not purchased within a few
 weeks of registering have stopped considering it, so no conversions occur
 deep in the censored tail.
 
@@ -52,15 +52,21 @@ from .pipeline import EXPECTED_HEADER, PlayerLog, PlayerLogs
 _PROP_W1 = 2.8
 _PROP_W2 = 2.2
 _PROP_INTER = 0.3
-# conversion-time law: engagement scaling, a threshold-gated interaction,
-# and an impulse-vs-deliberate regime mixture keyed to skill; the mixture
-# and the gate put the law well outside the linear-exponential family
+# conversion-time law: a Weibull with engagement scaling, a threshold-gated
+# interaction and an impulse-vs-deliberate regime mixture keyed to skill; the
+# mixture and the gate put the law well outside the linear-exponential family
+_CONV_SHAPE = 1.5
+_CONV_SCALE = 12.0
 _CONV_A = 0.25
 _CONV_B = 0.25
 _IMPULSE_LOGIT = (0.9, 0.9, 0.2)   # weights on z1, z2, offset
 _IMPULSE_FAST = 0.35
 _IMPULSE_SLOW = 1.5
-# churn-time log-linear dependence
+# purchases come within this many days of registration or not at all
+_CONV_HORIZON_DAYS = 21
+# churn-time law: Weibull with log-linear dependence on the latents
+_CHURN_SHAPE = 1.0
+_CHURN_SCALE = 100.0
 _CHURN_W1 = 0.4
 _CHURN_W2 = 0.15
 
@@ -72,12 +78,7 @@ _CALIBRATION_STREAM = 0x5EED_CA1
 class GeneratorConfig:
     n_players: int
     pu_propensity: float = 0.053
-    conversion_shape: float = 1.5
-    conversion_scale: float = 12.0
-    churn_shape: float = 1.0
-    churn_scale: float = 100.0
     observation_window_days: int = 60
-    conversion_horizon_days: int = 21
     one_time_comer_rate: float = 0.25
     seed: int = 0
 
@@ -88,14 +89,8 @@ class GeneratorConfig:
             raise ConfigError("pu_propensity must lie in [0, 1)")
         if self.observation_window_days < 5:
             raise ConfigError("observation_window_days must be >= 5")
-        if self.conversion_horizon_days < 1:
-            raise ConfigError("conversion_horizon_days must be >= 1")
         if not 0.0 <= self.one_time_comer_rate < 1.0:
             raise ConfigError("one_time_comer_rate must lie in [0, 1)")
-        for name in ("conversion_shape", "conversion_scale", "churn_shape",
-                     "churn_scale"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
 
@@ -123,23 +118,23 @@ def _propensity_eta(z1, z2):
             + _PROP_INTER * np.maximum(z1, 0.0) * np.maximum(z2, 0.0))
 
 
-def _conversion_scale(cfg: GeneratorConfig, z1, z2, u_impulse):
+def _conversion_scale(z1, z2, u_impulse):
     gate = np.maximum(z1, 0.0) * np.maximum(z2, 0.0)
     w1, w2, off = _IMPULSE_LOGIT
     impulse = u_impulse < _sigmoid(w1 * z1 + w2 * z2 + off)
     regime = np.where(impulse, _IMPULSE_FAST, _IMPULSE_SLOW)
-    return (cfg.conversion_scale * regime
+    return (_CONV_SCALE * regime
             * np.exp(-_CONV_A * z1 - _CONV_B * gate))
 
 
-def _churn_scale(cfg: GeneratorConfig, z1, z2):
-    return cfg.churn_scale * np.exp(_CHURN_W1 * z1 + _CHURN_W2 * z2)
+def _churn_scale(z1, z2):
+    return _CHURN_SCALE * np.exp(_CHURN_W1 * z1 + _CHURN_W2 * z2)
 
 
 def _registration_limit(cfg: GeneratorConfig) -> int:
     # keep every span longer than the intent horizon so late registrants
     # cannot masquerade as imminent converters
-    return max(1, cfg.observation_window_days - cfg.conversion_horizon_days - 7)
+    return max(1, cfg.observation_window_days - _CONV_HORIZON_DAYS - 7)
 
 
 def _last_possible_day(cfg: GeneratorConfig, reg_day):
@@ -162,14 +157,13 @@ def _calibrate_intercept(cfg: GeneratorConfig) -> float:
     z1 = rng.standard_normal(m)
     z2 = rng.standard_normal(m)
     reg = rng.integers(0, _registration_limit(cfg), size=m)
-    t_churn = _churn_scale(cfg, z1, z2) * rng.weibull(cfg.churn_shape, m)
+    t_churn = _churn_scale(z1, z2) * rng.weibull(_CHURN_SHAPE, m)
     u_impulse = rng.random(m)
-    t_conv = (_conversion_scale(cfg, z1, z2, u_impulse)
-              * rng.weibull(cfg.conversion_shape, m))
+    t_conv = _conversion_scale(z1, z2, u_impulse) * rng.weibull(_CONV_SHAPE, m)
     max_day = _last_possible_day(cfg, reg)
     last_day = np.minimum(np.maximum(np.floor(t_churn).astype(int), 1), max_day)
     observable = (np.floor(t_conv).astype(int)
-                  <= np.minimum(last_day, cfg.conversion_horizon_days))
+                  <= np.minimum(last_day, _CONV_HORIZON_DAYS))
     eta = _propensity_eta(z1, z2)
 
     def realized(intercept: float) -> float:
@@ -191,10 +185,10 @@ def _simulate_player(pid: str, rng: np.random.Generator, cfg: GeneratorConfig,
     is_otc = rng.random() < cfg.one_time_comer_rate
     reg = int(rng.integers(0, _registration_limit(cfg)))
     u_flag = rng.random()
-    t_churn = _churn_scale(cfg, z1, z2) * rng.weibull(cfg.churn_shape)
+    t_churn = _churn_scale(z1, z2) * rng.weibull(_CHURN_SHAPE)
     u_impulse = rng.random()
-    t_conv = (float(_conversion_scale(cfg, z1, z2, np.asarray(u_impulse)))
-              * rng.weibull(cfg.conversion_shape))
+    t_conv = (float(_conversion_scale(z1, z2, np.asarray(u_impulse)))
+              * rng.weibull(_CONV_SHAPE))
 
     max_day = _last_possible_day(cfg, reg)
     if is_otc:
@@ -209,7 +203,7 @@ def _simulate_player(pid: str, rng: np.random.Generator, cfg: GeneratorConfig,
                    and u_flag < float(_sigmoid(intercept + _propensity_eta(z1, z2))))
         conv_day = int(math.floor(t_conv)) if flagged else None
         if conv_day is not None and conv_day > min(
-                churn_day, cfg.conversion_horizon_days):
+                churn_day, _CONV_HORIZON_DAYS):
             conv_day = None  # purchase intent faded before it materialized
         login_prob = float(_sigmoid(0.6 + 0.8 * z1))
         mids = np.arange(1, churn_day)

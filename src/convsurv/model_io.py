@@ -15,13 +15,14 @@ Top-level object:
 Cox payload: {"beta", "baseline_knots", "baseline_values", "convergence"}.
 
 Forest payload: {"config": {...}, "grid": [...], "trees": [...]} with
-config["n_trees"] trees, where each tree is flat node arrays {"feature",
-"threshold", "left", "right", "leaf_index"} (threshold null at leaves,
-finite at splits) plus "leaves": per-leaf risk tables {"times",
-"at_risk", "d_conv", "d_churn"} and, for conditional ensembles,
-"at_risk_grid". Leaf curves are recomputed from the counts on load, so a
-save/load round trip reproduces predictions bit-identically (JSON floats
-use shortest round-trip representation).
+config["n_trees"] trees. Each tree holds the flat node arrays named in
+``_NODE_FIELDS`` (threshold null at leaves, finite at splits) plus
+"leaves", one risk table per leaf with the arrays named in
+``_LEAF_FIELDS`` (at_risk_grid null outside conditional ensembles).
+Integer arrays hold JSON integers only and float arrays JSON numbers
+only. Leaf curves are recomputed from the counts on load, so a save/load
+round trip reproduces predictions bit-identically (JSON floats use
+shortest round-trip representation).
 """
 
 from __future__ import annotations
@@ -40,6 +41,13 @@ from .forest import ForestConfig, ForestKind, ForestModel, Leaf, SurvivalTree
 
 FORMAT_VERSION = 1
 
+# (name, dtype) of a tree's node arrays and of a leaf's risk-table arrays,
+# in file order: the writer, the reader and the leaf check all walk these
+_NODE_FIELDS = (("feature", np.int32), ("threshold", float), ("left", np.int32),
+                ("right", np.int32), ("leaf_index", np.int32))
+_LEAF_FIELDS = (("times", float), ("at_risk", int), ("d_conv", int), ("d_churn", int),
+                ("at_risk_grid", int))
+
 
 @dataclass(frozen=True)
 class ModelFile:
@@ -51,24 +59,44 @@ class ModelFile:
     model: CoxFit | ForestModel
 
 
+def _numbers(values, dtype) -> list | None:
+    """An array (or None) as the JSON value ``_array`` reads back."""
+    return None if values is None else np.asarray(values, dtype=dtype).tolist()
+
+
+def _array(values, dtype, what: str) -> np.ndarray:
+    """A JSON array as a 1-D array of ``dtype``, ``float`` or an integer type.
+
+    Integer arrays take only JSON integers and float arrays only JSON
+    numbers. numpy alone would parse numeric strings and truncate fractions
+    and booleans (``np.array([True, 2])`` is int64), so a mistyped file
+    would load and mispredict.
+    """
+    floats = dtype is float
+    if type(values) is not list or not set(map(type, values)) <= (
+            {int, float} if floats else {int}):
+        raise CompatibilityError(
+            f"{what} is not an array of JSON {'numbers' if floats else 'integers'}")
+    return np.array(values, dtype=dtype)
+
+
 def _cox_payload(fit: CoxFit) -> dict:
     return {
-        "beta": np.asarray(fit.beta, dtype=float).tolist(),
-        "baseline_knots": np.asarray(fit.baseline_cum_hazard.knots, dtype=float).tolist(),
-        "baseline_values": np.asarray(fit.baseline_cum_hazard.values, dtype=float).tolist(),
+        "beta": _numbers(fit.beta, float),
+        "baseline_knots": _numbers(fit.baseline_cum_hazard.knots, float),
+        "baseline_values": _numbers(fit.baseline_cum_hazard.values, float),
         "convergence": dataclasses.asdict(fit.convergence),
     }
 
 
 def _cox_from_payload(payload: dict, kind: str, feature_names, axis) -> CoxFit:
-    beta = np.array(payload["beta"], dtype=float)
-    knots = np.array(payload["baseline_knots"], dtype=float)
-    values = np.array(payload["baseline_values"], dtype=float)
+    beta = _array(payload["beta"], float, "Cox beta")
+    knots = _array(payload["baseline_knots"], float, "Cox baseline_knots")
+    values = _array(payload["baseline_values"], float, "Cox baseline_values")
     if beta.shape != (len(feature_names),):
         raise CompatibilityError(
             f"Cox beta has shape {beta.shape} for {len(feature_names)} features")
-    if (knots.ndim != 1 or not np.all(np.isfinite(knots))
-            or np.any(~(np.diff(knots) > 0))):
+    if not np.all(np.isfinite(knots)) or np.any(~(np.diff(knots) > 0)):
         raise CompatibilityError(
             "Cox baseline knots are not finite and strictly increasing")
     if (values.shape != knots.shape or not np.all(np.isfinite(values))
@@ -101,52 +129,27 @@ def _check_train_config(config, kind: str) -> None:
 
 
 def _tree_payload(tree: SurvivalTree) -> dict:
-    return {
-        "feature": tree.feature.tolist(),
-        "threshold": [None if f < 0 else t for f, t in
-                      zip(tree.feature.tolist(), tree.threshold.tolist())],
-        "left": tree.left.tolist(),
-        "right": tree.right.tolist(),
-        "leaf_index": tree.leaf_index.tolist(),
-        "leaves": [
-            {
-                "times": np.asarray(leaf.times, dtype=float).tolist(),
-                "at_risk": leaf.at_risk.tolist(),
-                "d_conv": leaf.d_conv.tolist(),
-                "d_churn": leaf.d_churn.tolist(),
-                "at_risk_grid": (None if leaf.at_risk_grid is None
-                                 else leaf.at_risk_grid.tolist()),
-            }
-            for leaf in tree.leaves
-        ],
-    }
+    payload = {name: _numbers(getattr(tree, name), dtype) for name, dtype in _NODE_FIELDS}
+    # thresholds are null at leaves, finite at splits
+    payload["threshold"] = [None if f < 0 else t for f, t in
+                            zip(payload["feature"], payload["threshold"])]
+    payload["leaves"] = [{name: _numbers(getattr(leaf, name), dtype)
+                          for name, dtype in _LEAF_FIELDS} for leaf in tree.leaves]
+    return payload
 
 
-def _tree_from_payload(payload: dict, n_features: int, grid: np.ndarray,
-                       grid_at_risk: bool) -> SurvivalTree:
-    leaves = [
-        Leaf(
-            times=np.array(lf["times"], dtype=float),
-            at_risk=np.array(lf["at_risk"], dtype=int),
-            d_conv=np.array(lf["d_conv"], dtype=int),
-            d_churn=np.array(lf["d_churn"], dtype=int),
-            at_risk_grid=(None if lf["at_risk_grid"] is None
-                          else np.array(lf["at_risk_grid"], dtype=int)),
-        )
-        for lf in payload["leaves"]
-    ]
-    threshold = np.array(
-        [np.nan if t is None else t for t in payload["threshold"]], dtype=float)
-    tree = SurvivalTree(
-        feature=np.array(payload["feature"], dtype=np.int32),
-        threshold=threshold,
-        left=np.array(payload["left"], dtype=np.int32),
-        right=np.array(payload["right"], dtype=np.int32),
-        leaf_index=np.array(payload["leaf_index"], dtype=np.int32),
-        leaves=leaves,
-    )
+def _tree_from_payload(payload: dict, n_features: int) -> SurvivalTree:
+    nodes = {name: payload[name] for name, _ in _NODE_FIELDS}
+    nodes["threshold"] = [np.nan if t is None else t for t in nodes["threshold"]]
+    # at_risk_grid is null outside conditional ensembles; _check_leaves
+    # checks which
+    leaves = [Leaf(**{name: None if name == "at_risk_grid" and lf[name] is None
+                      else _array(lf[name], dtype, f"leaf {name}")
+                      for name, dtype in _LEAF_FIELDS})
+              for lf in payload["leaves"]]
+    tree = SurvivalTree(**{name: _array(nodes[name], dtype, f"tree {name}")
+                           for name, dtype in _NODE_FIELDS}, leaves=leaves)
     _check_tree(tree, n_features)
-    _check_leaves(leaves, grid, grid_at_risk)
     return tree
 
 
@@ -158,8 +161,7 @@ def _check_tree(tree: SurvivalTree, n_features: int) -> None:
     acyclic as well as in range.
     """
     n = len(tree.feature)
-    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.leaf_index)
-    if n == 0 or any(a.shape != (n,) for a in arrays):
+    if n == 0 or any(getattr(tree, name).shape != (n,) for name, _ in _NODE_FIELDS):
         raise CompatibilityError("tree node arrays are empty or differ in length")
     inner = np.nonzero(tree.feature >= 0)[0]
     for child in (tree.left[inner], tree.right[inner]):
@@ -175,26 +177,24 @@ def _check_tree(tree: SurvivalTree, n_features: int) -> None:
 
 
 def _check_leaves(leaves: list[Leaf], grid: np.ndarray, grid_at_risk: bool) -> None:
-    """Reject leaf risk tables that are not counts of a risk set on ``grid``.
+    """Reject leaf risk tables that are not counts of a risk set on ``grid``;
+    ``leaves`` are all of a forest's leaves, checked in one pass.
 
     Valid counts give monotone leaf curves, which median prediction
     relies on when it bisects the grid; leaf knots are grid points, which
     its knot tables rely on.
     """
-    for leaf in leaves:
-        n = leaf.times.shape
-        if len(n) != 1 or any(a.shape != n for a in
-                              (leaf.at_risk, leaf.d_conv, leaf.d_churn)):
-            raise CompatibilityError("leaf count arrays differ in length")
-        if (leaf.at_risk_grid is not None) != grid_at_risk:
-            raise CompatibilityError(
-                "at_risk_grid must be present exactly in cif leaves")
-        if grid_at_risk and leaf.at_risk_grid.shape != grid.shape:
-            raise CompatibilityError("leaf at_risk_grid does not match the grid")
-    times, at_risk, d_conv, d_churn = (
-        np.concatenate([getattr(lf, f) for lf in leaves])
-        for f in ("times", "at_risk", "d_conv", "d_churn"))
-    owner = np.repeat(np.arange(len(leaves)), [lf.times.size for lf in leaves])
+    times, at_risk, d_conv, d_churn, at_risk_grid = (
+        [getattr(leaf, name) for leaf in leaves] for name, _ in _LEAF_FIELDS)
+    sizes = [a.size for a in times]
+    if any([a.size for a in counts] != sizes for counts in (at_risk, d_conv, d_churn)):
+        raise CompatibilityError("leaf count arrays differ in length")
+    if any((q is not None) != grid_at_risk for q in at_risk_grid):
+        raise CompatibilityError("at_risk_grid must be present exactly in cif leaves")
+    if grid_at_risk and any(q.shape != grid.shape for q in at_risk_grid):
+        raise CompatibilityError("leaf at_risk_grid does not match the grid")
+    times, at_risk, d_conv, d_churn = map(np.concatenate, (times, at_risk, d_conv, d_churn))
+    owner = np.repeat(np.arange(len(leaves)), sizes)
     same_leaf = owner[1:] == owner[:-1]
     if (not np.all(np.isfinite(times))
             or np.any(same_leaf & ~(np.diff(times) > 0))):
@@ -211,14 +211,14 @@ def _check_leaves(leaves: list[Leaf], grid: np.ndarray, grid_at_risk: bool) -> N
 def _forest_payload(model: ForestModel) -> dict:
     return {
         "config": dataclasses.asdict(model.config),
-        "grid": np.asarray(model.grid, dtype=float).tolist(),
+        "grid": _numbers(model.grid, float),
         "trees": [_tree_payload(t) for t in model.trees],
     }
 
 
 def _forest_from_payload(payload: dict, kind: str, feature_names, axis) -> ForestModel:
-    grid = np.array(payload["grid"], dtype=float)
-    if grid.ndim != 1 or np.any(~(np.diff(grid) > 0)):
+    grid = _array(payload["grid"], float, "model grid")
+    if np.any(~(np.diff(grid) > 0)):
         raise CompatibilityError("model grid is not strictly increasing")
     try:
         config = ForestConfig(**payload["config"])
@@ -229,15 +229,10 @@ def _forest_from_payload(payload: dict, kind: str, feature_names, axis) -> Fores
             f"forest has {len(payload['trees'])} trees but its config "
             f"names {config.n_trees}")
     kind = ForestKind(kind)
-    return ForestModel(
-        kind=kind,
-        trees=tuple(_tree_from_payload(t, len(feature_names), grid, kind.grid_at_risk)
-                    for t in payload["trees"]),
-        config=config,
-        feature_names=tuple(feature_names),
-        axis=axis,
-        grid=grid,
-    )
+    trees = tuple(_tree_from_payload(t, len(feature_names)) for t in payload["trees"])
+    _check_leaves([leaf for tree in trees for leaf in tree.leaves], grid, kind.grid_at_risk)
+    return ForestModel(kind=kind, trees=trees, config=config,
+                       feature_names=tuple(feature_names), axis=axis, grid=grid)
 
 
 # kind -> (payload writer, payload reader(payload, kind, feature names, axis)):

@@ -350,6 +350,8 @@ def ingest_logs(path) -> PlayerLogs:
             header = next(reader)
         except StopIteration:
             raise LogParseError("empty file: missing header", 1) from None
+        except csv.Error as exc:  # e.g. an unclosed quote swallowing the file
+            raise LogParseError(f"line 1: {exc}", 1) from None
         if [h.strip() for h in header] != EXPECTED_HEADER:
             raise LogParseError(
                 f"line 1: expected header {','.join(EXPECTED_HEADER)}", 1)

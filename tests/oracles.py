@@ -204,15 +204,12 @@ def reference_split(data, spec):
         raise EmptyInputError("cannot split an empty dataset")
     conv_mask = data.status_codes == int(EventStatus.CONVERTED)
     rng = np.random.default_rng(spec.seed)
-    if spec.stratify_on_converter:
-        conv_idx = np.nonzero(conv_mask)[0]
-        other_idx = np.nonzero(~conv_mask)[0]
-        if conv_idx.size == 0 or other_idx.size == 0:
-            raise StratificationError(
-                "stratified split needs at least one converter and one non-converter")
-        groups = [conv_idx, other_idx]
-    else:
-        groups = [np.arange(n)]
+    conv_idx = np.nonzero(conv_mask)[0]
+    other_idx = np.nonzero(~conv_mask)[0]
+    if conv_idx.size == 0 or other_idx.size == 0:
+        raise StratificationError(
+            "stratified split needs at least one converter and one non-converter")
+    groups = [conv_idx, other_idx]
     train_idx = []
     for group in groups:
         perm = rng.permutation(group)

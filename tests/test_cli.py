@@ -8,6 +8,7 @@ import re
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,21 @@ class TestTrain:
                    "--seed", "5", "--out", str(model)])
         assert rc == 0
         assert json.loads(model.read_text())["axis"] == "playtime"
+
+    def test_cox_on_a_tiny_monotone_cohort_is_silent(self, tmp_path, capsys):
+        """Four converters among 49 training subjects: the likelihood is
+        monotone, and rejected step candidates underflow every late risk
+        set. The fit must still print nothing, even with warnings as errors."""
+        assert main(["generate", "--players", "200", "--seed", "5",
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["train", "--data", str(tmp_path / "logs.csv"), "--model", "cox",
+                       "--target", "playtime", "--seed", "1",
+                       "--out", str(tmp_path / "cox.json")])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
 
 
 @pytest.fixture(scope="module")
@@ -487,6 +503,13 @@ COX_CORRUPTIONS = {
     "negative-baseline": lambda cox: cox["baseline_values"].__setitem__(0, -1.0),
     "short-beta": lambda cox: cox["beta"].pop(),
 }
+# values that numpy would coerce into a valid-looking array: numeric
+# strings, fractions and booleans
+MISTYPED_COX_CORRUPTIONS = {
+    "beta-strings": lambda cox: cox.update(beta=list(map(str, cox["beta"]))),
+    "baseline-values-strings": lambda cox: cox.update(
+        baseline_values=list(map(str, cox["baseline_values"]))),
+}
 
 
 def corrupt_model(doc, corruption):
@@ -494,6 +517,8 @@ def corrupt_model(doc, corruption):
         return HEADER_CORRUPTIONS[corruption](doc)
     if corruption in COX_CORRUPTIONS:
         return COX_CORRUPTIONS[corruption](doc["model"])
+    if corruption in MISTYPED_COX_CORRUPTIONS:
+        return MISTYPED_COX_CORRUPTIONS[corruption](doc["model"])
     if corruption in FOREST_CONFIG_CORRUPTIONS:
         return doc["model"]["config"].update(FOREST_CONFIG_CORRUPTIONS[corruption])
     trees = doc["model"]["trees"]
@@ -523,6 +548,26 @@ def corrupt_model(doc, corruption):
         doc["model"]["grid"].reverse()
     elif corruption == "d-conv-over-at-risk":
         leaf["d_conv"][0] = leaf["at_risk"][0] + 1
+    elif corruption == "at-risk-strings":
+        leaf["at_risk"] = list(map(str, leaf["at_risk"]))
+    elif corruption == "d-conv-plus-half":
+        leaf["d_conv"][0] += 0.5
+    elif corruption == "feature-plus-0.9":
+        tree["feature"][0] += 0.9
+    elif corruption == "child-plus-half":
+        tree["left"][0] += 0.5
+        tree["right"][0] += 0.5
+    elif corruption == "times-strings":
+        leaf["times"] = list(map(str, leaf["times"]))
+    elif corruption == "threshold-strings":
+        tree["threshold"] = [t if t is None else str(t) for t in tree["threshold"]]
+    elif corruption == "grid-strings":
+        doc["model"]["grid"] = list(map(str, doc["model"]["grid"]))
+    elif corruption == "at-risk-grid-plus-quarter":
+        leaf["at_risk_grid"][0] += 0.25
+    elif corruption == "leaf-index-true":
+        for t in trees:
+            t["leaf_index"][t["leaf_index"].index(0)] = True
     elif corruption.startswith("leaf-time-"):
         grid = doc["model"]["grid"]
         times = next(lf for lf in tree["leaves"] if len(lf["times"]) >= 2)["times"]
@@ -577,7 +622,9 @@ def assert_predict_rejects(model_path, corruption, data_dir, tmp_path, capsys):
                       "--data", str(data_dir / "logs.csv"),
                       "--out", str(tmp_path / "p.csv")])
     assert rc == 2
-    assert f"model file {bad}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"model file {bad}" in err
+    return err
 
 
 class TestModelFileCorruption:
@@ -616,6 +663,20 @@ class TestModelFileCorruption:
     def test_corrupt_cox_file_is_data_error(self, corruption, data_dir, cox_model,
                                             tmp_path, capsys):
         assert_predict_rejects(cox_model, corruption, data_dir, tmp_path, capsys)
+
+    @pytest.mark.parametrize("model, corruption", [
+        *(("rsf_model", c) for c in (
+            "at-risk-strings", "d-conv-plus-half", "feature-plus-0.9", "child-plus-half",
+            "times-strings", "threshold-strings", "grid-strings", "leaf-index-true")),
+        ("cif_model", "at-risk-grid-plus-quarter"),
+        *(("cox_model", c) for c in MISTYPED_COX_CORRUPTIONS),
+    ])
+    def test_mistyped_arrays_are_data_errors(self, model, corruption, request, data_dir,
+                                             tmp_path, capsys):
+        """Each of these once loaded, and a boolean leaf index mispredicted."""
+        err = assert_predict_rejects(request.getfixturevalue(model), corruption, data_dir,
+                                     tmp_path, capsys)
+        assert "is not an array of JSON" in err
 
     def test_rsf_cr_file_without_churn_window_is_data_error(
             self, data_dir, rsfcr_playtime_model, tmp_path, capsys):

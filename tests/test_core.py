@@ -282,7 +282,6 @@ class TestColumnarDataset:
         if ref_sub is not None:
             assert_same(sub, ref_sub)
         spec = SplitSpec(train_fraction=data.draw(st.sampled_from([0.3, 0.5, 0.7])),
-                         stratify_on_converter=data.draw(st.booleans()),
                          seed=data.draw(st.integers(0, 5)))
         (split, split_err), (ref_split, ref_split_err) = (
             outcome(lambda: stratified_split(col, spec)),

@@ -1,7 +1,10 @@
 """Nonparametric estimators against hand counts and brute-force oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from convsurv.core import EventStatus
@@ -22,6 +25,26 @@ from conftest import make_dataset, random_dataset
 CONV = EventStatus.CONVERTED
 CENS = EventStatus.CENSORED
 CHURN = EventStatus.CHURNED
+
+
+def every_estimate(d) -> dict:
+    """Each estimator's output on competing-risks data ``d``; the
+    single-risk ones see churn as censoring."""
+    single = d.recode_competing_as_censored()
+    out = {"risk_table": risk_table(d), "all_cause_survival": all_cause_survival(d),
+           "kaplan_meier": kaplan_meier(single), "nelson_aalen": nelson_aalen(single),
+           "km_confidence_band": km_confidence_band(single)}
+    for event in (CONV, CHURN):
+        out[f"aalen_johansen {event.name}"] = aalen_johansen(d, event)
+        out[f"cif_confidence_band {event.name}"] = cif_confidence_band(d, event)
+    return out
+
+
+def fields(result) -> list:
+    """Every field of a step function or risk table, or of a pair of them."""
+    if isinstance(result, tuple):
+        return [a for part in result for a in fields(part)]
+    return [np.asarray(getattr(result, f.name)) for f in dataclasses.fields(result)]
 
 
 def three_mixed():
@@ -183,13 +206,23 @@ class TestOracleAgreement:
                                 oracles.cif_at(d.times, statuses, 1, t),
                                 atol=1e-12)
 
-    def test_permutation_invariance(self, rng):
-        d = random_dataset(rng, 18, competing=False)
-        perm = rng.permutation(len(d))
-        shuffled = d.subset(perm)
-        a, b = kaplan_meier(d), kaplan_meier(shuffled)
-        assert_allclose(a.knots, b.knots)
-        assert_allclose(a.values, b.values)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_permutation_invariance(self, data):
+        """Shuffling the records leaves every estimator's output
+        bit-identical, on data with tied times and churn."""
+        records = data.draw(st.lists(st.tuples(
+            st.sampled_from([1.0, 2.0, 2.5, 7.0]) | st.floats(0.01, 50.0).map(
+                lambda t: round(t, 2)),
+            st.sampled_from([CENS, CONV, CHURN])), min_size=1, max_size=40))
+        times, statuses = zip(*records)
+        d = make_dataset(times, statuses, competing=True)
+        shuffled = d.subset(data.draw(st.permutations(range(len(d)))))
+        want, got = every_estimate(d), every_estimate(shuffled)
+        for name in want:
+            a, b = fields(want[name]), fields(got[name])
+            assert len(a) == len(b) and all(
+                np.array_equal(x, y, equal_nan=True) for x, y in zip(a, b)), name
 
 
 class TestConfidenceBand:

@@ -129,7 +129,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"n_players": 0}, {"pu_propensity": 1.0}, {"pu_propensity": -0.1},
         {"observation_window_days": 2}, {"one_time_comer_rate": 1.0},
-        {"conversion_scale": 0.0}, {"seed": -1},
+        {"seed": -1},
     ])
     def test_bad_configs(self, kwargs):
         base = {"n_players": 10}

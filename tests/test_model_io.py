@@ -1,6 +1,7 @@
 """Model-file round trips must reproduce predictions bit-identically, and a
-corrupt model file must never fail as an internal error."""
+corrupt model file or log must never fail as an internal error."""
 
+import contextlib
 import functools
 import json
 import signal
@@ -11,15 +12,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from convsurv.cli import _exit_code
+from convsurv.cli import _exit_code, _load_filtered
 from convsurv.core import EventStatus, TimeAxis
 from convsurv.cox import fit_cox, predict_median_batch as cox_medians
 from convsurv.errors import CompatibilityError
 from convsurv.evaluation import (
     MODEL_KINDS,
+    SplitSpec,
     fit_model,
     predict_medians,
     predict_subject_curve,
+    stratified_split,
 )
 from convsurv.forest import (
     ForestConfig,
@@ -30,7 +33,9 @@ from convsurv.forest import (
     predict_median_batch,
     predict_survival_matrix,
 )
+from convsurv.generator import GeneratorConfig, generate_synthetic, write_logs_csv
 from convsurv.model_io import FORMAT_VERSION, load_model, save_model
+from convsurv.pipeline import build_dataset
 
 from conftest import make_dataset, random_dataset
 
@@ -202,8 +207,26 @@ class _Hung(BaseException):
     """Raised by the alarm, past any ``except Exception``."""
 
 
-def _hung(signum, frame):
-    raise _Hung("a corrupted model file still runs after 30 s")
+@contextlib.contextmanager
+def _deadline(seconds=30):
+    def hung(signum, frame):
+        raise _Hung(f"a corrupted input still runs after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _outcome(run):
+    """``run()``'s result (None on an error) and the CLI's exit code for it."""
+    try:
+        with _deadline():
+            return run(), 0
+    except Exception as exc:
+        return None, _exit_code(exc)
 
 
 class TestCorruptModelFiles:
@@ -220,9 +243,8 @@ class TestCorruptModelFiles:
         error the CLI maps to exit 2; none hangs."""
         doc = json.loads(small_model_file(kind))
         corrupt_field(doc, walk, value)
-        previous = signal.signal(signal.SIGALRM, _hung)
-        signal.alarm(30)
-        try:
+
+        def run():
             with tempfile.TemporaryDirectory() as tmp:
                 path = Path(tmp, "m.json")
                 path.write_text(json.dumps(doc))
@@ -230,10 +252,75 @@ class TestCorruptModelFiles:
                 predict_medians(model, self.X)
                 for row in self.X:
                     predict_subject_curve(model, row)
-            code = 0
-        except Exception as exc:
-            code = _exit_code(exc)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        _, code = _outcome(run)
         assert code in (0, 2), f"exit {code} for {kind} {walk} {value!r}"
+
+
+@functools.lru_cache(maxsize=None)
+def small_log_lines():
+    """The lines of ``generate --players 200 --seed 5``."""
+    logs, _ = generate_synthetic(
+        GeneratorConfig(n_players=200, observation_window_days=120, seed=5))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "logs.csv")
+        write_logs_csv(logs, path)
+        return tuple(path.read_text().splitlines(keepends=True))
+
+
+EDGE_FIELDS = ("", "-1", "1e309", "nan", "1_000", "0x10", " 5", "9223372036854775808",
+               '"', "a,b", "#", "doubled")
+LOG_MUTATIONS = st.lists(
+    st.tuples(st.integers(0, 10**6), st.integers(0, 6), st.sampled_from(EDGE_FIELDS))
+    | st.tuples(st.integers(0, 10**6), st.sampled_from(("delete", "duplicate", "blank"))),
+    min_size=1, max_size=3)
+
+
+def mutate_log(lines, mutations):
+    """Apply each (line, field, value) or (line, line operation) mutation;
+    line numbers wrap around the file."""
+    lines = list(lines)
+    for at, *change in mutations:
+        i = at % len(lines)
+        if change == ["delete"]:
+            del lines[i]
+        elif change == ["duplicate"]:
+            lines.insert(i, lines[i])
+        elif change == ["blank"]:
+            lines[i] = "\n"
+        else:
+            fields = lines[i].rstrip("\n").split(",")
+            j, value = change[0] % len(fields), change[1]
+            fields[j] = fields[j] * 2 if value == "doubled" else value
+            lines[i] = ",".join(fields) + "\n"
+    return "".join(lines)
+
+
+class TestCorruptLogs:
+    @settings(max_examples=150, deadline=None)
+    @given(mutations=LOG_MUTATIONS)
+    @example(mutations=[(0, 0, '"')])  # csv reads the whole file as one header field
+    @example(mutations=[(526027, 6, "1_000")])  # Cox on level: the baseline overflows
+    def test_mutated_log_never_exits_3(self, mutations):
+        """From ingest through build, split, fit and medians, a log with one
+        to three bad fields or lines either works or fails with exit 2, on
+        every axis with churn labels on and off."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "logs.csv")
+            path.write_text(mutate_log(small_log_lines(), mutations))
+            logs, code = _outcome(lambda: _load_filtered(path))
+        assert code in (0, 2), f"ingest exits {code} for {mutations}"
+        if code:
+            return
+        cfg = ForestConfig(n_trees=2, seed=1)
+        for axis in TimeAxis:
+            for window in (9, 0):
+                def run():
+                    data = build_dataset(logs, axis, competing=window > 0,
+                                         churn_window=window)
+                    train, test = stratified_split(data, SplitSpec(seed=1))
+                    for kind in ("cox", "cif", "rsf-cr") if window else ("cox", "cif"):
+                        model = fit_model(kind, train, cfg, ridge=1e-6, n_jobs=1)
+                        predict_medians(model, test.covariate_matrix)
+                _, code = _outcome(run)
+                assert code in (0, 2), (
+                    f"exit {code} on {axis.value}, churn window {window}, for {mutations}")
