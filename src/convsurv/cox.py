@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EventStatus, StepFunction, SurvivalDataset, row_chunks
+from .estimators import event_counts
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -58,11 +59,11 @@ class CoxFit:
 def _event_groups(times: np.ndarray, events: np.ndarray):
     """Distinct event times, their risk-set suffix index and event counts.
 
-    Assumes ``times`` sorted ascending.
+    Assumes ``times`` sorted ascending, so a risk set of ``at_risk``
+    subjects starts at index ``times.size - at_risk``.
     """
-    etimes, counts = np.unique(times[events], return_counts=True)
-    first = np.searchsorted(times, etimes, side="left")
-    return etimes, first, counts.astype(float)
+    etimes, at_risk, counts, _, _ = event_counts(times, events.astype(np.int8))
+    return etimes, times.size - at_risk, counts.astype(float)
 
 
 def partial_loglik_grad_hess(beta: np.ndarray, times: np.ndarray,

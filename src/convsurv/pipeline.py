@@ -5,8 +5,9 @@ Input CSV schema (header required, UTF-8, comma-separated):
     player_id,day_index,playtime_hours,level,sessions,actions,purchases
 
 One row per player per active day. Levels are non-decreasing within a
-player; day indices are unique per player. Numeric formats are plain
-decimals with a ``.`` separator; integers must fit in int64.
+player; day indices are unique per player. Integer columns take what
+Python's ``int()`` reads and ``playtime_hours`` what ``float()`` reads, so
+``1_000`` and `` 5`` pass too; integers must fit in int64.
 
 Feature engineering uses a growing window that ends strictly before the
 subject's event (or censoring) day, so no feature can read activity at or
@@ -20,11 +21,11 @@ for every player at once.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import hashlib
 import json
 import math
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice, repeat
@@ -236,11 +237,22 @@ class FeatureSpec:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def _undecodable(cells) -> bool:
+    """Whether ``cells`` hold a byte that is not UTF-8.
+
+    Ingest decodes with errors="surrogateescape", which reads each such
+    byte as a lone surrogate that no UTF-8 text decodes to.
+    """
+    return re.search("[\udc80-\udcff]", "".join(cells)) is not None
+
+
 def _check_row(row: list[str], line: int) -> None:
     """Raise the LogParseError of one record, checking fields left to right."""
     def error(message: str) -> LogParseError:
         return LogParseError(f"line {line}: {message}", line)
 
+    if _undecodable(row):
+        raise error("file is not UTF-8 text")
     if len(row) != len(EXPECTED_HEADER):
         raise error(f"expected {len(EXPECTED_HEADER)} columns, got {len(row)}")
     if not row[0].strip():
@@ -281,8 +293,8 @@ def _parse_block(block: list[list[str]], first_line: int,
             raise ValueError("record width")
         ids, *cells = zip(*rows)
         ids = list(map(str.strip, ids))
-        if "" in ids:
-            raise ValueError("empty player_id")
+        if "" in ids or _undecodable(ids):
+            raise ValueError("empty or undecodable player_id")
         columns = [np.fromiter(map(float if t is np.float64 else int, c), t, len(ids))
                    for c, t in zip(cells, _DTYPES)]
         if not all(np.all(np.isfinite(c) & (c >= lowest))
@@ -296,25 +308,6 @@ def _parse_block(block: list[list[str]], first_line: int,
     for pid in dict.fromkeys(ids):
         index.setdefault(pid, len(index))
     return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids)), *columns
-
-
-def _undecodable_line(path) -> int | None:
-    """Line of the first byte sequence that is not UTF-8, or None."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    line = 1
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            pending = len(decoder.getstate()[0])
-            try:
-                decoder.decode(chunk)
-            except UnicodeDecodeError as exc:
-                return line + chunk.count(b"\n", 0, max(exc.start - pending, 0))
-            line += chunk.count(b"\n")
-    try:
-        decoder.decode(b"", final=True)
-    except UnicodeDecodeError:
-        return line
-    return None
 
 
 def _records(reader, errors: list):
@@ -334,17 +327,15 @@ def ingest_logs(path) -> PlayerLogs:
     empty table.
 
     Records are converted in blocks of ``_BLOCK_ROWS``, so memory holds
-    one block of strings plus the typed columns.
+    one block of strings plus the typed columns. A record holding a byte
+    that is not UTF-8 fails as ``line N: file is not UTF-8 text``. Line
+    numbers count csv records, blank ones included.
     """
-    bad_line = _undecodable_line(path)
-    if bad_line == 1:
-        raise LogParseError("line 1: file is not UTF-8 text", 1)
     index: dict[str, int] = {}
     blocks = []
     csv_errors: list = []
     line = 2
-    # lines before the first undecodable one read the same either way
-    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -353,17 +344,15 @@ def ingest_logs(path) -> PlayerLogs:
         except csv.Error as exc:  # e.g. an unclosed quote swallowing the file
             raise LogParseError(f"line 1: {exc}", 1) from None
         if [h.strip() for h in header] != EXPECTED_HEADER:
-            raise LogParseError(
-                f"line 1: expected header {','.join(EXPECTED_HEADER)}", 1)
-        records = _records(reader if bad_line is None
-                           else islice(reader, bad_line - 2), csv_errors)
+            message = ("file is not UTF-8 text" if _undecodable(header)
+                       else f"expected header {','.join(EXPECTED_HEADER)}")
+            raise LogParseError(f"line 1: {message}", 1)
+        records = _records(reader, csv_errors)
         while block := list(islice(records, _BLOCK_ROWS)):
             blocks.append(_parse_block(block, line, index))
             line += len(block)
     if csv_errors:
         raise LogParseError(f"line {line}: {csv_errors[0]}", line)
-    if bad_line is not None:
-        raise LogParseError(f"line {bad_line}: file is not UTF-8 text", bad_line)
     return _sorted_logs(tuple(index), blocks)
 
 

@@ -350,6 +350,25 @@ def error_outcome(ingest, path):
     return None
 
 
+@st.composite
+def undecodable_log(draw):
+    """Records of a log, header first, and the index of the one record that
+    takes an undecodable byte. Records may hold a bad value, a duplicate
+    day or blank lines."""
+    body, _ = draw(cohort_csv())
+    records = [HEADER.rstrip("\n")] + body.splitlines()
+    if len(records) > 1 and draw(st.booleans()):
+        at = draw(st.integers(1, len(records) - 1))
+        cells = records[at].split(",")
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(
+            st.sampled_from(["one", "", "-1", "nan", "1.5", "1,0"]))
+        records[at] = ",".join(cells)
+    if len(records) > 1 and draw(st.booleans()):
+        records.insert(draw(st.integers(1, len(records))),
+                       draw(st.sampled_from(records[1:])))
+    return records, draw(st.integers(0, len(records) - 1))
+
+
 class TestColumnarEquivalence:
     """The columnar pipeline against the row-wise reference in oracles.py."""
 
@@ -403,6 +422,31 @@ class TestColumnarEquivalence:
             assert np.array_equal(d.times, times)
             assert np.array_equal(d.status_codes, status)
             assert np.array_equal(d.covariate_matrix, covariates)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(log=undecodable_log(), terminator=st.sampled_from(["\n", "\r\n", "\r"]),
+           byte=st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80"]),
+           position=st.floats(0, 1), block_rows=st.sampled_from([1, 3, 1024]))
+    def test_undecodable_byte_fails_at_its_record(self, tmp_path, log, terminator,
+                                                  byte, position, block_rows):
+        """A parse error in the records before the bad byte wins, as the
+        reference raises it on those records alone; otherwise the bad
+        byte's record fails, counting records whatever the line ending."""
+        records, bad = log
+        data = [(record + terminator).encode() for record in records]
+        at = round(position * len(records[bad]))
+        data[bad] = data[bad][:at] + byte + data[bad][at:]
+        path = tmp_path / "logs.csv"
+        path.write_bytes(b"".join(data))
+        prefix = tmp_path / "prefix.csv"
+        prefix.write_bytes(b"".join(data[:bad]))
+        want = error_outcome(oracles.reference_ingest, prefix) if bad else None
+        if want is None or want[0] != "LogParseError":
+            want = ("LogParseError", f"line {bad + 1}: file is not UTF-8 text",
+                    bad + 1, None)
+        with mock.patch.object(pipeline, "_BLOCK_ROWS", block_rows):
+            assert error_outcome(ingest_logs, path) == want
 
     VALID = ["a,0,1.5,1,2,30,0", "b,1,0.25,2,1,12,0", "", "a,3,2.0,3,1,5,1",
              "c,2,1.0,1,1,1,0", "b,4,1.0,2,0,0,0"]
@@ -479,6 +523,25 @@ class TestInputEdges:
         path.write_bytes((HEADER + body).encode() + b"b\xff,1,1.0,1,1,1,0\n")
         with pytest.raises(LogParseError, match="line 3: column 'day_index'"):
             ingest_logs(path)
+
+    def test_cr_terminated_bad_byte_names_its_record(self, tmp_path):
+        path = tmp_path / "logs.csv"
+        good = "a,0,1.0,1,1,1,0\ra,1,1.0,1,1,1,0\ra,2,1.0,1,1,1,0\r"
+        path.write_bytes((HEADER.replace("\n", "\r") + good).encode()
+                         + b"b\xff,1,1.0,1,1,1,0\r")
+        with pytest.raises(LogParseError, match="^line 5: file is not UTF-8 text$") as info:
+            ingest_logs(path)
+        assert info.value.line_number == 5
+
+    def test_cr_terminated_earlier_bad_value_wins(self, tmp_path):
+        path = tmp_path / "logs.csv"
+        body = "a,0,1.0,1,1,1,0\ra,x,1.0,1,1,1,0\ra,2,1.0,1,1,1,0\r"
+        path.write_bytes((HEADER.replace("\n", "\r") + body).encode()
+                         + b"b\xff,1,1.0,1,1,1,0\r")
+        with pytest.raises(LogParseError, match="^line 3: column 'day_index' is not an "
+                                                "integer: 'x'$") as info:
+            ingest_logs(path)
+        assert info.value.line_number == 3
 
     def test_oversized_field_is_a_parse_error(self, tmp_path):
         path = write_csv(tmp_path, "a,0,1.0,1,1,1,0\n" + "b" * 200_000 + ",1,1.0,1,1,1,0\n")
