@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import EventStatus, StepFunction, SurvivalDataset, require_nonempty
 from .errors import EmptyInputError, InvalidEventError, WrongEstimatorError
@@ -209,6 +208,9 @@ def km_confidence_band(data: SurvivalDataset, level: float = 0.95
     log S, clipped to [0, 1]. Where the estimate reaches exactly 0 the
     variance degenerates and both limits are reported as 0.
     """
+    # imported here so that importing the package does not load scipy.special
+    from scipy.special import ndtri
+
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level!r}")
     if len(data) == 0:
@@ -246,6 +248,9 @@ def cif_confidence_band(data: SurvivalDataset, event: EventStatus,
     band for population incidence plots; the point estimate always lies
     inside the band.
     """
+    # imported here so that importing the package does not load scipy.special
+    from scipy.special import ndtri
+
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level!r}")
     require_nonempty(data)

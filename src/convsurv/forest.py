@@ -31,7 +31,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .core import EventStatus, StepFunction, SurvivalDataset, TimeAxis, row_chunks
 from .errors import (
@@ -221,6 +220,9 @@ def _feature_pvalues(xmat: np.ndarray, a: np.ndarray) -> np.ndarray:
     The linear statistic sum_i x_i a_i is standardized by its conditional
     permutation moments; constant features get p = 1.
     """
+    # imported here so that importing the package does not load scipy.special
+    from scipy.special import ndtr
+
     n = a.size
     centered, var_a = _score_moments(a)
     t = xmat.T @ centered

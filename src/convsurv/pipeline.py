@@ -17,6 +17,13 @@ bitwise no-op.
 A cohort is held as columns (``PlayerLogs``): ingest streams the CSV into
 arrays one block of rows at a time, and labels and features are computed
 for every player at once.
+
+Ingest makes up to two passes. The first reads each block with numpy's C
+parser, ``np.loadtxt``. Wherever that parser might read a record otherwise
+than ``csv`` with ``int()`` and ``float()`` would, the file is read again
+from the start by the block parser, which gives the same table or the same
+error with its line; so ``1_000`` and `` 5`` still pass, through the
+second pass.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice, repeat
@@ -96,6 +104,13 @@ _FIELDS = (("day_index", np.int64, 0), ("playtime_hours", np.float64, 0),
            ("actions", np.int64, 0), ("purchases", np.int64, 0))
 _COLUMNS = tuple(column for column, _, _ in _FIELDS)
 _DTYPES = tuple(dtype for _, dtype, _ in _FIELDS)
+# A record as np.loadtxt reads it: the player id as a str (a fixed-width
+# string dtype would cut long ids), then the numeric fields.
+_RECORD = np.dtype([("player_id", object)] + list(zip(_COLUMNS, _DTYPES)))
+# Characters np.loadtxt reads otherwise than csv, int() and float(): csv
+# strips the quotes around a field, and numpy's number parsers skip the
+# separators \x1c-\x1f around a value as white space.
+_LOADTXT_TRAPS = '"\x1c\x1d\x1e\x1f'
 
 
 @dataclass(frozen=True)
@@ -246,6 +261,13 @@ def _undecodable(cells) -> bool:
     return re.search("[\udc80-\udcff]", "".join(cells)) is not None
 
 
+def _out_of_range(columns) -> bool:
+    """Whether a typed column holds a value below its ``_FIELDS`` minimum or
+    one that is not finite."""
+    return not all(np.all(np.isfinite(c) & (c >= lowest))
+                   for c, (_, _, lowest) in zip(columns, _FIELDS))
+
+
 def _check_row(row: list[str], line: int) -> None:
     """Raise the LogParseError of one record, checking fields left to right."""
     def error(message: str) -> LogParseError:
@@ -297,8 +319,7 @@ def _parse_block(block: list[list[str]], first_line: int,
             raise ValueError("empty or undecodable player_id")
         columns = [np.fromiter(map(float if t is np.float64 else int, c), t, len(ids))
                    for c, t in zip(cells, _DTYPES)]
-        if not all(np.all(np.isfinite(c) & (c >= lowest))
-                   for c, (_, _, lowest) in zip(columns, _FIELDS)):
+        if _out_of_range(columns):
             raise ValueError("value out of range")
     except (ValueError, OverflowError):
         for line, row in enumerate(block, start=first_line):
@@ -318,6 +339,72 @@ def _records(reader, errors: list):
         errors.append(exc)
 
 
+def _csv_blocks(fh) -> tuple[tuple[str, ...], list[tuple]]:
+    """Player ids and parsed blocks of the records after the header, through
+    ``csv`` and ``_parse_block``; raises the first bad record's error."""
+    index: dict[str, int] = {}
+    blocks = []
+    csv_errors: list = []
+    line = 2
+    reader = csv.reader(fh)
+    next(reader)
+    records = _records(reader, csv_errors)
+    while block := list(islice(records, _BLOCK_ROWS)):
+        blocks.append(_parse_block(block, line, index))
+        line += len(block)
+    if csv_errors:
+        raise LogParseError(f"line {line}: {csv_errors[0]}", line)
+    return tuple(index), blocks
+
+
+def _loadtxt_blocks(fh) -> tuple[tuple[str, ...], list[tuple]] | None:
+    """Player ids and parsed blocks of the lines left in ``fh``, read by
+    ``np.loadtxt``, or None where that might differ from ``_csv_blocks``.
+
+    numpy skips blank lines as csv does, but it keeps the spaces around an
+    id, reads ``_LOADTXT_TRAPS`` otherwise, and reads some non-ASCII
+    characters as digits (U+01FE as 462). So the answer is None on a
+    ValueError, OverflowError or DeprecationWarning, a line longer than
+    csv's field limit, one of ``_LOADTXT_TRAPS`` anywhere or a non-ASCII
+    character after a line's first comma, a run-head id that is empty,
+    padded or not UTF-8, or a value below its minimum or not finite. Never
+    raises.
+    """
+    index: dict[str, int] = {}
+    blocks = []
+    limit = csv.field_size_limit()
+    while lines := list(islice(fh, _BLOCK_ROWS)):
+        text = "".join(lines)
+        if not text.strip("\r\n"):  # blank lines only: loadtxt would warn, find no rows
+            continue
+        if (max(map(len, lines)) > limit or any(c in text for c in _LOADTXT_TRAPS)
+                or not (text.isascii()
+                        or all(line.partition(",")[2].isascii() for line in lines))):
+            return None
+        try:
+            # numpy from 1.23 until the fallback's removal reads ``1.5``
+            # into an int column with only a DeprecationWarning; raised as
+            # an error it ends the pass, as a ValueError does today.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                table = np.loadtxt(lines, dtype=_RECORD, delimiter=",",
+                                   comments=None, ndmin=1)
+        except (ValueError, OverflowError, DeprecationWarning):
+            return None
+        # copies, so that the block's id strings are freed with ``table``
+        columns = [table[column].copy() for column in _COLUMNS]
+        ids = table["player_id"]
+        starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+        heads = ids[starts].tolist()
+        if (_out_of_range(columns) or _undecodable(heads)
+                or not all(pid and pid == pid.strip() for pid in heads)):
+            return None
+        codes = [index.setdefault(pid, len(index)) for pid in heads]
+        blocks.append((np.repeat(np.array(codes, dtype=np.int64),
+                                 np.diff(starts, append=len(ids))), *columns))
+    return tuple(index), blocks
+
+
 def ingest_logs(path) -> PlayerLogs:
     """Parse and validate a player-log CSV.
 
@@ -326,19 +413,19 @@ def ingest_logs(path) -> PlayerLogs:
     LogValidationError naming the player. A header-only file yields an
     empty table.
 
-    Records are converted in blocks of ``_BLOCK_ROWS``, so memory holds
-    one block of strings plus the typed columns. A record holding a byte
-    that is not UTF-8 fails as ``line N: file is not UTF-8 text``. Line
-    numbers count csv records, blank ones included.
+    After the header check, one pass reads the records with
+    ``np.loadtxt``, ``_BLOCK_ROWS`` lines at a time. If any block might
+    read otherwise than through ``csv`` (see ``_loadtxt_blocks``), the
+    file is read again from the start by the block parser, which converts
+    csv records in blocks of ``_BLOCK_ROWS`` with ``int()`` and
+    ``float()``. Either way memory holds one block of strings plus the
+    typed columns, and the table, or the error, is the block parser's. A
+    record holding a byte that is not UTF-8 fails as ``line N: file is not
+    UTF-8 text``. Line numbers count csv records, blank ones included.
     """
-    index: dict[str, int] = {}
-    blocks = []
-    csv_errors: list = []
-    line = 2
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise LogParseError("empty file: missing header", 1) from None
         except csv.Error as exc:  # e.g. an unclosed quote swallowing the file
@@ -347,13 +434,11 @@ def ingest_logs(path) -> PlayerLogs:
             message = ("file is not UTF-8 text" if _undecodable(header)
                        else f"expected header {','.join(EXPECTED_HEADER)}")
             raise LogParseError(f"line 1: {message}", 1)
-        records = _records(reader, csv_errors)
-        while block := list(islice(records, _BLOCK_ROWS)):
-            blocks.append(_parse_block(block, line, index))
-            line += len(block)
-    if csv_errors:
-        raise LogParseError(f"line {line}: {csv_errors[0]}", line)
-    return _sorted_logs(tuple(index), blocks)
+        parsed = _loadtxt_blocks(fh)
+        if parsed is None:
+            fh.seek(0)
+            parsed = _csv_blocks(fh)
+    return _sorted_logs(*parsed)
 
 
 def _sorted_logs(ids: tuple[str, ...], blocks: list[tuple]) -> PlayerLogs:

@@ -27,6 +27,13 @@ def data_dir(tmp_path_factory):
     return out
 
 
+def src_env():
+    """The environment with this checkout's ``src/`` first on PYTHONPATH."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -194,6 +201,18 @@ class TestPredict:
             values = [float(r["value"]) for r in read_rows(curve)]
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
             assert all(0.0 <= v <= 1.0 for v in values)
+
+    def test_blank_lines_leave_stderr_empty(self, data_dir, rsf_model, tmp_path):
+        """Runs of blank lines, one 1024-line ingest block of them included,
+        print no warning."""
+        lines = (data_dir / "logs.csv").read_text().splitlines(keepends=True)
+        logs = tmp_path / "logs.csv"
+        logs.write_text("".join(lines[:500] + ["\n"] * 2100 + lines[500:] + ["\n"]))
+        out = subprocess.run(
+            [sys.executable, "-m", "convsurv.cli", "predict", "--model", str(rsf_model),
+             "--data", str(logs), "--out", str(tmp_path / "pred.csv")],
+            env=src_env(), capture_output=True, text=True, timeout=120)
+        assert (out.returncode, out.stderr) == (0, "")
 
     def test_hash_mismatch_rejected(self, data_dir, rsf_model, tmp_path, capsys):
         doc = json.loads(rsf_model.read_text())
@@ -747,12 +766,11 @@ class TestLogFileEdges:
 
 def test_cli_import_leaves_out_scipy_stats_and_optimize():
     """Start-up cost: only ``generate`` needs scipy.optimize, nothing needs
-    scipy.stats."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    scipy.stats, and scipy.special loads only where a p-value or a band is
+    computed."""
     out = subprocess.run(
         [sys.executable, "-c", "import sys, convsurv.cli; "
-         "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"],
-        env=env, capture_output=True, text=True, timeout=120, check=True)
+         "print(sorted(m for m in ('scipy.stats', 'scipy.optimize', 'scipy.special')"
+         " if m in sys.modules))"],
+        env=src_env(), capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 """Log ingestion, the two-day filter, features, and dataset labeling."""
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import oracles
+from test_model_io import EDGE_FIELDS
 from convsurv import pipeline
 from convsurv.core import EventStatus, TimeAxis
 from convsurv.errors import LogParseError, LogValidationError
@@ -548,3 +550,122 @@ class TestInputEdges:
         with pytest.raises(LogParseError, match="line 3") as info:
             ingest_logs(path)
         assert info.value.line_number == 3
+
+    def test_oversized_playtime_field_is_a_parse_error(self, tmp_path):
+        """A valid number too long for csv still fails as csv fails."""
+        path = write_csv(tmp_path, "a,0,1.0,1,1,1,0\na,1," + "1" * 200_000 + ",1,1,1,0\n")
+        with pytest.raises(LogParseError, match=r"^line 3: field larger than field "
+                                                r"limit \(131072\)$") as info:
+            ingest_logs(path)
+        assert info.value.line_number == 3
+
+    def test_long_player_id_is_kept_whole(self, tmp_path):
+        pid = "x" * 100
+        path = write_csv(tmp_path, f"{pid},0,1.0,1,1,1,0\n{pid},1,1.0,1,1,1,0\n")
+        assert ingest_logs(path).ids == (pid,)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("block_rows", [2, 1024])
+    def test_blank_lines_raise_no_warning(self, tmp_path, block_rows):
+        path = write_csv(tmp_path, "a,0,1.0,1,1,1,0\n" + "\n" * 2100
+                         + "a,1,1.0,1,1,1,0\n\n\r\n")
+        with mock.patch.object(pipeline, "_BLOCK_ROWS", block_rows):
+            assert ingest_logs(path).day_index.tolist() == [0, 1]
+
+
+def block_parser_only(path):
+    """``ingest_logs`` with the np.loadtxt pass turned off."""
+    with mock.patch.object(pipeline, "_loadtxt_blocks", lambda fh: None):
+        return ingest_logs(path)
+
+
+# Fields numpy's parsers might read otherwise than csv, int() and float(),
+# besides EDGE_FIELDS: signs, separators and white space around a number,
+# non-ASCII characters (numpy reads U+01FE as 462) and an undecodable byte.
+PARSER_TRAPS = ("\x1c5", "5\x1f", "\u01fe", "1\u01fe", "\u20035", "5\xa0", "\uff15",
+                "5\udcff", "+5", " 0.25 ", "-0")
+ID_VARIANTS = ("{}", "{}", "{}", "jö{}", "{}" + "x" * 70, " {}", "{} ", '"{}"',
+               "#{}", "{}\udcff", "{}\x1c", "\u01fe{}")
+
+
+@st.composite
+def edge_csv(draw):
+    """A log file's text: a cohort whose ids may be non-ASCII, longer than
+    64 characters, padded, quoted or undecodable, with edge fields spliced
+    into cells, extra blank or white-space lines, rows of 6 or 8 columns,
+    and LF, CRLF or bare CR line endings."""
+    body, _ = draw(cohort_csv())
+    names = {f"p{i}": draw(st.sampled_from(ID_VARIANTS)).format(f"p{i}") for i in range(8)}
+    records = [",".join([names[r.split(",")[0]]] + r.split(",")[1:]) if r else r
+               for r in body.splitlines()]
+    fields = st.sampled_from(EDGE_FIELDS) | st.sampled_from(PARSER_TRAPS)
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(records)))
+        change = draw(st.sampled_from(["cell"] * 4 + ["blank", "space", "short", "long"]))
+        if change in ("blank", "space"):
+            records.insert(at, "" if change == "blank" else draw(st.sampled_from([" ", "\t"])))
+        elif records and records[at % len(records)]:
+            cells = records[at % len(records)].split(",")
+            if change == "cell":
+                cells[draw(st.integers(0, len(cells) - 1))] = draw(fields)
+            elif change == "short":
+                del cells[-1]
+            else:
+                cells.append(draw(fields))
+            records[at % len(records)] = ",".join(cells)
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return "".join(record + ending for record in [HEADER.rstrip("\n")] + records)
+
+
+class TestLoadtxtPass:
+    """The np.loadtxt pass gives the block parser's table or error."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=edge_csv(), block_rows=st.sampled_from([1, 3, 1024]))
+    def test_matches_block_parser(self, tmp_path, text, block_rows):
+        with mock.patch.object(pipeline, "_BLOCK_ROWS", block_rows):
+            self.assert_same_outcome(tmp_path, text)
+
+    @pytest.mark.parametrize("value", EDGE_FIELDS + PARSER_TRAPS)
+    @pytest.mark.parametrize("column", range(7))
+    def test_one_field_matches_block_parser(self, tmp_path, column, value):
+        lines = [line.split(",") for line in TestColumnarEquivalence.VALID]
+        lines[3][column] = value
+        self.assert_same_outcome(
+            tmp_path, HEADER + "".join(",".join(cells) + "\n" for cells in lines))
+
+    @pytest.mark.parametrize("value", ["1.5", "1e0", " 0.25 "])
+    def test_float_in_int_column_ends_the_pass(self, tmp_path, value):
+        # numpy from 1.23 until the fallback's removal reads a float field
+        # into an int64 column, cast down, with only a DeprecationWarning.
+        loadtxt = np.loadtxt
+
+        def lenient_loadtxt(lines, **kwargs):
+            rows = [line.split(",") for line in lines]
+            for cells in rows:
+                if cells[1] == value:
+                    warnings.warn("loadtxt(): Parsing an integer via a float is "
+                                  "deprecated.", DeprecationWarning)
+                    cells[1] = str(int(float(value)))
+            return loadtxt([",".join(cells) for cells in rows], **kwargs)
+
+        path = write_csv(tmp_path, f"a,0,1.0,1,1,1,0\na,{value},1.0,1,1,1,0\n")
+        with mock.patch.object(np, "loadtxt", lenient_loadtxt):
+            assert error_outcome(ingest_logs, path) == error_outcome(block_parser_only, path)
+            with pytest.raises(LogParseError, match="line 3: column 'day_index'"):
+                ingest_logs(path)
+
+    @staticmethod
+    def assert_same_outcome(tmp_path, text):
+        path = tmp_path / "logs.csv"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        want = error_outcome(block_parser_only, path)
+        assert error_outcome(ingest_logs, path) == want
+        if want is None:
+            got, ref = ingest_logs(path), block_parser_only(path)
+            assert got.ids == ref.ids
+            for name in ("registration", "offsets") + pipeline._COLUMNS:
+                a, b = getattr(got, name), getattr(ref, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+                assert np.array_equal(np.signbit(a), np.signbit(b))
