@@ -254,9 +254,11 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     models = MODEL_KINDS if args.models == "all" else tuple(args.models.split(","))
     targets = _AXES if args.targets == "all" else tuple(args.targets.split(","))
-    for t in targets:
+    for i, t in enumerate(targets):
         if t not in _AXES:
             raise ConfigError(f"unknown target {t!r}")
+        if t in targets[:i]:
+            raise ConfigError(f"target {t!r} given twice")
     cfg = _training_config(args, models)
     logs = _load_filtered(args.data)
     out = Path(args.out)
@@ -297,7 +299,7 @@ def cmd_evaluate(args) -> int:
     failures = [r for r in rows if r.error is not None]
     for r in failures:
         print(f"model {r.model} on {r.axis} failed: {r.error}", file=sys.stderr)
-    return 3 if failures else 0
+    return max((r.exit_code for r in failures), default=0)
 
 
 def cmd_curves(args) -> int:

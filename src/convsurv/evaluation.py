@@ -78,6 +78,7 @@ class ModelAxisResult:
     fp_rate: float | None
     fp_churn_rate: float | None
     error: str | None = None
+    exit_code: int = 0  # 0, or the exit code of the row's error
 
 
 def _take(count: int, fraction: float) -> int:
@@ -148,10 +149,12 @@ def needs_churn_labels(kind: str) -> bool:
 
 
 def check_model_kinds(kinds, churn_window: int | None = None) -> None:
-    """Reject an unknown kind, and rsf-cr when ``churn_window`` disables churn labels."""
-    for kind in kinds:
+    """Reject an unknown or repeated kind, and rsf-cr when ``churn_window`` is off."""
+    for i, kind in enumerate(kinds):
         if kind not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {kind!r}")
+        if kind in kinds[:i]:
+            raise ConfigError(f"model kind {kind!r} given twice")
     if (churn_window is not None and churn_window <= 0
             and any(map(needs_churn_labels, kinds))):
         raise ConfigError("rsf-cr needs churn labels: set --churn-window > 0")
@@ -247,7 +250,8 @@ def evaluate_models(train: SurvivalDataset, test: SurvivalDataset,
             results.append(ModelAxisResult(
                 model=kind, axis=axis, n_test=len(test),
                 n_converted=n_conv_test, rmsle=None, fn_rate=None,
-                fp_rate=None, fp_churn_rate=None, error=str(exc)))
+                fp_rate=None, fp_churn_rate=None, error=str(exc),
+                exit_code=getattr(exc, "exit_code", 3)))
             continue
         outcomes = build_outcomes(test, medians)
         outcomes_by_kind[kind] = outcomes

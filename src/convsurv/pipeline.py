@@ -18,12 +18,12 @@ A cohort is held as columns (``PlayerLogs``): ingest streams the CSV into
 arrays one block of rows at a time, and labels and features are computed
 for every player at once.
 
-Ingest makes up to two passes. The first reads each block with numpy's C
-parser, ``np.loadtxt``. Wherever that parser might read a record otherwise
-than ``csv`` with ``int()`` and ``float()`` would, the file is read again
-from the start by the block parser, which gives the same table or the same
-error with its line; so ``1_000`` and `` 5`` still pass, through the
-second pass.
+Ingest reads each line once. numpy's C parser, ``np.loadtxt``, reads
+the records a chunk at a time until a chunk might read otherwise than
+through ``csv`` with ``int()`` and ``float()``. From that chunk on, the
+block parser reads the rest, which gives the same table or the same error
+with its line; so ``1_000`` and `` 5`` still pass, through the block
+parser.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import re
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -339,27 +339,9 @@ def _records(reader, errors: list):
         errors.append(exc)
 
 
-def _csv_blocks(fh) -> tuple[tuple[str, ...], list[tuple]]:
-    """Player ids and parsed blocks of the records after the header, through
-    ``csv`` and ``_parse_block``; raises the first bad record's error."""
-    index: dict[str, int] = {}
-    blocks = []
-    csv_errors: list = []
-    line = 2
-    reader = csv.reader(fh)
-    next(reader)
-    records = _records(reader, csv_errors)
-    while block := list(islice(records, _BLOCK_ROWS)):
-        blocks.append(_parse_block(block, line, index))
-        line += len(block)
-    if csv_errors:
-        raise LogParseError(f"line {line}: {csv_errors[0]}", line)
-    return tuple(index), blocks
-
-
-def _loadtxt_blocks(fh) -> tuple[tuple[str, ...], list[tuple]] | None:
-    """Player ids and parsed blocks of the lines left in ``fh``, read by
-    ``np.loadtxt``, or None where that might differ from ``_csv_blocks``.
+def _loadtxt_block(lines: list[str], index: dict[str, int]) -> tuple | None:
+    """Player codes and typed columns of ``lines``, read by ``np.loadtxt``,
+    or None where that might differ from the block parser.
 
     numpy skips blank lines as csv does, but it keeps the spaces around an
     id, reads ``_LOADTXT_TRAPS`` otherwise, and reads some non-ASCII
@@ -368,41 +350,38 @@ def _loadtxt_blocks(fh) -> tuple[tuple[str, ...], list[tuple]] | None:
     csv's field limit, one of ``_LOADTXT_TRAPS`` anywhere or a non-ASCII
     character after a line's first comma, a run-head id that is empty,
     padded or not UTF-8, or a value below its minimum or not finite. Never
-    raises.
+    raises. Ids are numbered in ``index`` only once every check has
+    passed, so lines answered None number none.
     """
-    index: dict[str, int] = {}
-    blocks = []
-    limit = csv.field_size_limit()
-    while lines := list(islice(fh, _BLOCK_ROWS)):
-        text = "".join(lines)
-        if not text.strip("\r\n"):  # blank lines only: loadtxt would warn, find no rows
-            continue
-        if (max(map(len, lines)) > limit or any(c in text for c in _LOADTXT_TRAPS)
-                or not (text.isascii()
-                        or all(line.partition(",")[2].isascii() for line in lines))):
-            return None
-        try:
-            # numpy from 1.23 until the fallback's removal reads ``1.5``
-            # into an int column with only a DeprecationWarning; raised as
-            # an error it ends the pass, as a ValueError does today.
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                table = np.loadtxt(lines, dtype=_RECORD, delimiter=",",
-                                   comments=None, ndmin=1)
-        except (ValueError, OverflowError, DeprecationWarning):
-            return None
-        # copies, so that the block's id strings are freed with ``table``
-        columns = [table[column].copy() for column in _COLUMNS]
-        ids = table["player_id"]
-        starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
-        heads = ids[starts].tolist()
-        if (_out_of_range(columns) or _undecodable(heads)
-                or not all(pid and pid == pid.strip() for pid in heads)):
-            return None
-        codes = [index.setdefault(pid, len(index)) for pid in heads]
-        blocks.append((np.repeat(np.array(codes, dtype=np.int64),
-                                 np.diff(starts, append=len(ids))), *columns))
-    return tuple(index), blocks
+    text = "".join(lines)
+    if not text.strip("\r\n"):  # blank lines only: loadtxt would warn, find no rows
+        return _empty_block()
+    if (max(map(len, lines)) > csv.field_size_limit()
+            or any(c in text for c in _LOADTXT_TRAPS)
+            or not (text.isascii()
+                    or all(line.partition(",")[2].isascii() for line in lines))):
+        return None
+    try:
+        # numpy from 1.23 until the fallback's removal reads ``1.5`` into an
+        # int column with only a DeprecationWarning; raised as an error it
+        # hands the lines over, as a ValueError does.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(lines, dtype=_RECORD, delimiter=",",
+                               comments=None, ndmin=1)
+    except (ValueError, OverflowError, DeprecationWarning):
+        return None
+    # copies, so that the block's id strings are freed with ``table``
+    columns = [table[column].copy() for column in _COLUMNS]
+    ids = table["player_id"]
+    starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    heads = ids[starts].tolist()
+    if (_out_of_range(columns) or _undecodable(heads)
+            or not all(pid and pid == pid.strip() for pid in heads)):
+        return None
+    codes = [index.setdefault(pid, len(index)) for pid in heads]
+    return np.repeat(np.array(codes, dtype=np.int64),
+                     np.diff(starts, append=len(ids))), *columns
 
 
 def ingest_logs(path) -> PlayerLogs:
@@ -413,15 +392,18 @@ def ingest_logs(path) -> PlayerLogs:
     LogValidationError naming the player. A header-only file yields an
     empty table.
 
-    After the header check, one pass reads the records with
-    ``np.loadtxt``, ``_BLOCK_ROWS`` lines at a time. If any block might
-    read otherwise than through ``csv`` (see ``_loadtxt_blocks``), the
-    file is read again from the start by the block parser, which converts
-    csv records in blocks of ``_BLOCK_ROWS`` with ``int()`` and
-    ``float()``. Either way memory holds one block of strings plus the
-    typed columns, and the table, or the error, is the block parser's. A
-    record holding a byte that is not UTF-8 fails as ``line N: file is not
-    UTF-8 text``. Line numbers count csv records, blank ones included.
+    After the header check, the records are read in one pass,
+    ``_BLOCK_ROWS`` lines at a time, by ``np.loadtxt`` while it can vouch
+    for them (see ``_loadtxt_block``). From the first chunk it cannot, the
+    block parser reads the rest: csv records in blocks of ``_BLOCK_ROWS``,
+    converted with ``int()`` and ``float()``. A vouched chunk holds no
+    ``"``, and ``newline=""`` breaks lines where csv breaks records, so
+    each of its lines is one csv record, and line numbers and id codes
+    run on across the handover. Memory holds one block of strings
+    plus the typed columns, and the table, or the error, is the block
+    parser's. A record holding a byte that is not UTF-8 fails as ``line N:
+    file is not UTF-8 text``. Line numbers count csv records, blank ones
+    included.
     """
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         try:
@@ -434,11 +416,21 @@ def ingest_logs(path) -> PlayerLogs:
             message = ("file is not UTF-8 text" if _undecodable(header)
                        else f"expected header {','.join(EXPECTED_HEADER)}")
             raise LogParseError(f"line 1: {message}", 1)
-        parsed = _loadtxt_blocks(fh)
-        if parsed is None:
-            fh.seek(0)
-            parsed = _csv_blocks(fh)
-    return _sorted_logs(*parsed)
+        index: dict[str, int] = {}
+        blocks = []
+        line = 2
+        while ((lines := list(islice(fh, _BLOCK_ROWS)))
+               and (block := _loadtxt_block(lines, index)) is not None):
+            blocks.append(block)
+            line += len(lines)
+        csv_errors: list = []
+        records = _records(csv.reader(chain(lines, fh)), csv_errors)
+        while block := list(islice(records, _BLOCK_ROWS)):
+            blocks.append(_parse_block(block, line, index))
+            line += len(block)
+        if csv_errors:
+            raise LogParseError(f"line {line}: {csv_errors[0]}", line)
+    return _sorted_logs(tuple(index), blocks)
 
 
 def _sorted_logs(ids: tuple[str, ...], blocks: list[tuple]) -> PlayerLogs:

@@ -274,6 +274,20 @@ class TestEvaluate:
             assert len(rows) == caught
 
 
+    def test_failed_rows_exit_with_their_errors_code(self, tmp_path, capsys):
+        # a 1% train split holds no converter: every fit is a DegenerateFitError
+        assert main(["generate", "--players", "200", "--seed", "5",
+                     "--out", str(tmp_path)]) == 0
+        rc = main(["evaluate", "--data", str(tmp_path / "logs.csv"), "--trees", "5",
+                   "--seed", "1", "--train-frac", "0.01", "--out", str(tmp_path / "ev")])
+        assert rc == errors.DegenerateFitError.exit_code == 2
+        results = json.loads((tmp_path / "ev" / "report.json").read_text())[
+            "report"]["results"]
+        assert len(results) == 12 and all(r["error"] for r in results)
+        assert "exit_code" not in results[0]
+        assert capsys.readouterr().err.count("failed:") == 12
+
+
 class TestCurves:
     def test_population_all_band_contains_estimate(self, data_dir, tmp_path):
         out = tmp_path / "curves.csv"
@@ -443,6 +457,20 @@ class TestErrorHandling:
         assert rc == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "ev").exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--models", "cox,cox"], "model kind 'cox' given twice"),
+        (["--models", "rsf,cif,rsf"], "model kind 'rsf' given twice"),
+        (["--targets", "lifetime,level,lifetime"], "target 'lifetime' given twice"),
+    ])
+    def test_repeated_model_or_target_is_config_error_before_ingest(
+            self, flags, message, tmp_path, capsys):
+        # the log file does not exist: reading it first would exit 2
+        rc = main(["evaluate", "--data", str(tmp_path / "missing.csv"), *flags,
+                   "--seed", "1", "--out", str(tmp_path / "ev")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("frac", ["1.5", "0", "1", "-0.3", "nan", "abc"])
     @pytest.mark.parametrize("command", ["train", "evaluate"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from convsurv import evaluation
 from convsurv.core import EventStatus
 from convsurv.errors import (
     ConfigError,
@@ -209,6 +210,26 @@ class TestEvaluateModels:
         assert "churn" in by_kind["rsf-cr"].error
         for kind in ("cox", "rsf", "cif"):
             assert by_kind[kind].error is None
+
+    def test_failed_rows_carry_their_errors_exit_code(self, rng, monkeypatch):
+        """A data error's row exits 2, any other exception's 3, a good row 0."""
+        def broken_fit(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(evaluation, "fit_rsf", broken_fit)
+        data = training_shaped_dataset(rng, competing=False)
+        train, test = stratified_split(data, SplitSpec(0.5, seed=3))
+        cfg = ForestConfig(n_trees=5, min_node_events=8, seed=4)
+        results, _ = evaluate_models(train, test, ("cox", "rsf", "rsf-cr"), cfg)
+        assert [(r.model, r.exit_code) for r in results] == [
+            ("cox", 0), ("rsf", 3), ("rsf-cr", 2)]
+        assert results[1].error == "boom"
+
+    def test_repeated_kind_rejected(self, rng):
+        data = training_shaped_dataset(rng)
+        train, test = stratified_split(data, SplitSpec(0.5, seed=3))
+        with pytest.raises(ConfigError, match="model kind 'cox' given twice"):
+            evaluate_models(train, test, ("cox", "rsf", "cox"))
 
     def test_scatter_pairs_are_predicted_converters(self, rng):
         data = training_shaped_dataset(rng)

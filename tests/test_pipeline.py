@@ -575,7 +575,7 @@ class TestInputEdges:
 
 def block_parser_only(path):
     """``ingest_logs`` with the np.loadtxt pass turned off."""
-    with mock.patch.object(pipeline, "_loadtxt_blocks", lambda fh: None):
+    with mock.patch.object(pipeline, "_loadtxt_block", lambda lines, index: None):
         return ingest_logs(path)
 
 
@@ -655,6 +655,23 @@ class TestLoadtxtPass:
             assert error_outcome(ingest_logs, path) == error_outcome(block_parser_only, path)
             with pytest.raises(LogParseError, match="line 3: column 'day_index'"):
                 ingest_logs(path)
+
+    def test_block_parser_reads_only_the_tail(self, tmp_path):
+        # three chunks numpy vouches for, then one holding a quoted id
+        body = ("".join(f"a{i // 2},{i % 2},1.0,1,1,1,0\n" for i in range(9))
+                + '"b",0,1.0,1,1,1,0\nb,1,1.0,1,1,1,0\n')
+        calls = []
+        parse_block = pipeline._parse_block
+
+        def spy(block, first_line, index):
+            calls.append((first_line, len(block)))
+            return parse_block(block, first_line, index)
+
+        with mock.patch.object(pipeline, "_BLOCK_ROWS", 3):
+            with mock.patch.object(pipeline, "_parse_block", spy):
+                ingest_logs(write_csv(tmp_path, body))
+            assert calls == [(11, 2)]
+            self.assert_same_outcome(tmp_path, HEADER + body)
 
     @staticmethod
     def assert_same_outcome(tmp_path, text):
