@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import enum
+import functools
 import math
 import multiprocessing
 import os
@@ -143,36 +144,44 @@ class ForestModel:
 
 # --- split statistics ---------------------------------------------------
 
-def _candidate_thresholds(x: np.ndarray, cap: int) -> np.ndarray:
-    """Midpoints between consecutive distinct values, quantile-thinned to cap."""
-    u = np.unique(x)
-    if u.size < 2:
-        return np.empty(0)
-    mids = (u[:-1] + u[1:]) / 2.0
-    if mids.size > cap:
-        pick = np.unique(np.round(np.linspace(0, mids.size - 1, cap)).astype(int))
-        mids = mids[pick]
-    return mids
-
-
 def _bin_matrix(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
     flat = np.bincount(rows * n_cols + cols, minlength=n_rows * n_cols)
     return flat.reshape(n_rows, n_cols).astype(float)
 
 
-def _cuts(x, any_event, min_events, cap):
+@functools.lru_cache(maxsize=4096)
+def _thinned(n_mids: int, cap: int) -> np.ndarray:
+    """Indices of the midpoints kept: all of them, or ``cap`` quantile-spaced."""
+    if n_mids <= cap:
+        pick = np.arange(n_mids)
+    else:
+        pick = np.unique(np.round(np.linspace(0, n_mids - 1, cap)).astype(int))
+    pick.flags.writeable = False
+    return pick
+
+
+def _cuts(codes, values, any_event, min_events, cap):
     """(thresholds, row bins, admissible mask) of one feature's cutpoints.
 
-    Row i goes left of threshold j iff its bin is <= j; a cut is admissible
-    when each daughter keeps ``min_events`` events of any type.
+    ``codes`` are the node's ranks into the feature's sorted distinct
+    ``values``. Thresholds are midpoints between the node's consecutive
+    distinct values, quantile-thinned to ``cap``. Row i goes left of
+    threshold j iff its bin is <= j; a cut is admissible when each daughter
+    keeps ``min_events`` events of any type.
     """
-    thresholds = _candidate_thresholds(x, cap)
-    tb = np.searchsorted(thresholds, x, side="left")
+    ranks = np.flatnonzero(np.bincount(codes, minlength=values.size))
+    pick = _thinned(max(ranks.size - 1, 0), cap)
+    thresholds = (values[ranks[pick]] + values[ranks[pick + 1]]) / 2.0
+    # a row's bin counts the thresholds below its value: threshold j is
+    # below every rank from the first value above it on, which is not always
+    # the upper of its two values, since a midpoint can round onto that one
+    above = np.searchsorted(values, thresholds, side="right")
+    tb = np.bincount(above, minlength=values.size + 1).cumsum()[codes]
     ev = np.bincount(tb[any_event], minlength=thresholds.size + 1).cumsum()
     return thresholds, tb, (ev[:-1] >= min_events) & (ev[-1] - ev[:-1] >= min_events)
 
 
-def _logrank_scan(x, cause_event, any_event, terms, min_events, cap):
+def _logrank_scan(codes, values, cause_event, any_event, terms, min_events, cap):
     """Standardized log-rank statistic for every admissible cutpoint.
 
     Returns (thresholds, stats); inadmissible or zero-variance cutpoints
@@ -180,7 +189,7 @@ def _logrank_scan(x, cause_event, any_event, terms, min_events, cap):
     as censorings), counted by the node's ``terms`` (see _best_split_rsf);
     admissibility counts ``any_event`` per daughter.
     """
-    thresholds, tb, adm = _cuts(x, any_event, min_events, cap)
+    thresholds, tb, adm = _cuts(codes, values, any_event, min_events, cap)
     c = thresholds.size
     stats = np.full(c, -np.inf)
     if not adm.any():
@@ -235,9 +244,9 @@ def _feature_pvalues(xmat: np.ndarray, a: np.ndarray) -> np.ndarray:
     return p
 
 
-def _two_sample_scan(x, a, any_event, min_events, cap):
+def _two_sample_scan(codes, values, a, any_event, min_events, cap):
     """Standardized two-sample score statistic for every admissible cutpoint."""
-    thresholds, tb, adm = _cuts(x, any_event, min_events, cap)
+    thresholds, tb, adm = _cuts(codes, values, any_event, min_events, cap)
     c = thresholds.size
     n = a.size
     stats = np.full(c, -np.inf)
@@ -255,7 +264,12 @@ def _two_sample_scan(x, a, any_event, min_events, cap):
 
 # --- tree growth --------------------------------------------------------
 
-def _best_split_rsf(x_node, t_node, s_node, candidates, min_events, cap):
+def _best_split_rsf(codes, values, t_node, s_node, candidates, min_events, cap):
+    """(feature, threshold) of the largest log-rank statistic, or None.
+
+    ``codes[f]`` holds the node's ranks into feature f's distinct
+    ``values[f]``.
+    """
     cause = s_node == int(EventStatus.CONVERTED)
     # feature-independent terms, once per node: at-risk bins (at risk at
     # cause-event time k iff k < rb), cause-event time indices, and the
@@ -268,7 +282,7 @@ def _best_split_rsf(x_node, t_node, s_node, candidates, min_events, cap):
     any_ev = s_node != int(EventStatus.CENSORED)
     best = (-np.inf, -1, np.nan)
     for f in candidates:
-        thr, stats = _logrank_scan(x_node[:, f], cause, any_ev, terms,
+        thr, stats = _logrank_scan(codes[f], values[f], cause, any_ev, terms,
                                    min_events, cap)
         if stats.size == 0:
             continue
@@ -278,10 +292,12 @@ def _best_split_rsf(x_node, t_node, s_node, candidates, min_events, cap):
     return (best[1], best[2]) if np.isfinite(best[0]) else None
 
 
-def _best_split_conditional(x_node, t_node, s_node, candidates, min_events,
-                            cap, alpha):
+def _best_split_conditional(x_cand, codes, values, t_node, s_node, candidates,
+                            min_events, cap, alpha):
+    """Two-step split: test the candidates' columns ``x_cand``, then cut the
+    selected feature through its rank ``codes`` (see _best_split_rsf)."""
     scores = _logrank_scores(t_node, s_node)
-    pvals = _feature_pvalues(x_node[:, candidates], scores)
+    pvals = _feature_pvalues(x_cand, scores)
     n_tests = int((pvals < 1.0).sum())
     if n_tests == 0:
         return None
@@ -291,15 +307,18 @@ def _best_split_conditional(x_node, t_node, s_node, candidates, min_events,
         return None
     f = int(candidates[best_i])
     any_ev = s_node != int(EventStatus.CENSORED)
-    thr, stats = _two_sample_scan(x_node[:, f], scores, any_ev, min_events, cap)
+    thr, stats = _two_sample_scan(codes[f], values[f], scores, any_ev,
+                                  min_events, cap)
     if stats.size == 0 or not np.isfinite(stats.max()):
         return None
     j = int(np.argmax(stats))
     return f, float(thr[j])
 
 
-def _grow_tree(xs, ts, ss, kind: ForestKind, cfg: ForestConfig, mtry: int,
-               rng: np.random.Generator, grid) -> SurvivalTree:
+def _grow_tree(xs, cs, values, ts, ss, kind: ForestKind, cfg: ForestConfig,
+               mtry: int, rng: np.random.Generator, grid) -> SurvivalTree:
+    """Grow one tree on rows ``xs`` (n x p) and their rank codes ``cs``
+    (p x n) into the per-feature distinct ``values``."""
     p = xs.shape[1]
     leaf_grid = grid if kind.grid_at_risk else None
     feature, threshold, left, right, leaf_index = [], [], [], [], []
@@ -323,14 +342,14 @@ def _grow_tree(xs, ts, ss, kind: ForestKind, cfg: ForestConfig, mtry: int,
         depth_ok = cfg.max_depth is None or depth < cfg.max_depth
         if depth_ok and n_events >= 2 * cfg.min_node_events:
             candidates = np.sort(rng.choice(p, size=mtry, replace=False))
-            x_node = xs[idx]
+            codes = cs[:, idx]
             if kind == ForestKind.CONDITIONAL:
                 split = _best_split_conditional(
-                    x_node, t_node, s_node, candidates,
-                    cfg.min_node_events, cfg.max_candidates, cfg.alpha)
+                    xs[idx[:, None], candidates], codes, values, t_node, s_node,
+                    candidates, cfg.min_node_events, cfg.max_candidates, cfg.alpha)
             else:
                 split = _best_split_rsf(
-                    x_node, t_node, s_node, candidates,
+                    codes, values, t_node, s_node, candidates,
                     cfg.min_node_events, cfg.max_candidates)
         if split is None:
             leaf_index[node_id] = len(leaves)
@@ -353,16 +372,24 @@ def _grow_tree(xs, ts, ss, kind: ForestKind, cfg: ForestConfig, mtry: int,
     )
 
 
+def _rank_codes(x: np.ndarray) -> tuple:
+    """(codes, values): each column's sorted distinct ``values`` and every
+    row's rank among them, ``codes`` as a p x n array. A fit makes them
+    once; the split scans bin a node's rows through its codes."""
+    values, codes = zip(*(np.unique(col, return_inverse=True) for col in x.T))
+    return np.array(codes), values
+
+
 def _grow_indexed(args):
-    x, times, status, kind, cfg, mtry, grid, tree_idx = args
+    x, codes, values, times, status, kind, cfg, mtry, grid, tree_idx = args
     rng = np.random.default_rng((cfg.seed, tree_idx))
     n = times.size
     if cfg.bootstrap:
         sample = rng.integers(0, n, size=n)
     else:
         sample = np.arange(n)
-    return _grow_tree(x[sample], times[sample], status[sample],
-                      kind, cfg, mtry, rng, grid)
+    return _grow_tree(x[sample], codes[:, sample], values, times[sample],
+                      status[sample], kind, cfg, mtry, rng, grid)
 
 
 _FORK_PAYLOAD = None
@@ -407,7 +434,7 @@ def _fit_forest(data: SurvivalDataset, cfg: ForestConfig, kind: ForestKind,
         raise ConfigError(f"mtry={mtry} exceeds the feature count {p}")
 
     grid = np.unique(times[status != int(EventStatus.CENSORED)])
-    payload = (x, times, status, kind, cfg, mtry, grid)
+    payload = (x, *_rank_codes(x), times, status, kind, cfg, mtry, grid)
     jobs = resolve_jobs(n_jobs)
     indices = range(cfg.n_trees)
     if jobs == 1 or cfg.n_trees < 2 * jobs:
@@ -471,18 +498,28 @@ def _curve_width(grid: np.ndarray, curve: str) -> int:
 
 
 def _route(tree: SurvivalTree, x: np.ndarray) -> np.ndarray:
-    """Leaf index (into tree.leaves) for every row of ``x``."""
-    cur = np.zeros(x.shape[0], dtype=np.int32)
+    """Leaf index (into tree.leaves) for every row of ``x``.
+
+    Every row takes one step per level through an interleaved child table,
+    right child then left, indexed by the test ``x <= threshold`` (NaN goes
+    right). A leaf is its own child on both sides and tests feature 0
+    against +inf, so rows that reached one stay put, and the walk ends
+    when no row moves.
+    """
+    leaf = tree.feature < 0
+    node = np.arange(leaf.size)
+    child = np.column_stack([np.where(leaf, node, tree.right),
+                             np.where(leaf, node, tree.left)]).ravel()
+    feat = np.where(leaf, 0, tree.feature)
+    thr = np.where(leaf, np.inf, tree.threshold)
+    x_flat = np.ascontiguousarray(x).ravel()
+    base = np.arange(x.shape[0]) * x.shape[1]
+    cur = np.zeros(x.shape[0], dtype=np.intp)
     while True:
-        feat = tree.feature[cur]
-        active = feat >= 0
-        if not active.any():
-            break
-        rows = np.nonzero(active)[0]
-        nodes = cur[rows]
-        go_left = x[rows, tree.feature[nodes]] <= tree.threshold[nodes]
-        cur[rows] = np.where(go_left, tree.left[nodes], tree.right[nodes])
-    return tree.leaf_index[cur]
+        nxt = child[2 * cur + (x_flat[base + feat[cur]] <= thr[cur])]
+        if np.array_equal(nxt, cur):
+            return tree.leaf_index[cur]
+        cur = nxt
 
 
 def _leaf_counts(tree: SurvivalTree, grid: np.ndarray) -> tuple:
@@ -655,12 +692,15 @@ def _bisect_crossing(model: ForestModel, x: np.ndarray, curve: str,
     Leaf curves are monotone and rounded addition is monotone, so the
     tree-order sum at each grid index is monotone too: bisecting it finds
     the crossing a scan of the whole curve finds. Each row chunk is routed
-    through every tree once.
+    through every tree once, into a chunk x trees block of leaf keys. The
+    chunk width is the tree count, but at least the grid length: a few
+    trees alone would let a chunk reach millions of rows, and its dozen
+    row-length vectors would then outweigh the leaf keys.
     """
     n_grid = model.grid.size
     tables = [_knot_table(tree, model.grid, curve) for tree in model.trees]
     first = np.empty(x.shape[0], dtype=np.int64)
-    for rows in row_chunks(x.shape[0], n_grid):
+    for rows in row_chunks(x.shape[0], max(len(model.trees), n_grid)):
         xs = x[rows]
         leaf_keys = [_leaf_keys(_route(tree, xs), model.grid)
                      for tree in model.trees]

@@ -5,9 +5,10 @@ per time point (no risk tables, no cumulative tricks, no code shared with
 the library), deliberately O(n^2), so library bugs cannot cancel out. The
 record-based dataset reference shares ``SurvivalRecord`` and the exception
 types; the log-pipeline reference shares only the exception types. The
-split-rule reference at the end is the per-feature tree-growth code that
-the per-node hoist replaced; it shares the forest's unchanged threshold,
-bin-count and permutation-test helpers.
+split-rule reference is the per-feature tree-growth code that the
+per-node hoist replaced, on float columns as before rank codes; it shares
+the forest's bin-count and permutation-test helpers. The routing reference
+at the end is the level walk the child-table route replaced.
 """
 
 import csv
@@ -25,12 +26,7 @@ from convsurv.errors import (
     ShapeMismatchError,
     StratificationError,
 )
-from convsurv.forest import (
-    _bin_matrix,
-    _candidate_thresholds,
-    _feature_pvalues,
-    _score_moments,
-)
+from convsurv.forest import _bin_matrix, _feature_pvalues, _score_moments
 
 
 def _distinct_event_times(times, event_mask):
@@ -408,10 +404,30 @@ def reference_dataset(logs, axis, competing, features, churn_window, data_end=No
 # candidate feature recomputes the node's event times, risk-set bins and
 # Nelson-Aalen hazard.
 
+def _candidate_thresholds(x, cap):
+    """Midpoints between consecutive distinct values, quantile-thinned to cap."""
+    u = np.unique(x)
+    if u.size < 2:
+        return np.empty(0)
+    mids = (u[:-1] + u[1:]) / 2.0
+    if mids.size > cap:
+        pick = np.unique(np.round(np.linspace(0, mids.size - 1, cap)).astype(int))
+        mids = mids[pick]
+    return mids
+
+
 def _admissible_mask(tb, any_event, n_thr, min_events):
     ev_left = np.bincount(tb[any_event], minlength=n_thr + 1).cumsum()[:n_thr]
     total = int(any_event.sum())
     return (ev_left >= min_events) & (total - ev_left >= min_events)
+
+
+def reference_cuts(x, any_event, min_events, cap):
+    """(thresholds, row bins, admissible mask) of one float column's cuts."""
+    thresholds = _candidate_thresholds(x, cap)
+    tb = np.searchsorted(thresholds, x, side="left")
+    return thresholds, tb, _admissible_mask(tb, any_event, thresholds.size,
+                                            min_events)
 
 
 def reference_logrank_scan(x, times, cause_event, any_event, min_events, cap):
@@ -523,3 +539,21 @@ def reference_best_split_conditional(x_node, t_node, s_node, candidates,
         return None
     j = int(np.argmax(stats))
     return f, float(thr[j])
+
+
+# ---------------------------------------------------------------------------
+# Routing reference: the level walk over the rows still at inner nodes.
+
+def reference_route(tree, x):
+    """Leaf index (into tree.leaves) for every row of ``x``."""
+    cur = np.zeros(x.shape[0], dtype=np.int32)
+    while True:
+        feat = tree.feature[cur]
+        active = feat >= 0
+        if not active.any():
+            break
+        rows = np.nonzero(active)[0]
+        nodes = cur[rows]
+        go_left = x[rows, tree.feature[nodes]] <= tree.threshold[nodes]
+        cur[rows] = np.where(go_left, tree.left[nodes], tree.right[nodes])
+    return tree.leaf_index[cur]

@@ -543,6 +543,38 @@ class TestMedianBisection:
 
         assert peak(20000) < 2 * peak(2000)
 
+    def test_chunks_bound_the_leaf_key_block(self):
+        """A 40-tree model on a grid shorter than its tree count bisects in
+        row chunks whose rows x trees block of int64 leaf keys fits
+        CHUNK_BYTES, and its medians equal the unchunked ones."""
+        rng = np.random.default_rng(11)
+        n = 300
+        x = rng.standard_normal((n, 3))
+        times = rng.integers(1, 16, n) * (1.0 + (x[:, 0] < 0))
+        d = make_dataset(times, rng.choice([CENS, CONV, CHURN], n), x,
+                         competing=True)
+        model = fit_rsf_competing(d, ForestConfig(n_trees=40, min_node_events=6,
+                                                  seed=3))
+        n_trees = len(model.trees)
+        x = rng.standard_normal((50, 3)) * 2
+        assert model.grid.size < n_trees
+        with mock.patch.object(forest, "_BISECT_MIN_GRID", 0):
+            whole = predict_median_batch(model, x)
+            chunk_bytes = 7 * n_trees * 8
+            seen = []
+
+            def spy(n, width):
+                chunks = core.row_chunks(n, width)
+                seen.extend(len(range(n)[rows]) for rows in chunks)
+                return chunks
+
+            with mock.patch.object(core, "CHUNK_BYTES", chunk_bytes), \
+                    mock.patch.object(forest, "row_chunks", spy):
+                chunked = predict_median_batch(model, x)
+        assert len(seen) > 1 and sum(seen) == len(x)
+        assert all(rows * n_trees * 8 <= chunk_bytes for rows in seen)
+        assert np.array_equal(chunked, whole, equal_nan=True)
+
 
 # P(censored, converted, churned) per node; the last two hold no conversion
 STATUS_MIXES = ((0.4, 0.6, 0.0), (0.3, 0.4, 0.3), (0.1, 0.9, 0.0),
@@ -588,6 +620,19 @@ REFERENCE_RULES = (oracles.reference_best_split_rsf,
                    oracles.reference_best_split_conditional)
 
 
+def rank_coded_rsf(x, times, status, candidates, min_events, cap):
+    """The library's log-rank rule on ``x`` rank-coded as a fit codes it."""
+    return forest._best_split_rsf(*forest._rank_codes(x), times, status,
+                                  candidates, min_events, cap)
+
+
+def rank_coded_conditional(x, times, status, candidates, min_events, cap, alpha):
+    """The library's two-step rule on ``x`` rank-coded as a fit codes it."""
+    return forest._best_split_conditional(
+        x[:, candidates], *forest._rank_codes(x), times, status, candidates,
+        min_events, cap, alpha)
+
+
 class TestSplitRules:
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from([0.05, 0.5, 1.0]))
@@ -595,7 +640,7 @@ class TestSplitRules:
         """Both rules pick the reference's (feature, threshold), or both
         find no split."""
         node = random_node(np.random.default_rng(seed))
-        rules = (forest._best_split_rsf, forest._best_split_conditional)
+        rules = (rank_coded_rsf, rank_coded_conditional)
         assert split_choices(node, alpha, rules) == split_choices(
             node, alpha, REFERENCE_RULES)
 
@@ -609,6 +654,90 @@ class TestSplitRules:
             outcomes.update((rule, split is None) for rule, split in enumerate(splits))
             outcomes.add(("no conversion", not np.any(node[2] == int(CONV))))
         assert len(outcomes) == 6
+
+
+# one column each: heavy ties, signed zeros, a single value, continuous
+# values, and neighbouring floats whose midpoints round onto a value
+COLUMNS = {
+    "tied": lambda rng, n: rng.integers(0, 3, n).astype(float),
+    "signed zeros": lambda rng, n: rng.choice([-0.0, 0.0, -1.0, 1.0], n),
+    "single": lambda rng, n: np.full(n, 2.5),
+    "continuous": lambda rng, n: rng.standard_normal(n),
+    "neighbours": lambda rng, n: 1.0 + np.spacing(1.0) * rng.integers(0, 5, n),
+}
+
+
+class TestRankCodedCuts:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), column=st.sampled_from(list(COLUMNS)))
+    def test_matches_float_cuts(self, seed, column):
+        """On a bootstrap subset of a column, the rank-coded cuts give
+        bit-equal thresholds, and equal bins and masks, to the float path,
+        for every cap from 1 to past the node's distinct values."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        x = COLUMNS[column](rng, n)
+        codes, values = forest._rank_codes(x[:, None])
+        node = rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1)))
+        any_event = rng.random(node.size) < 0.5
+        min_events = int(rng.integers(1, 4))
+        for cap in range(1, np.unique(x[node]).size + 2):
+            got = forest._cuts(codes[0][node], values[0], any_event,
+                               min_events, cap)
+            want = oracles.reference_cuts(x[node], any_event, min_events, cap)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert np.array_equal(got[1], want[1])
+            assert np.array_equal(got[2], want[2])
+
+
+# thresholds and covariates share values, so rows land exactly on cuts
+ROUTE_VALUES = (-1.0, 0.0, 0.5, 2.0)
+ROUTE_X = ROUTE_VALUES + (-np.inf, np.inf, np.nan, -0.0, 1.0)
+
+
+def random_tree(rng, p, max_depth):
+    """Node arrays grown depth-first like _grow_tree's, with random splits."""
+    feature, threshold, left, right, leaf_index = [], [], [], [], []
+
+    def grow(depth):
+        node = len(feature)
+        for column, value in ((feature, -1), (threshold, np.nan), (left, -1),
+                              (right, -1), (leaf_index, -1)):
+            column.append(value)
+        if depth < max_depth and rng.random() < 0.7:
+            feature[node] = int(rng.integers(p))
+            threshold[node] = float(rng.choice(ROUTE_VALUES))
+            left[node] = grow(depth + 1)
+            right[node] = grow(depth + 1)
+        else:
+            leaf_index[node] = max(leaf_index) + 1
+        return node
+
+    grow(0)
+    return SurvivalTree(
+        feature=np.array(feature, dtype=np.int32),
+        threshold=np.array(threshold),
+        left=np.array(left, dtype=np.int32),
+        right=np.array(right, dtype=np.int32),
+        leaf_index=np.array(leaf_index, dtype=np.int32),
+        leaves=[])
+
+
+class TestRoute:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), max_depth=st.integers(0, 7),
+           n=st.integers(0, 40), p=st.integers(1, 4), fortran=st.booleans())
+    def test_matches_level_walk(self, seed, max_depth, n, p, fortran):
+        """The child-table route sends every row to the level walk's leaf:
+        single-leaf trees, no rows, rows on a threshold, NaN and +-inf."""
+        rng = np.random.default_rng(seed)
+        tree = random_tree(rng, p, max_depth)
+        x = rng.choice(ROUTE_X, size=(n, p))
+        if fortran:
+            x = np.asfortranarray(x)
+        got = _route(tree, x)
+        want = oracles.reference_route(tree, x)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def assert_same_trees(m1, m2):
