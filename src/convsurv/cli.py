@@ -119,6 +119,16 @@ def _fraction(text: str) -> float:
     return value
 
 
+def _churn_window(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
 def _training_config(args, models) -> ForestConfig:
     """The training flags of ``models``, checked before any input is read."""
     check_model_kinds(models, args.churn_window)
@@ -152,7 +162,7 @@ def _add_train_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ridge", type=_ridge, default=1e-6,
                    help="Cox ridge penalty")
     p.add_argument("--train-frac", type=_fraction, default=0.30)
-    p.add_argument("--churn-window", type=int, default=DEFAULT_CHURN_WINDOW,
+    p.add_argument("--churn-window", type=_churn_window, default=DEFAULT_CHURN_WINDOW,
                    help="inactivity days labeling churn; 0 disables churn labels")
     p.add_argument("--threads", type=int, default=None,
                    help="training workers (capped by CONVSURV_THREADS)")
@@ -378,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", choices=_AXES, required=True)
     p.add_argument("--population", choices=("all", "converters"), default="all")
     p.add_argument("--level", type=_fraction, default=0.95)
-    p.add_argument("--churn-window", type=int, default=DEFAULT_CHURN_WINDOW)
+    p.add_argument("--churn-window", type=_churn_window, default=DEFAULT_CHURN_WINDOW)
     p.add_argument("--out", required=True, help="output CSV")
     p.set_defaults(func=cmd_curves)
     return parser

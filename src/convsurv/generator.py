@@ -149,9 +149,6 @@ def _calibrate_intercept(cfg: GeneratorConfig) -> float:
     expectation being matched is the realized converter fraction among
     players that survive the >= 2 login-day filter.
     """
-    # imported here so that importing the package does not load scipy.optimize
-    from scipy.optimize import brentq
-
     rng = np.random.default_rng((cfg.seed, _CALIBRATION_STREAM))
     m = _CALIBRATION_PLAYERS
     z1 = rng.standard_normal(m)
@@ -173,7 +170,13 @@ def _calibrate_intercept(cfg: GeneratorConfig) -> float:
         raise ConfigError(
             "pu_propensity unreachable: even certain converters fall outside "
             "the observation window; widen it")
-    return float(brentq(realized, -25.0, 8.0, xtol=1e-10))
+    # realized() rises with the intercept: 64 halvings of [-25, 8] narrow it
+    # to neighbouring floats
+    low, high = -25.0, 8.0
+    for _ in range(64):
+        mid = 0.5 * (low + high)
+        low, high = (mid, high) if realized(mid) < 0 else (low, mid)
+    return high
 
 
 def _simulate_player(pid: str, rng: np.random.Generator, cfg: GeneratorConfig,

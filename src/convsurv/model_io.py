@@ -123,9 +123,10 @@ def _check_train_config(config, kind: str) -> None:
     if isinstance(window, bool) or not isinstance(window, int):
         raise CompatibilityError(
             f"train_config churn_window {window!r} is not an integer")
-    if needs_churn_labels(kind) and window <= 0:
+    lowest = 1 if needs_churn_labels(kind) else 0
+    if window < lowest:
         raise CompatibilityError(
-            f"train_config churn_window {window} must be > 0 for an {kind} model")
+            f"train_config churn_window {window} must be >= {lowest} for an {kind} model")
 
 
 def _tree_payload(tree: SurvivalTree) -> dict:

@@ -1,13 +1,14 @@
 """Raw player-log ingestion and feature engineering.
 
-Input CSV schema (header required, UTF-8, comma-separated):
+Input CSV schema (header required, UTF-8, comma-separated, fields may be
+quoted):
 
     player_id,day_index,playtime_hours,level,sessions,actions,purchases
 
 One row per player per active day. Levels are non-decreasing within a
-player; day indices are unique per player. Integer columns take what
-Python's ``int()`` reads and ``playtime_hours`` what ``float()`` reads, so
-``1_000`` and `` 5`` pass too; integers must fit in int64.
+player; day indices are unique per player. Numbers are ASCII without
+``_``, as ``int()`` (fitting int64) and ``float()`` then read them. No
+field may hold a ``"``, a line break or ``\x1c``-``\x1f`` once unquoted.
 
 Feature engineering uses a growing window that ends strictly before the
 subject's event (or censoring) day, so no feature can read activity at or
@@ -15,15 +16,8 @@ after the event: recomputing features after deleting post-event rows is a
 bitwise no-op.
 
 A cohort is held as columns (``PlayerLogs``): ingest streams the CSV into
-arrays one block of rows at a time, and labels and features are computed
-for every player at once.
-
-Ingest reads each line once. numpy's C parser, ``np.loadtxt``, reads
-the records a chunk at a time until a chunk might read otherwise than
-through ``csv`` with ``int()`` and ``float()``. From that chunk on, the
-block parser reads the rest, which gives the same table or the same error
-with its line; so ``1_000`` and `` 5`` still pass, through the block
-parser.
+arrays through ``np.loadtxt`` one chunk of lines at a time, and labels and
+features are computed for every player at once.
 """
 
 from __future__ import annotations
@@ -37,7 +31,7 @@ import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -78,9 +72,9 @@ MODEL_FEATURES = (
 
 DEFAULT_CHURN_WINDOW = 9
 
-# CSV records parsed per block: ingest holds one block of strings at a time.
-# Small enough that a block's row lists die young, before the garbage
-# collector's older generations have to scan them.
+# Lines read per chunk: ingest holds one chunk of strings at a time. Small
+# enough that a chunk's strings die young, before the garbage collector's
+# older generations have to scan them.
 _BLOCK_ROWS = 1 << 10
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # Integers below 2**53 convert to float64 exactly, so numpy's float division
@@ -107,10 +101,14 @@ _DTYPES = tuple(dtype for _, dtype, _ in _FIELDS)
 # A record as np.loadtxt reads it: the player id as a str (a fixed-width
 # string dtype would cut long ids), then the numeric fields.
 _RECORD = np.dtype([("player_id", object)] + list(zip(_COLUMNS, _DTYPES)))
-# Characters np.loadtxt reads otherwise than csv, int() and float(): csv
-# strips the quotes around a field, and numpy's number parsers skip the
-# separators \x1c-\x1f around a value as white space.
-_LOADTXT_TRAPS = '"\x1c\x1d\x1e\x1f'
+# What no field may hold once csv has unquoted it, so that each record is
+# one line; numpy's number parsers would skip the separators \x1c-\x1f.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+_NOT_IN_FIELDS = '"\r\n' + _SEPARATORS
+_BLANK = ("\n", "\r\n", "\r")  # the lines csv and numpy skip
+# Lines no longer than this hold no field past csv's limit (131072 by
+# default) and no integer int() refuses as too long (640 digits at least).
+_SHORT_LINE = 640
 
 
 @dataclass(frozen=True)
@@ -261,13 +259,6 @@ def _undecodable(cells) -> bool:
     return re.search("[\udc80-\udcff]", "".join(cells)) is not None
 
 
-def _out_of_range(columns) -> bool:
-    """Whether a typed column holds a value below its ``_FIELDS`` minimum or
-    one that is not finite."""
-    return not all(np.all(np.isfinite(c) & (c >= lowest))
-                   for c, (_, _, lowest) in zip(columns, _FIELDS))
-
-
 def _check_row(row: list[str], line: int) -> None:
     """Raise the LogParseError of one record, checking fields left to right."""
     def error(message: str) -> LogParseError:
@@ -277,11 +268,15 @@ def _check_row(row: list[str], line: int) -> None:
         raise error("file is not UTF-8 text")
     if len(row) != len(EXPECTED_HEADER):
         raise error(f"expected {len(EXPECTED_HEADER)} columns, got {len(row)}")
+    if any(c in row[0] for c in _NOT_IN_FIELDS):
+        raise error(f"player_id holds a quote, line break or \\x1c-\\x1f: {row[0]!r}")
     if not row[0].strip():
         raise error("empty player_id")
     for (column, dtype, lowest), raw in zip(_FIELDS, row[1:]):
         real = dtype is np.float64
         try:
+            if not raw.isascii() or "_" in raw or any(c in raw for c in _NOT_IN_FIELDS):
+                raise ValueError
             value = float(raw) if real else int(raw)
         except ValueError:
             what = "a number" if real else "an integer"
@@ -298,90 +293,74 @@ def _empty_block() -> tuple:
     return tuple(np.empty(0, dtype=t) for t in (np.int64,) + _DTYPES)
 
 
-def _parse_block(block: list[list[str]], first_line: int,
-                 index: dict[str, int]) -> tuple:
-    """Player codes and typed columns of a block whose first record is ``first_line``.
-
-    Blank records are skipped but keep their line numbers. Player codes
-    number ids in order of first appearance. A block that fails conversion
-    is checked record by record, so the first bad record raises exactly as
-    it would alone.
-    """
-    rows = [row for row in block if row] if [] in block else block
-    if not rows:
-        return _empty_block()
-    try:
-        if set(map(len, rows)) != {len(EXPECTED_HEADER)}:
-            raise ValueError("record width")
-        ids, *cells = zip(*rows)
-        ids = list(map(str.strip, ids))
-        if "" in ids or _undecodable(ids):
-            raise ValueError("empty or undecodable player_id")
-        columns = [np.fromiter(map(float if t is np.float64 else int, c), t, len(ids))
-                   for c, t in zip(cells, _DTYPES)]
-        if _out_of_range(columns):
-            raise ValueError("value out of range")
-    except (ValueError, OverflowError):
-        for line, row in enumerate(block, start=first_line):
-            if row:
-                _check_row(row, line)
-        raise
-    for pid in dict.fromkeys(ids):
-        index.setdefault(pid, len(index))
-    return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids)), *columns
-
-
-def _records(reader, errors: list):
-    """The reader's records up to the first csv.Error, which goes to ``errors``."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        errors.append(exc)
-
-
 def _loadtxt_block(lines: list[str], index: dict[str, int]) -> tuple | None:
     """Player codes and typed columns of ``lines``, read by ``np.loadtxt``,
-    or None where that might differ from the block parser.
+    or None if a record among them, or one running on from them, is bad.
 
-    numpy skips blank lines as csv does, but it keeps the spaces around an
-    id, reads ``_LOADTXT_TRAPS`` otherwise, and reads some non-ASCII
-    characters as digits (U+01FE as 462). So the answer is None on a
-    ValueError, OverflowError or DeprecationWarning, a line longer than
-    csv's field limit, one of ``_LOADTXT_TRAPS`` anywhere or a non-ASCII
-    character after a line's first comma, a run-head id that is empty,
-    padded or not UTF-8, or a value below its minimum or not finite. Never
-    raises. Ids are numbered in ``index`` only once every check has
-    passed, so lines answered None number none.
+    numpy splits and unquotes fields, and skips blank lines, as csv does.
+    But it keeps the spaces around an id, skips ``_SEPARATORS`` around a
+    number, reads some non-ASCII characters as digits (U+01FE as 462),
+    closes a quote left open at the end of its input, and has neither
+    csv's field limit nor int()'s digit limit. So the answer is None on a
+    ValueError, OverflowError or DeprecationWarning; one of
+    ``_SEPARATORS``, or a non-ASCII character in a line's last six fields;
+    a long line the row checks refuse; a value below its minimum or not
+    finite; a run-head id that is empty once stripped, not UTF-8 or holds a
+    ``"``; fewer records than non-blank lines; or an odd ``"`` count in a
+    last line that ends in a line break (without one it ends the file,
+    where csv closes the quote too). Once no field holds a ``"``, each
+    ``"`` opens or closes a quoted field, so those last two mean some line
+    ends inside quotes: otherwise each line is one csv record. Ids are
+    numbered in ``index`` only once every check has passed.
     """
     text = "".join(lines)
     if not text.strip("\r\n"):  # blank lines only: loadtxt would warn, find no rows
         return _empty_block()
-    if (max(map(len, lines)) > csv.field_size_limit()
-            or any(c in text for c in _LOADTXT_TRAPS)
+    quoted = '"' in text
+    if (any(c in text for c in _SEPARATORS)
             or not (text.isascii()
-                    or all(line.partition(",")[2].isascii() for line in lines))):
+                    or all("".join(line.rsplit(",", 6)[1:]).isascii() for line in lines))):
         return None
     try:
-        # numpy from 1.23 until the fallback's removal reads ``1.5`` into an
-        # int column with only a DeprecationWarning; raised as an error it
-        # hands the lines over, as a ValueError does.
+        if max(map(len, lines)) > _SHORT_LINE:
+            for row in csv.reader(line for line in lines if len(line) > _SHORT_LINE):
+                _check_row(row, 0)
+        # numpy 1.23 to 1.26 reads ``1.5`` into an int column with only a
+        # DeprecationWarning; raised as an error it declines the lines, as a
+        # ValueError does. A quote character costs time on unquoted lines.
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            table = np.loadtxt(lines, dtype=_RECORD, delimiter=",",
-                               comments=None, ndmin=1)
-    except (ValueError, OverflowError, DeprecationWarning):
+            table = np.loadtxt(lines, dtype=_RECORD, delimiter=",", comments=None,
+                               quotechar='"' if quoted else None, ndmin=1)
+    except (ValueError, OverflowError, DeprecationWarning, csv.Error, LogParseError):
         return None
-    # copies, so that the block's id strings are freed with ``table``
+    # copies, so that the chunk's id strings are freed with ``table``
     columns = [table[column].copy() for column in _COLUMNS]
     ids = table["player_id"]
     starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
-    heads = ids[starts].tolist()
-    if (_out_of_range(columns) or _undecodable(heads)
-            or not all(pid and pid == pid.strip() for pid in heads)):
+    heads = [pid.strip() for pid in ids[starts].tolist()]
+    if (not all(np.all(np.isfinite(c) & (c >= lowest))
+                for c, (_, _, lowest) in zip(columns, _FIELDS))
+            or not all(heads) or _undecodable(heads)
+            or quoted and ('"' in "".join(heads)
+                           or lines[-1].count('"') % 2 and lines[-1].endswith(_BLANK)
+                           or len(ids) != len(lines) - sum(map(lines.count, _BLANK)))):
         return None
     codes = [index.setdefault(pid, len(index)) for pid in heads]
     return np.repeat(np.array(codes, dtype=np.int64),
                      np.diff(starts, append=len(ids))), *columns
+
+
+def _raise_first_error(records, line: int) -> NoReturn:
+    """Raise the error of the first bad csv record in ``records`` from line ``line``."""
+    try:
+        for row in records:
+            if row:
+                _check_row(row, line)
+            line += 1
+    except csv.Error as exc:
+        raise LogParseError(f"line {line}: {exc}", line) from None
+    raise AssertionError("np.loadtxt declined records that hold no fault")
 
 
 def ingest_logs(path) -> PlayerLogs:
@@ -392,18 +371,14 @@ def ingest_logs(path) -> PlayerLogs:
     LogValidationError naming the player. A header-only file yields an
     empty table.
 
-    After the header check, the records are read in one pass,
-    ``_BLOCK_ROWS`` lines at a time, by ``np.loadtxt`` while it can vouch
-    for them (see ``_loadtxt_block``). From the first chunk it cannot, the
-    block parser reads the rest: csv records in blocks of ``_BLOCK_ROWS``,
-    converted with ``int()`` and ``float()``. A vouched chunk holds no
-    ``"``, and ``newline=""`` breaks lines where csv breaks records, so
-    each of its lines is one csv record, and line numbers and id codes
-    run on across the handover. Memory holds one block of strings
-    plus the typed columns, and the table, or the error, is the block
-    parser's. A record holding a byte that is not UTF-8 fails as ``line N:
-    file is not UTF-8 text``. Line numbers count csv records, blank ones
-    included.
+    After the header check, ``np.loadtxt`` reads the records in one pass,
+    ``_BLOCK_ROWS`` lines at a time, so memory holds one chunk of strings
+    plus the typed columns. numpy declines a chunk only if a record in it,
+    or one running on from it, is bad (see ``_loadtxt_block``): from that
+    chunk's first line, csv reads records and the row checks raise the
+    first bad one's error. A record holding a byte that is not UTF-8 fails
+    as ``line N: file is not UTF-8 text``. Line numbers count csv records,
+    blank ones included.
     """
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         try:
@@ -419,17 +394,12 @@ def ingest_logs(path) -> PlayerLogs:
         index: dict[str, int] = {}
         blocks = []
         line = 2
-        while ((lines := list(islice(fh, _BLOCK_ROWS)))
-               and (block := _loadtxt_block(lines, index)) is not None):
+        while lines := list(islice(fh, _BLOCK_ROWS)):
+            block = _loadtxt_block(lines, index)
+            if block is None:
+                _raise_first_error(csv.reader(chain(lines, fh)), line)
             blocks.append(block)
             line += len(lines)
-        csv_errors: list = []
-        records = _records(csv.reader(chain(lines, fh)), csv_errors)
-        while block := list(islice(records, _BLOCK_ROWS)):
-            blocks.append(_parse_block(block, line, index))
-            line += len(block)
-        if csv_errors:
-            raise LogParseError(f"line {line}: {csv_errors[0]}", line)
     return _sorted_logs(tuple(index), blocks)
 
 

@@ -5,6 +5,8 @@ per time point (no risk tables, no cumulative tricks, no code shared with
 the library), deliberately O(n^2), so library bugs cannot cancel out. The
 record-based dataset reference shares ``SurvivalRecord`` and the exception
 types; the log-pipeline reference shares only the exception types. The
+record-by-record ingest reference shares the row checks and the table
+types: it judges the np.loadtxt pass, not the input rule. The
 split-rule reference is the per-feature tree-growth code that the
 per-node hoist replaced, on float columns as before rank codes; it shares
 the forest's bin-count and permutation-test helpers. The routing reference
@@ -27,6 +29,7 @@ from convsurv.errors import (
     StratificationError,
 )
 from convsurv.forest import _bin_matrix, _feature_pvalues, _score_moments
+from convsurv.pipeline import PlayerLog, PlayerLogs, PlayerRow, _check_row
 
 
 def _distinct_event_times(times, event_mask):
@@ -309,6 +312,38 @@ def reference_ingest(path):
             raise LogValidationError(f"player {pid!r} has a decreasing level", pid)
         logs.append((pid, rows[0].day_index, tuple(rows)))
     return logs
+
+
+def record_ingest(path):
+    """``ingest_logs`` one record at a time: csv reads each record, the row
+    checks judge it, then ``int()`` and ``float()`` convert it. Raises the
+    first bad record's LogParseError, else the table's own check."""
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise LogParseError("empty file: missing header", 1) from None
+        except csv.Error as exc:
+            raise LogParseError(f"line 1: {exc}", 1) from None
+        if [h.strip() for h in header] != REFERENCE_HEADER:
+            undecodable = any("\udc80" <= c <= "\udcff" for c in "".join(header))
+            raise LogParseError("line 1: " + ("file is not UTF-8 text" if undecodable else
+                                f"expected header {','.join(REFERENCE_HEADER)}"), 1)
+        per_player = {}
+        line = 2
+        try:
+            for row in reader:
+                if row:
+                    _check_row(row, line)
+                    per_player.setdefault(row[0].strip(), []).append(
+                        PlayerRow(int(row[1]), float(row[2]), *map(int, row[3:])))
+                line += 1
+        except csv.Error as exc:
+            raise LogParseError(f"line {line}: {exc}", line) from None
+    logs = [sorted(rows, key=lambda r: r.day_index) for rows in per_player.values()]
+    return PlayerLogs.from_logs([PlayerLog(pid, rows[0].day_index, rows)
+                                 for pid, rows in zip(per_player, logs)])
 
 
 def reference_log_check(logs):

@@ -57,6 +57,11 @@ class TestGenerate:
         rows = read_rows(out / "ground_truth.csv")
         assert all(r["true_converter"] == "0" for r in rows)
 
+    def test_pu_rate_below_the_bracket_keeps_its_end(self, tmp_path):
+        # an intercept of -25 already yields more converters than 1e-12
+        assert main(["generate", "--players", "50", "--seed", "1",
+                     "--pu-rate", "1e-12", "--out", str(tmp_path / "g")]) == 0
+
     def test_default_pu_rate_is_calibration_target(self, capsys):
         # flag default mirrors the observed multi-day PU share
         from convsurv.cli import build_parser
@@ -378,7 +383,9 @@ class TestErrorHandling:
     @pytest.mark.parametrize("env,flags,message", [
         ("abc", [], "CONVSURV_THREADS must be an integer, got 'abc'"),
         (None, ["--max-depth", "-2"], "max_depth must be >= 0"),
-    ], ids=["threads-env", "max-depth"])
+        (None, ["--churn-window", "-4"], "argument --churn-window: must be >= 0, got '-4'"),
+        (None, ["--churn-window", "x"], "argument --churn-window: not an integer: 'x'"),
+    ], ids=["threads-env", "max-depth", "churn-window-negative", "churn-window-string"])
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_training_flags_are_config_errors_before_ingest(
             self, command, env, flags, message, tmp_path, monkeypatch, capsys):
@@ -498,6 +505,15 @@ class TestErrorHandling:
         assert "--level" in err and "_fraction" not in err
         assert ("not a number: 'abc'" in err) == (level == "abc")
 
+    def test_curves_negative_churn_window_is_config_error_before_ingest(self, tmp_path,
+                                                                        capsys):
+        # the log file does not exist: reading it first would exit 2
+        rc = main(["curves", "--data", str(tmp_path / "missing.csv"), "--axis", "lifetime",
+                   "--churn-window", "-4", "--out", str(tmp_path / "c.csv")])
+        assert rc == 1
+        assert "argument --churn-window: must be >= 0, got '-4'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_rsf_cr_without_churn_window_is_config_error_before_ingest(
             self, command, tmp_path, capsys):
@@ -534,6 +550,7 @@ HEADER_CORRUPTIONS = {
     "churn-window-string": lambda doc: doc["train_config"].update(churn_window="9"),
     "churn-window-bool": lambda doc: doc["train_config"].update(churn_window=True),
     "churn-window-zero": lambda doc: doc["train_config"].update(churn_window=0),
+    "churn-window-negative": lambda doc: doc["train_config"].update(churn_window=-4),
 }
 FOREST_CONFIG_CORRUPTIONS = {
     "config-n-trees-zero": {"n_trees": 0},
@@ -678,7 +695,7 @@ class TestModelFileCorruption:
     @pytest.mark.parametrize("corruption", [
         "cycle", "child-out-of-range", "bad-leaf-index", "bad-feature",
         "short-node-array", "missing-key", "not-json", "zero-trees", "one-tree-short",
-        "null-threshold",
+        "null-threshold", "churn-window-negative",
     ])
     def test_corrupt_model_file_is_data_error(self, corruption, data_dir, rsf_model,
                                               tmp_path, capsys):
@@ -706,7 +723,8 @@ class TestModelFileCorruption:
                                tmp_path, capsys)
 
     @pytest.mark.parametrize("corruption", [*COX_CORRUPTIONS, "train-config-not-object",
-                                            "churn-window-string", "churn-window-bool"])
+                                            "churn-window-string", "churn-window-bool",
+                                            "churn-window-negative"])
     def test_corrupt_cox_file_is_data_error(self, corruption, data_dir, cox_model,
                                             tmp_path, capsys):
         assert_predict_rejects(cox_model, corruption, data_dir, tmp_path, capsys)
@@ -725,14 +743,35 @@ class TestModelFileCorruption:
                                      tmp_path, capsys)
         assert "is not an array of JSON" in err
 
+    @pytest.mark.parametrize("corruption", ["churn-window-zero", "churn-window-negative"])
     def test_rsf_cr_file_without_churn_window_is_data_error(
-            self, data_dir, rsfcr_playtime_model, tmp_path, capsys):
-        assert_predict_rejects(rsfcr_playtime_model, "churn-window-zero", data_dir,
+            self, corruption, data_dir, rsfcr_playtime_model, tmp_path, capsys):
+        assert_predict_rejects(rsfcr_playtime_model, corruption, data_dir,
                                tmp_path, capsys)
 
 
 class TestLogFileEdges:
     HEADER = "player_id,day_index,playtime_hours,level,sessions,actions,purchases\n"
+
+    def test_quoted_export_gives_the_same_files(self, data_dir, tmp_path):
+        """Every field of the cohort quoted, with CRLF line ends: train and
+        predict write the bytes they write for the plain file."""
+        quoted = tmp_path / "quoted.csv"
+        with open(data_dir / "logs.csv", newline="") as src, \
+                open(quoted, "w", newline="") as dst:
+            csv.writer(dst, quoting=csv.QUOTE_ALL).writerows(csv.reader(src))
+        assert quoted.read_text().startswith('"player_id","day_index"')
+        outputs = {}
+        for name, logs in (("plain", data_dir / "logs.csv"), ("quoted", quoted)):
+            model, pred = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            assert main(["train", "--data", str(logs), "--model", "rsf-cr",
+                         "--target", "playtime", "--trees", "5", "--seed", "2",
+                         "--out", str(model)]) == 0
+            assert main(["predict", "--model", str(model), "--data", str(logs),
+                         "--out", str(pred)]) == 0
+            outputs[name] = [path.read_bytes() for path in
+                             (model, Path(f"{model}.summary.json"), pred)]
+        assert outputs["quoted"] == outputs["plain"]
 
     @pytest.mark.parametrize("command", ["train", "evaluate", "curves"])
     def test_utf16_log_is_data_error(self, command, tmp_path, capsys):
@@ -792,13 +831,18 @@ class TestLogFileEdges:
         assert len(err) == 1 and "player 'p1'" in err[0]
 
 
-def test_cli_import_leaves_out_scipy_stats_and_optimize():
-    """Start-up cost: only ``generate`` needs scipy.optimize, nothing needs
-    scipy.stats, and scipy.special loads only where a p-value or a band is
-    computed."""
+def test_cli_import_leaves_out_scipy_stats_and_optimize(tmp_path):
+    """Start-up cost: nothing needs scipy.stats or scipy.optimize, and
+    scipy.special loads only where a p-value or a band is computed; a
+    ``generate`` run loads none of them."""
+    script = ("import sys, convsurv.cli as cli\n"
+              "heavy = lambda: [m for m in ('scipy.stats', 'scipy.optimize', 'scipy.special')"
+              " if m in sys.modules]\n"
+              "loaded = heavy()\n"
+              "code = cli.main(['generate', '--players', '50', '--seed', '3',"
+              " '--out', sys.argv[1]])\n"
+              "print(code, loaded, heavy())\n")
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, convsurv.cli; "
-         "print(sorted(m for m in ('scipy.stats', 'scipy.optimize', 'scipy.special')"
-         " if m in sys.modules))"],
+        [sys.executable, "-c", script, str(tmp_path / "g")],
         env=src_env(), capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines()[-1] == "0 [] []"

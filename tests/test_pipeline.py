@@ -573,35 +573,42 @@ class TestInputEdges:
             assert ingest_logs(path).day_index.tolist() == [0, 1]
 
 
-def block_parser_only(path):
-    """``ingest_logs`` with the np.loadtxt pass turned off."""
-    with mock.patch.object(pipeline, "_loadtxt_block", lambda lines, index: None):
-        return ingest_logs(path)
-
-
 # Fields numpy's parsers might read otherwise than csv, int() and float(),
 # besides EDGE_FIELDS: signs, separators and white space around a number,
-# non-ASCII characters (numpy reads U+01FE as 462) and an undecodable byte.
+# non-ASCII characters (numpy reads U+01FE as 462), an undecodable byte, and
+# quoted numbers: padded, holding a comma, a doubled quote, a line break or
+# a non-ASCII digit, left open, or run on past the closing quote.
 PARSER_TRAPS = ("\x1c5", "5\x1f", "\u01fe", "1\u01fe", "\u20035", "5\xa0", "\uff15",
-                "5\udcff", "+5", " 0.25 ", "-0")
-ID_VARIANTS = ("{}", "{}", "{}", "jö{}", "{}" + "x" * 70, " {}", "{} ", '"{}"',
-               "#{}", "{}\udcff", "{}\x1c", "\u01fe{}")
+                "5\udcff", "+5", " 0.25 ", "-0", "\t5", "05", "\x0b5",
+                '"5"', '" 5"', '"1,0"', '"5"""', '"5\n"', '"\u0665"', '"5', '"5"x', '5"')
+# Player ids: plain, non-ASCII, long, padded, commented, or quoted (padded,
+# holding a comma beside non-ASCII text, run on past the closing quote).
+ID_VARIANTS = ("{}", "{}", "{}", "j\u00f6{}", "{}" + "x" * 70, " {}", "{} ", "#{}",
+               "\u01fe{}", '"{}"', '" {} "', '"j\u00f6,{}"', '"{}"x')
+# Faulty ids: undecodable, or holding what no field may: a separator, a
+# doubled quote, a bare quote, a quoted line break, or a quote left open.
+FAULTY_IDS = ("{}\udcff", "{}\x1c", '"\x1c{}"', '"a""{}"', 'a"{}', '"{}\nx"', '"{}')
 
 
 @st.composite
 def edge_csv(draw):
     """A log file's text: a cohort whose ids may be non-ASCII, longer than
-    64 characters, padded, quoted or undecodable, with edge fields spliced
-    into cells, extra blank or white-space lines, rows of 6 or 8 columns,
-    and LF, CRLF or bare CR line endings."""
+    64 characters, padded or quoted, one of them perhaps faulty, with edge
+    fields spliced into cells, every cell of a record quoted, extra blank or
+    white-space lines, rows of 6 or 8 columns, and LF, CRLF or bare CR line
+    endings, the last perhaps left off."""
     body, _ = draw(cohort_csv())
     names = {f"p{i}": draw(st.sampled_from(ID_VARIANTS)).format(f"p{i}") for i in range(8)}
+    if draw(st.booleans()):
+        faulty = f"p{draw(st.integers(0, 7))}"
+        names[faulty] = draw(st.sampled_from(FAULTY_IDS)).format(faulty)
     records = [",".join([names[r.split(",")[0]]] + r.split(",")[1:]) if r else r
                for r in body.splitlines()]
     fields = st.sampled_from(EDGE_FIELDS) | st.sampled_from(PARSER_TRAPS)
     for _ in range(draw(st.integers(0, 4))):
         at = draw(st.integers(0, len(records)))
-        change = draw(st.sampled_from(["cell"] * 4 + ["blank", "space", "short", "long"]))
+        change = draw(st.sampled_from(["cell"] * 4 + ["blank", "space", "short", "long",
+                                                      "quote"]))
         if change in ("blank", "space"):
             records.insert(at, "" if change == "blank" else draw(st.sampled_from([" ", "\t"])))
         elif records and records[at % len(records)]:
@@ -610,35 +617,73 @@ def edge_csv(draw):
                 cells[draw(st.integers(0, len(cells) - 1))] = draw(fields)
             elif change == "short":
                 del cells[-1]
+            elif change == "quote":
+                cells = [f'"{cell}"' for cell in cells]
             else:
                 cells.append(draw(fields))
             records[at % len(records)] = ",".join(cells)
     ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    return "".join(record + ending for record in [HEADER.rstrip("\n")] + records)
+    text = "".join(record + ending for record in [HEADER.rstrip("\n")] + records)
+    return text.removesuffix(ending) if records and draw(st.booleans()) else text
 
 
 class TestLoadtxtPass:
-    """The np.loadtxt pass gives the block parser's table or error."""
+    """The np.loadtxt pass gives the table or the error of the record-by-record
+    reference: csv, then the row checks, then int() and float()."""
 
-    @settings(max_examples=300, deadline=None,
+    @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(text=edge_csv(), block_rows=st.sampled_from([1, 3, 1024]))
-    def test_matches_block_parser(self, tmp_path, text, block_rows):
+    @given(text=edge_csv(), block_rows=st.sampled_from([1, 2, 3, 1024]))
+    def test_matches_record_reference(self, tmp_path, text, block_rows):
         with mock.patch.object(pipeline, "_BLOCK_ROWS", block_rows):
             self.assert_same_outcome(tmp_path, text)
 
     @pytest.mark.parametrize("value", EDGE_FIELDS + PARSER_TRAPS)
     @pytest.mark.parametrize("column", range(7))
-    def test_one_field_matches_block_parser(self, tmp_path, column, value):
+    def test_one_field_matches_record_reference(self, tmp_path, column, value):
         lines = [line.split(",") for line in TestColumnarEquivalence.VALID]
         lines[3][column] = value
         self.assert_same_outcome(
             tmp_path, HEADER + "".join(",".join(cells) + "\n" for cells in lines))
 
+    @pytest.mark.parametrize("block_rows", [1, 2, 3])
+    @pytest.mark.parametrize("record", [
+        '"b\nc",1,1.0,1,1,1,0', '"b,\r\nc",1,1.0,1,1,1,0', '"b,1,1.0,1,1,1,0',
+        'b",1,1.0,1,1,1,0', '"b""",1,1.0,1,1,1,0', 'b,1,1.0,1,1,1,"0\n"'])
+    def test_quote_across_a_chunk_edge(self, tmp_path, record, block_rows):
+        """A quoted field that runs on into the next chunk, or a quote left
+        in a field, fails at its record whichever chunk holds its lines."""
+        body = f"a,0,1.0,1,1,1,0\n{record}\nb,2,1.0,1,1,1,0\n"
+        with mock.patch.object(pipeline, "_BLOCK_ROWS", block_rows):
+            self.assert_same_outcome(tmp_path, HEADER + body)
+            with pytest.raises(LogParseError, match="^line 3: "):
+                ingest_logs(tmp_path / "logs.csv")
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 1024])
+    @pytest.mark.parametrize("last", ['a,1,1.0,1,1,1,"0', 'a,1,1.0,1,1,1,"0\n', '"a,1,1.0,1,1,1,0',
+                                      '"a",1,1.0,1,1,1,0', 'a,1,1.0,1,1,1,"0"""'])
+    def test_quote_left_open_at_the_end_of_the_file(self, tmp_path, last, block_rows):
+        """csv closes a quote left open where the file ends; one left open
+        before a final line break holds that line break."""
+        with mock.patch.object(pipeline, "_BLOCK_ROWS", block_rows):
+            self.assert_same_outcome(tmp_path, HEADER + "a,0,1.0,1,1,1,0\n" + last)
+        assert (error_outcome(ingest_logs, tmp_path / "logs.csv") is None) == (
+            last in ('a,1,1.0,1,1,1,"0', '"a",1,1.0,1,1,1,0'))
+
+    @pytest.mark.parametrize("line", [
+        "x" * 700 + ",0,1.0,1,1,1,0",  # a long id
+        "a,0,1." + "0" * 700 + ",1,1,1,0",  # a long playtime
+        "a," + "0" * 5000 + "7,1.0,1,1,1,0",  # too many digits for int()
+        "a,0,1.0,1,1,1," + "0" * 200_000,  # past csv's field limit
+        '"' + "y" * 100_000 + "," + "z" * 100_000 + '",0,1.0,1,1,1,0',  # a quoted one
+    ])
+    def test_long_lines_match_record_reference(self, tmp_path, line):
+        self.assert_same_outcome(tmp_path, HEADER + "a,1,1.0,1,1,1,0\n" + line + "\n")
+
     @pytest.mark.parametrize("value", ["1.5", "1e0", " 0.25 "])
     def test_float_in_int_column_ends_the_pass(self, tmp_path, value):
-        # numpy from 1.23 until the fallback's removal reads a float field
-        # into an int64 column, cast down, with only a DeprecationWarning.
+        # numpy 1.23 to 1.26 reads a float field into an int64 column, cast
+        # down, with only a DeprecationWarning.
         loadtxt = np.loadtxt
 
         def lenient_loadtxt(lines, **kwargs):
@@ -652,37 +697,37 @@ class TestLoadtxtPass:
 
         path = write_csv(tmp_path, f"a,0,1.0,1,1,1,0\na,{value},1.0,1,1,1,0\n")
         with mock.patch.object(np, "loadtxt", lenient_loadtxt):
-            assert error_outcome(ingest_logs, path) == error_outcome(block_parser_only, path)
+            assert error_outcome(ingest_logs, path) == error_outcome(oracles.record_ingest, path)
             with pytest.raises(LogParseError, match="line 3: column 'day_index'"):
                 ingest_logs(path)
-
-    def test_block_parser_reads_only_the_tail(self, tmp_path):
-        # three chunks numpy vouches for, then one holding a quoted id
-        body = ("".join(f"a{i // 2},{i % 2},1.0,1,1,1,0\n" for i in range(9))
-                + '"b",0,1.0,1,1,1,0\nb,1,1.0,1,1,1,0\n')
-        calls = []
-        parse_block = pipeline._parse_block
-
-        def spy(block, first_line, index):
-            calls.append((first_line, len(block)))
-            return parse_block(block, first_line, index)
-
-        with mock.patch.object(pipeline, "_BLOCK_ROWS", 3):
-            with mock.patch.object(pipeline, "_parse_block", spy):
-                ingest_logs(write_csv(tmp_path, body))
-            assert calls == [(11, 2)]
-            self.assert_same_outcome(tmp_path, HEADER + body)
 
     @staticmethod
     def assert_same_outcome(tmp_path, text):
         path = tmp_path / "logs.csv"
         path.write_bytes(text.encode("utf-8", "surrogateescape"))
-        want = error_outcome(block_parser_only, path)
+        want = error_outcome(oracles.record_ingest, path)
         assert error_outcome(ingest_logs, path) == want
         if want is None:
-            got, ref = ingest_logs(path), block_parser_only(path)
+            got, ref = ingest_logs(path), oracles.record_ingest(path)
             assert got.ids == ref.ids
             for name in ("registration", "offsets") + pipeline._COLUMNS:
                 a, b = getattr(got, name), getattr(ref, name)
                 assert a.dtype == b.dtype and np.array_equal(a, b)
                 assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestNumberRule:
+    """Numbers are ASCII and hold no ``_``; white space and signs that both
+    numpy and int() read still pass."""
+
+    @pytest.mark.parametrize("value", ["1_000", "\u0661", "\xa05", "5\xa0"])
+    def test_python_only_syntax_is_refused(self, tmp_path, value):
+        path = write_csv(tmp_path, f"a,0,1.0,1,1,1,0\na,1,1.0,1,1,{value},0\n")
+        with pytest.raises(LogParseError) as info:
+            ingest_logs(path)
+        assert str(info.value) == f"line 3: column 'actions' is not an integer: {value!r}"
+
+    @pytest.mark.parametrize("value", [" 5", "+5", "05", "\t5", '" 5"', '"5"'])
+    def test_padding_signs_and_quotes_pass(self, tmp_path, value):
+        path = write_csv(tmp_path, f"a,0,1.0,1,1,1,0\na,1,1.0,1,1,{value},0\n")
+        assert ingest_logs(path).actions.tolist() == [1, 5]
