@@ -306,17 +306,16 @@ def _loadtxt_block(lines: list[str], index: dict[str, int]) -> tuple | None:
     ``_SEPARATORS``, or a non-ASCII character in a line's last six fields;
     a long line the row checks refuse; a value below its minimum or not
     finite; a run-head id that is empty once stripped, not UTF-8 or holds a
-    ``"``; fewer records than non-blank lines; or an odd ``"`` count in a
-    last line that ends in a line break (without one it ends the file,
-    where csv closes the quote too). Once no field holds a ``"``, each
-    ``"`` opens or closes a quoted field, so those last two mean some line
-    ends inside quotes: otherwise each line is one csv record. Ids are
+    ``"``; fewer records than non-blank lines; or an odd ``"`` count in the
+    last non-blank line when it ends in a line break (without one it ends
+    the file, where csv closes the quote too). Once no field holds a ``"``,
+    each ``"`` opens or closes a quoted field, so those last two mean some
+    line ends inside quotes: otherwise each line is one csv record. Ids are
     numbered in ``index`` only once every check has passed.
     """
     text = "".join(lines)
     if not text.strip("\r\n"):  # blank lines only: loadtxt would warn, find no rows
         return _empty_block()
-    quoted = '"' in text
     if (any(c in text for c in _SEPARATORS)
             or not (text.isascii()
                     or all("".join(line.rsplit(",", 6)[1:]).isascii() for line in lines))):
@@ -327,11 +326,11 @@ def _loadtxt_block(lines: list[str], index: dict[str, int]) -> tuple | None:
                 _check_row(row, 0)
         # numpy 1.23 to 1.26 reads ``1.5`` into an int column with only a
         # DeprecationWarning; raised as an error it declines the lines, as a
-        # ValueError does. A quote character costs time on unquoted lines.
+        # ValueError does.
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             table = np.loadtxt(lines, dtype=_RECORD, delimiter=",", comments=None,
-                               quotechar='"' if quoted else None, ndmin=1)
+                               quotechar='"', ndmin=1)
     except (ValueError, OverflowError, DeprecationWarning, csv.Error, LogParseError):
         return None
     # copies, so that the chunk's id strings are freed with ``table``
@@ -339,12 +338,12 @@ def _loadtxt_block(lines: list[str], index: dict[str, int]) -> tuple | None:
     ids = table["player_id"]
     starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
     heads = [pid.strip() for pid in ids[starts].tolist()]
+    last = next(line for line in reversed(lines) if line not in _BLANK)
     if (not all(np.all(np.isfinite(c) & (c >= lowest))
                 for c, (_, _, lowest) in zip(columns, _FIELDS))
-            or not all(heads) or _undecodable(heads)
-            or quoted and ('"' in "".join(heads)
-                           or lines[-1].count('"') % 2 and lines[-1].endswith(_BLANK)
-                           or len(ids) != len(lines) - sum(map(lines.count, _BLANK)))):
+            or not all(heads) or _undecodable(heads) or '"' in "".join(heads)
+            or len(ids) != len(lines) - sum(map(lines.count, _BLANK))
+            or last.count('"') % 2 and last.endswith(_BLANK)):
         return None
     codes = [index.setdefault(pid, len(index)) for pid in heads]
     return np.repeat(np.array(codes, dtype=np.int64),

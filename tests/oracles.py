@@ -4,10 +4,10 @@ Everything here evaluates the defining formulas directly with fresh counts
 per time point (no risk tables, no cumulative tricks, no code shared with
 the library), deliberately O(n^2), so library bugs cannot cancel out. The
 record-based dataset reference shares ``SurvivalRecord`` and the exception
-types; the log-pipeline reference shares only the exception types. The
-record-by-record ingest reference shares the row checks and the table
-types: it judges the np.loadtxt pass, not the input rule. The
-split-rule reference is the per-feature tree-growth code that the
+types; the log-pipeline reference shares only the exception types and
+states the input rule itself. The record-by-record ingest reference
+shares the row checks and the table types: it judges the np.loadtxt
+pass, not the input rule. The split-rule reference is the per-feature tree-growth code that the
 per-node hoist replaced, on float columns as before rank codes; it shares
 the forest's bin-count and permutation-test helpers. The routing reference
 at the end is the level walk the child-table route replaced.
@@ -243,9 +243,21 @@ REFERENCE_FEATURES = (
 Row = namedtuple("Row", "day_index playtime_hours level sessions actions purchases")
 
 
+# What no field may hold once csv has unquoted it.
+_BANNED = '"\r\n\x1c\x1d\x1e\x1f'
+
+
+def _plain_number(raw):
+    """Refuse what int() and float() read but the input rule does not:
+    non-ASCII text, ``_`` and the banned characters."""
+    if not raw.isascii() or "_" in raw or any(c in raw for c in _BANNED):
+        raise ValueError(raw)
+    return raw
+
+
 def _parse_int(raw, column, line, minimum=0):
     try:
-        value = int(raw)
+        value = int(_plain_number(raw))
     except ValueError:
         raise LogParseError(
             f"line {line}: column {column!r} is not an integer: {raw!r}", line
@@ -258,7 +270,7 @@ def _parse_int(raw, column, line, minimum=0):
 
 def _parse_float(raw, column, line):
     try:
-        value = float(raw)
+        value = float(_plain_number(raw))
     except ValueError:
         raise LogParseError(
             f"line {line}: column {column!r} is not a number: {raw!r}", line
@@ -287,6 +299,10 @@ def reference_ingest(path):
                 raise LogParseError(
                     f"line {line_no}: expected {len(REFERENCE_HEADER)} columns, "
                     f"got {len(row)}", line_no)
+            if any(c in row[0] for c in _BANNED):
+                raise LogParseError(
+                    f"line {line_no}: player_id holds a quote, line break or "
+                    f"\\x1c-\\x1f: {row[0]!r}", line_no)
             pid = row[0].strip()
             if not pid:
                 raise LogParseError(f"line {line_no}: empty player_id", line_no)

@@ -459,6 +459,10 @@ class TestColumnarEquivalence:
         (1, "one"), (1, ""), (1, "-1"), (1, "1.5"), (1, "1e3"), (1, "0x1f"),
         (2, "abc"), (2, ""), (2, "-0.5"), (2, "nan"), (2, "inf"), (2, "1e400"),
         (3, "0"), (3, "-3"), (4, "-1"), (5, "x"), (6, "-2"), (6, "1,0"),
+        # the input rule: ASCII numbers without "_"; no field holds a quote,
+        # a line break or \x1c-\x1f once unquoted
+        (0, 'a"b'), (0, '"a\nb"'), (0, "a\x1fb"), (2, "1_0.5"), (4, "\xa05"),
+        (5, "1_000"), (5, "\u0661"), (6, '"0\x1c"'), (6, '"""0"""'),
     ])
     def test_single_cell_errors_match_reference(self, tmp_path, column, value,
                                                 block_rows):
@@ -593,15 +597,15 @@ FAULTY_IDS = ("{}\udcff", "{}\x1c", '"\x1c{}"', '"a""{}"', 'a"{}', '"{}\nx"', '"
 @st.composite
 def edge_csv(draw):
     """A log file's text: a cohort whose ids may be non-ASCII, longer than
-    64 characters, padded or quoted, one of them perhaps faulty, with edge
+    64 characters, padded or quoted, some perhaps faulty, with edge
     fields spliced into cells, every cell of a record quoted, extra blank or
     white-space lines, rows of 6 or 8 columns, and LF, CRLF or bare CR line
     endings, the last perhaps left off."""
     body, _ = draw(cohort_csv())
-    names = {f"p{i}": draw(st.sampled_from(ID_VARIANTS)).format(f"p{i}") for i in range(8)}
-    if draw(st.booleans()):
-        faulty = f"p{draw(st.integers(0, 7))}"
-        names[faulty] = draw(st.sampled_from(FAULTY_IDS)).format(faulty)
+    # each id is faulty one time in eight, so a file may hold several
+    names = {f"p{i}": draw(st.sampled_from(
+        FAULTY_IDS if draw(st.integers(0, 7)) == 0 else ID_VARIANTS)).format(f"p{i}")
+        for i in range(8)}
     records = [",".join([names[r.split(",")[0]]] + r.split(",")[1:]) if r else r
                for r in body.splitlines()]
     fields = st.sampled_from(EDGE_FIELDS) | st.sampled_from(PARSER_TRAPS)
@@ -649,10 +653,12 @@ class TestLoadtxtPass:
     @pytest.mark.parametrize("block_rows", [1, 2, 3])
     @pytest.mark.parametrize("record", [
         '"b\nc",1,1.0,1,1,1,0', '"b,\r\nc",1,1.0,1,1,1,0', '"b,1,1.0,1,1,1,0',
-        'b",1,1.0,1,1,1,0', '"b""",1,1.0,1,1,1,0', 'b,1,1.0,1,1,1,"0\n"'])
+        'b",1,1.0,1,1,1,0', '"b""",1,1.0,1,1,1,0', 'b,1,1.0,1,1,1,"0\n"',
+        'b,1,1.0,1,1,1,"0\n'])
     def test_quote_across_a_chunk_edge(self, tmp_path, record, block_rows):
-        """A quoted field that runs on into the next chunk, or a quote left
-        in a field, fails at its record whichever chunk holds its lines."""
+        """A quoted field that runs on into the next chunk, past blank lines
+        too, or a quote left in a field, fails at its record whichever chunk
+        holds its lines."""
         body = f"a,0,1.0,1,1,1,0\n{record}\nb,2,1.0,1,1,1,0\n"
         with mock.patch.object(pipeline, "_BLOCK_ROWS", block_rows):
             self.assert_same_outcome(tmp_path, HEADER + body)
