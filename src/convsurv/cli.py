@@ -245,7 +245,10 @@ def cmd_predict(args) -> int:
     data = build_dataset(_load_filtered(args.data), model_file.axis)
     if args.curve is not None:
         if args.curve not in data.subject_ids:
-            raise EmptyInputError(f"player {args.curve!r} not found in input data")
+            # a second read, so the unfiltered table is not held while predicting
+            raise EmptyInputError(f"player {args.curve!r} " + (
+                "was dropped by the newcomer filter (< 2 active days)"
+                if args.curve in ingest_logs(args.data).ids else "not found in input data"))
         curve = predict_subject_curve(
             model_file.model, data.covariate_matrix[data.subject_ids.index(args.curve)])
         _write_csv(args.out, ["time", "value"],

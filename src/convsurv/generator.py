@@ -33,6 +33,9 @@ deep in the censored tail.
 
 Generation is deterministic per (seed, player index): each player has an
 independent RNG substream, so output files are byte-identical per seed.
+Each stream gives its eight scalar draws first; churn day, purchase and
+login probability are then computed for all players at once, under the
+observation rule calibration uses, and the sized draws come last.
 """
 
 from __future__ import annotations
@@ -141,13 +144,22 @@ def _last_possible_day(cfg: GeneratorConfig, reg_day):
     return cfg.observation_window_days - 1 - reg_day
 
 
+def _observe(cfg: GeneratorConfig, reg, t_churn, t_conv):
+    """Each player's last activity day and whether its purchase is observed:
+    within the activity span, the window and the intent horizon."""
+    last_day = np.clip(np.floor(t_churn).astype(int), 1, _last_possible_day(cfg, reg))
+    observed = (np.floor(t_conv).astype(int)
+                <= np.minimum(last_day, _CONV_HORIZON_DAYS))
+    return last_day, observed
+
+
 def _calibrate_intercept(cfg: GeneratorConfig) -> float:
     """Root-find the propensity intercept hitting the target PU rate.
 
     Uses a fixed-stream Monte Carlo cohort of multi-day players and the
-    exact observation rule (purchase within the activity span), so the
-    expectation being matched is the realized converter fraction among
-    players that survive the >= 2 login-day filter.
+    players' observation rule, so the expectation being matched is the
+    realized converter fraction among players that survive the >= 2
+    login-day filter.
     """
     rng = np.random.default_rng((cfg.seed, _CALIBRATION_STREAM))
     m = _CALIBRATION_PLAYERS
@@ -157,10 +169,7 @@ def _calibrate_intercept(cfg: GeneratorConfig) -> float:
     t_churn = _churn_scale(z1, z2) * rng.weibull(_CHURN_SHAPE, m)
     u_impulse = rng.random(m)
     t_conv = _conversion_scale(z1, z2, u_impulse) * rng.weibull(_CONV_SHAPE, m)
-    max_day = _last_possible_day(cfg, reg)
-    last_day = np.minimum(np.maximum(np.floor(t_churn).astype(int), 1), max_day)
-    observable = (np.floor(t_conv).astype(int)
-                  <= np.minimum(last_day, _CONV_HORIZON_DAYS))
+    _, observable = _observe(cfg, reg, t_churn, t_conv)
     eta = _propensity_eta(z1, z2)
 
     def realized(intercept: float) -> float:
@@ -179,42 +188,15 @@ def _calibrate_intercept(cfg: GeneratorConfig) -> float:
     return high
 
 
-def _simulate_player(pid: str, rng: np.random.Generator, cfg: GeneratorConfig,
-                     intercept: float) -> tuple[tuple[np.ndarray, ...], GroundTruth]:
-    """The player's log columns, in ``PlayerRow`` field order, and ground truth."""
-    # draw order is fixed; changing it would silently reshuffle all output
-    z1 = rng.standard_normal()
-    z2 = rng.standard_normal()
-    is_otc = rng.random() < cfg.one_time_comer_rate
-    reg = int(rng.integers(0, _registration_limit(cfg)))
-    u_flag = rng.random()
-    t_churn = _churn_scale(z1, z2) * rng.weibull(_CHURN_SHAPE)
-    u_impulse = rng.random()
-    t_conv = (float(_conversion_scale(z1, z2, np.asarray(u_impulse)))
-              * rng.weibull(_CONV_SHAPE))
-
-    max_day = _last_possible_day(cfg, reg)
-    if is_otc:
-        active_days = np.array([0])
-        churn_day = 0
-        churned = True
-        conv_day = None
-    else:
-        churn_day = min(max(int(math.floor(t_churn)), 1), max_day)
-        churned = churn_day < max_day
-        flagged = (cfg.pu_propensity > 0.0
-                   and u_flag < float(_sigmoid(intercept + _propensity_eta(z1, z2))))
-        conv_day = int(math.floor(t_conv)) if flagged else None
-        if conv_day is not None and conv_day > min(
-                churn_day, _CONV_HORIZON_DAYS):
-            conv_day = None  # purchase intent faded before it materialized
-        login_prob = float(_sigmoid(0.6 + 0.8 * z1))
-        mids = np.arange(1, churn_day)
-        active = mids[rng.random(mids.size) < login_prob]
-        days = {0, churn_day} | set(int(d) for d in active)
-        if conv_day is not None:
-            days.add(conv_day)
-        active_days = np.array(sorted(days))
+def _simulate_player(rng: np.random.Generator, z1: float, z2: float, reg: int,
+                     last_day: int, conv_day: int | None, login_prob: float):
+    """The player's log columns, in ``PlayerRow`` field order, from its sized
+    draws; a one-time comer's ``last_day`` is 0."""
+    active = np.ones(last_day + 1, dtype=bool)  # day 0 and the last day are active
+    active[1:-1] = rng.random(max(last_day - 1, 0)) < login_prob
+    if conv_day is not None:
+        active[conv_day] = True
+    active_days = np.flatnonzero(active)
 
     n_days = active_days.size
     playtime = np.minimum(
@@ -233,16 +215,8 @@ def _simulate_player(pid: str, rng: np.random.Generator, cfg: GeneratorConfig,
         purchases[conv_pos] = 1
         later = rng.random(n_days - conv_pos - 1) < 0.2
         purchases[conv_pos + 1:][later] += 1
-
-    truth = GroundTruth(
-        player_id=pid,
-        true_converter=conv_day is not None,
-        true_conversion_day=conv_day,
-        true_churn_day=churn_day if churned else None,
-    )
-    columns = (reg + active_days, np.round(playtime, 3), levels, sessions,
-               actions, purchases)
-    return columns, truth
+    return (reg + active_days, np.round(playtime, 3), levels, sessions,
+            actions, purchases)
 
 
 def generate_synthetic(cfg: GeneratorConfig) -> tuple[PlayerLogs, list[GroundTruth]]:
@@ -250,13 +224,34 @@ def generate_synthetic(cfg: GeneratorConfig) -> tuple[PlayerLogs, list[GroundTru
     intercept = _calibrate_intercept(cfg) if cfg.pu_propensity > 0 else -math.inf
     width = len(str(cfg.n_players - 1))
     ids = [f"p{i:0{width}d}" for i in range(cfg.n_players)]
-    players, truths = zip(*(
-        _simulate_player(pid, np.random.default_rng((cfg.seed, i)), cfg, intercept)
-        for i, pid in enumerate(ids)))
+    rngs = [np.random.default_rng((cfg.seed, i)) for i in range(cfg.n_players)]
+    # each stream's draw order is fixed: these eight scalars, then the sized
+    # draws of _simulate_player; changing it silently reshuffles all output
+    limit = _registration_limit(cfg)
+    z1, z2, u_otc, reg, u_flag, w_churn, u_impulse, w_conv = np.array([
+        (*rng.standard_normal(2), rng.random(), rng.integers(0, limit), rng.random(),
+         rng.weibull(_CHURN_SHAPE), rng.random(), rng.weibull(_CONV_SHAPE))
+        for rng in rngs]).T
+    reg = reg.astype(int)
+    t_conv = _conversion_scale(z1, z2, u_impulse) * w_conv
+    last_day, observed = _observe(cfg, reg, _churn_scale(z1, z2) * w_churn, t_conv)
+    is_otc = u_otc < cfg.one_time_comer_rate
+    last_day[is_otc] = 0
+    churned = last_day < _last_possible_day(cfg, reg)
+    converted = (~is_otc & observed
+                 & (u_flag < _sigmoid(intercept + _propensity_eta(z1, z2))))
+    conv_days = [int(d) if c else None for c, d in zip(
+        converted.tolist(), np.floor(t_conv).tolist())]
+    players = [_simulate_player(*args) for args in zip(
+        rngs, z1.tolist(), z2.tolist(), reg.tolist(), last_day.tolist(), conv_days,
+        _sigmoid(0.6 + 0.8 * z1).tolist())]
+    truths = [GroundTruth(pid, d is not None, d, day if gone else None)
+              for pid, d, day, gone in zip(ids, conv_days, last_day.tolist(),
+                                           churned.tolist())]
     day, *columns = (np.concatenate(c) for c in zip(*players))
     offsets = np.cumsum([0] + [p[0].size for p in players])
     # every player is active on its registration day
-    return PlayerLogs(ids, day[offsets[:-1]], offsets, day, *columns), list(truths)
+    return PlayerLogs(ids, day[offsets[:-1]], offsets, day, *columns), truths
 
 
 def write_logs_csv(logs: PlayerLogs | list[PlayerLog], path) -> None:

@@ -10,7 +10,8 @@ shares the row checks and the table types: it judges the np.loadtxt
 pass, not the input rule. The split-rule reference is the per-feature tree-growth code that the
 per-node hoist replaced, on float columns as before rank codes; it shares
 the forest's bin-count and permutation-test helpers. The routing reference
-at the end is the level walk the child-table route replaced.
+is the level walk the child-table route replaced. The generator reference
+at the end is the per-player simulation that the array pass replaced.
 """
 
 import csv
@@ -20,8 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from convsurv import generator as gen
 from convsurv.core import EventStatus, SurvivalRecord, TimeAxis
 from convsurv.errors import (
+    ConfigError,
     EmptyInputError,
     LogParseError,
     LogValidationError,
@@ -608,3 +611,112 @@ def reference_route(tree, x):
         go_left = x[rows, tree.feature[nodes]] <= tree.threshold[nodes]
         cur[rows] = np.where(go_left, tree.left[nodes], tree.right[nodes])
     return tree.leaf_index[cur]
+
+
+# ---------------------------------------------------------------------------
+# Generator reference: one player at a time, each stream's draws interleaved
+# with its scalar arithmetic, and the observation rule written out twice,
+# once in calibration and once per player. It shares the latent-to-scale
+# laws and the constants with the library.
+
+def _reference_intercept(cfg):
+    rng = np.random.default_rng((cfg.seed, gen._CALIBRATION_STREAM))
+    m = gen._CALIBRATION_PLAYERS
+    z1 = rng.standard_normal(m)
+    z2 = rng.standard_normal(m)
+    reg = rng.integers(0, gen._registration_limit(cfg), size=m)
+    t_churn = gen._churn_scale(z1, z2) * rng.weibull(gen._CHURN_SHAPE, m)
+    u_impulse = rng.random(m)
+    t_conv = gen._conversion_scale(z1, z2, u_impulse) * rng.weibull(gen._CONV_SHAPE, m)
+    max_day = cfg.observation_window_days - 1 - reg
+    last_day = np.minimum(np.maximum(np.floor(t_churn).astype(int), 1), max_day)
+    observable = (np.floor(t_conv).astype(int)
+                  <= np.minimum(last_day, gen._CONV_HORIZON_DAYS))
+    eta = gen._propensity_eta(z1, z2)
+
+    def realized(intercept):
+        return float(np.mean(gen._sigmoid(intercept + eta) * observable)) - cfg.pu_propensity
+
+    if realized(8.0) < 0:
+        raise ConfigError(
+            "pu_propensity unreachable: even certain converters fall outside "
+            "the observation window; widen it")
+    low, high = -25.0, 8.0
+    for _ in range(64):
+        mid = 0.5 * (low + high)
+        low, high = (mid, high) if realized(mid) < 0 else (low, mid)
+    return high
+
+
+def _reference_player(pid, rng, cfg, intercept):
+    z1 = rng.standard_normal()
+    z2 = rng.standard_normal()
+    is_otc = rng.random() < cfg.one_time_comer_rate
+    reg = int(rng.integers(0, gen._registration_limit(cfg)))
+    u_flag = rng.random()
+    t_churn = gen._churn_scale(z1, z2) * rng.weibull(gen._CHURN_SHAPE)
+    u_impulse = rng.random()
+    t_conv = (float(gen._conversion_scale(z1, z2, np.asarray(u_impulse)))
+              * rng.weibull(gen._CONV_SHAPE))
+
+    max_day = cfg.observation_window_days - 1 - reg
+    if is_otc:
+        active_days = np.array([0])
+        churn_day = 0
+        churned = True
+        conv_day = None
+    else:
+        churn_day = min(max(int(math.floor(t_churn)), 1), max_day)
+        churned = churn_day < max_day
+        flagged = (cfg.pu_propensity > 0.0
+                   and u_flag < float(gen._sigmoid(intercept + gen._propensity_eta(z1, z2))))
+        conv_day = int(math.floor(t_conv)) if flagged else None
+        if conv_day is not None and conv_day > min(
+                churn_day, gen._CONV_HORIZON_DAYS):
+            conv_day = None
+        login_prob = float(gen._sigmoid(0.6 + 0.8 * z1))
+        mids = np.arange(1, churn_day)
+        active = mids[rng.random(mids.size) < login_prob]
+        days = {0, churn_day} | set(int(d) for d in active)
+        if conv_day is not None:
+            days.add(conv_day)
+        active_days = np.array(sorted(days))
+
+    n_days = active_days.size
+    playtime = np.minimum(
+        rng.lognormal(-0.5 + 0.3 * z1, 0.55, n_days), 16.0)
+    sessions = 1 + rng.poisson(1.2 * math.exp(0.25 * z1 + 0.3 * z2), n_days)
+    actions = rng.poisson(60.0 * playtime + 5.0 * sessions)
+    damp = (1.0 + active_days) ** -0.2
+    level_gain = rng.poisson(3.0 * np.sqrt(playtime) * math.exp(0.22 * z2) * damp)
+    levels = 1 + np.cumsum(level_gain)
+
+    purchases = np.zeros(n_days, dtype=int)
+    if conv_day is not None:
+        conv_pos = int(np.searchsorted(active_days, conv_day))
+        purchases[conv_pos] = 1
+        later = rng.random(n_days - conv_pos - 1) < 0.2
+        purchases[conv_pos + 1:][later] += 1
+
+    truth = gen.GroundTruth(
+        player_id=pid,
+        true_converter=conv_day is not None,
+        true_conversion_day=conv_day,
+        true_churn_day=churn_day if churned else None,
+    )
+    columns = (reg + active_days, np.round(playtime, 3), levels, sessions,
+               actions, purchases)
+    return columns, truth
+
+
+def reference_generate(cfg):
+    """(log table, ground truth) for ``cfg``, as ``generate_synthetic`` gives."""
+    intercept = _reference_intercept(cfg) if cfg.pu_propensity > 0 else -math.inf
+    width = len(str(cfg.n_players - 1))
+    ids = [f"p{i:0{width}d}" for i in range(cfg.n_players)]
+    players, truths = zip(*(
+        _reference_player(pid, np.random.default_rng((cfg.seed, i)), cfg, intercept)
+        for i, pid in enumerate(ids)))
+    day, *columns = (np.concatenate(c) for c in zip(*players))
+    offsets = np.cumsum([0] + [p[0].size for p in players])
+    return PlayerLogs(ids, day[offsets[:-1]], offsets, day, *columns), list(truths)

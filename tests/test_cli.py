@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +180,25 @@ class TestPredict:
         values = [float(r["value"]) for r in read_rows(out)]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
         assert all(0.0 <= v <= 1.0 for v in values)
+
+    def test_curve_for_a_single_day_player_names_the_newcomer_filter(
+            self, data_dir, rsf_model, tmp_path, capsys):
+        rows = Counter(r["player_id"] for r in read_rows(data_dir / "logs.csv"))
+        pid = next(p for p, n in rows.items() if n == 1)
+        rc = main(["predict", "--model", str(rsf_model),
+                   "--data", str(data_dir / "logs.csv"),
+                   "--curve", pid, "--out", str(tmp_path / "curve.csv")])
+        assert rc == 2
+        assert (f"player {pid!r} was dropped by the newcomer filter (< 2 active days)"
+                in capsys.readouterr().err)
+
+    def test_curve_for_an_absent_player_says_not_found(self, data_dir, rsf_model,
+                                                       tmp_path, capsys):
+        rc = main(["predict", "--model", str(rsf_model),
+                   "--data", str(data_dir / "logs.csv"),
+                   "--curve", "nobody", "--out", str(tmp_path / "curve.csv")])
+        assert rc == 2
+        assert "player 'nobody' not found in input data" in capsys.readouterr().err
 
     @pytest.mark.parametrize("model_kind,target", [
         ("cox", "lifetime"), ("rsf-cr", "playtime"), ("cif", "level"),

@@ -4,18 +4,25 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from convsurv.cli import main
 from convsurv.core import EventStatus, TimeAxis
 from convsurv.errors import ConfigError
 from convsurv.generator import (
     GeneratorConfig,
+    _observe,
     generate_synthetic,
     read_ground_truth_csv,
     write_ground_truth_csv,
     write_logs_csv,
 )
 from convsurv.pipeline import build_dataset, filter_newcomers, ingest_logs
+
+from oracles import reference_generate
+
+TABLE_FIELDS = ("registration", "offsets", "day_index", "playtime_hours", "level",
+                "sessions", "actions", "purchases")
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +57,24 @@ class TestDeterminism:
          "8311df128f950c1ba1664b0b6178bff389decaf3533799c96872df9dec9174ef",
          "724a9cdce9c560a1441846174adddbb620a2b4e190ab05fa992fd38d3a1dc3d5",
          "300 players, 211 multi-day, 16 observed converters (7.58% of multi-day)"),
+        (["--players", "300", "--pu-rate", "0", "--seed", "3"],
+         "2c7315c7a74d0251a69bf17e000c7ce577af988591628f7181f095abd5a3bd78",
+         "187a85ffedf83845ea429e58536e1f1b35b8e442148c7d0d65949a225566b3ed",
+         "300 players, 211 multi-day, 0 observed converters (0.00% of multi-day)"),
+        (["--players", "300", "--one-time-rate", "0", "--seed", "5"],
+         "47da045010f403bc455c4b02ba3eaa0b81fbe14500febaf5a0ed98e0463793c1",
+         "807f910fa3e3c4aa529eda8b6351621f1a1dfa9ff1d7dc076d1d7ebc1ebb8c4a",
+         "300 players, 300 multi-day, 19 observed converters (6.33% of multi-day)"),
+        # a 20-day window floors the registration limit at 1
+        (["--players", "300", "--window", "20", "--seed", "13"],
+         "f84161dbe0a445a03ed3e61e0692b30d63b8df8e5dee8d6e78d79d3260a0c0d7",
+         "50bc3be86fb178dfa7fd8a5b6474eca0cbbc8d9f92fff2ec97e5b37a8294d691",
+         "300 players, 221 multi-day, 6 observed converters (2.71% of multi-day)"),
+        # the cohort of both benchmark workloads
+        (["--players", "20000", "--window", "60", "--seed", "7"],
+         "7bcfd1c267ac7f670cdf94b1911a0b79786c986434814578122a4fb932e669c1",
+         "243a48dd64d30d075c0eafc61fecde7f32d1ae2edec972ff1d36d5a429a91db7",
+         "20000 players, 14986 multi-day, 814 observed converters (5.43% of multi-day)"),
     ])
     def test_pinned_files_and_summary(self, tmp_path, capsys, argv, logs_sha,
                                       truth_sha, summary):
@@ -64,8 +89,7 @@ class TestDeterminism:
         write_logs_csv(logs, tmp_path / "logs.csv")
         table = ingest_logs(tmp_path / "logs.csv")
         assert table.ids == logs.ids
-        for name in ("registration", "offsets", "day_index", "playtime_hours",
-                     "level", "sessions", "actions", "purchases"):
+        for name in TABLE_FIELDS:
             got, want = getattr(table, name), getattr(logs, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
 
@@ -74,6 +98,62 @@ class TestDeterminism:
         path = tmp_path / "t.csv"
         write_ground_truth_csv(truths, path)
         assert read_ground_truth_csv(path) == truths
+
+
+class TestReference:
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=st.builds(
+        GeneratorConfig,
+        n_players=st.integers(1, 300),
+        pu_propensity=st.just(0.0) | st.floats(0.01, 0.2),
+        observation_window_days=st.integers(5, 200),
+        one_time_comer_rate=st.floats(0.0, 0.9),
+        seed=st.integers(0, 2**32 - 1)))
+    @example(cfg=GeneratorConfig(n_players=30, pu_propensity=0.5,
+                                 observation_window_days=5))  # unreachable
+    def test_matches_per_player_reference(self, cfg):
+        """The array pass gives the per-player simulation's table and truth,
+        or fails with its ConfigError."""
+        try:
+            ref_logs, ref_truths = reference_generate(cfg)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as caught:
+                generate_synthetic(cfg)
+            assert str(caught.value) == str(exc)
+            return
+        logs, truths = generate_synthetic(cfg)
+        assert logs.ids == ref_logs.ids
+        for name in TABLE_FIELDS:
+            got, want = getattr(logs, name), getattr(ref_logs, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert truths == ref_truths
+
+
+class TestObservationRule:
+    """The rule calibration and players share, at its edges."""
+
+    cfg = GeneratorConfig(n_players=1, observation_window_days=60)
+
+    def observe(self, t_churn, t_conv, reg=0):
+        last_day, observed = _observe(self.cfg, np.array([reg]), np.array([t_churn]),
+                                      np.array([t_conv]))
+        return int(last_day[0]), bool(observed[0])
+
+    def test_churn_before_day_one_keeps_day_one(self):
+        assert self.observe(0.4, 5.0) == (1, False)
+        assert self.observe(0.4, 1.5) == (1, True)
+
+    def test_churn_past_the_window_stops_at_its_last_day(self):
+        assert self.observe(500.0, 5.0, reg=10)[0] == 60 - 1 - 10
+        assert self.observe(59.0, 5.0)[0] == 59
+
+    def test_intent_horizon_ends_after_day_21(self):
+        assert self.observe(50.0, 21.9) == (50, True)
+        assert self.observe(50.0, 22.0) == (50, False)
+
+    def test_purchase_on_the_last_active_day_is_observed(self):
+        assert self.observe(10.5, 10.9) == (10, True)
+        assert self.observe(10.5, 11.0) == (10, False)
 
 
 class TestCalibration:
