@@ -75,6 +75,15 @@ class TestDeterminism:
          "7bcfd1c267ac7f670cdf94b1911a0b79786c986434814578122a4fb932e669c1",
          "243a48dd64d30d075c0eafc61fecde7f32d1ae2edec972ff1d36d5a429a91db7",
          "20000 players, 14986 multi-day, 814 observed converters (5.43% of multi-day)"),
+        (["--players", "20000", "--window", "60", "--seed", "11"],
+         "fbef52096490600a6e7be42f0d18942bff4cae1a0becf99385617f01ac255ed3",
+         "74f6fb18082db96102746b4e10dde63058abba7505b731908b938818cc21be9b",
+         "20000 players, 15014 multi-day, 779 observed converters (5.19% of multi-day)"),
+        # the acceptance suite's BENCH_SEED
+        (["--players", "20000", "--window", "60", "--seed", "20240817"],
+         "311c645f3bf5e829c1453f16a17a8d66eead4de08b8187bcb4139ff62080ecbc",
+         "05e8e7ac0f875f255fbe410867b1953ad505d63d166c96ae2458a0b62c99153d",
+         "20000 players, 14862 multi-day, 800 observed converters (5.38% of multi-day)"),
     ])
     def test_pinned_files_and_summary(self, tmp_path, capsys, argv, logs_sha,
                                       truth_sha, summary):
