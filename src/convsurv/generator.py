@@ -35,7 +35,9 @@ Generation is deterministic per (seed, player index): each player has an
 independent RNG substream, so output files are byte-identical per seed.
 Each stream gives its eight scalar draws first; churn day, purchase and
 login probability are then computed for all players at once, under the
-observation rule calibration uses, and the sized draws come last.
+observation rule calibration uses. Then each sized draw is one pass over
+the streams (logins, playtime, sessions, actions with level gains, repeat
+purchases), with the arithmetic between passes on flat arrays.
 """
 
 from __future__ import annotations
@@ -188,45 +190,14 @@ def _calibrate_intercept(cfg: GeneratorConfig) -> float:
     return high
 
 
-def _simulate_player(rng: np.random.Generator, z1: float, z2: float, reg: int,
-                     last_day: int, conv_day: int | None, login_prob: float):
-    """The player's log columns, in ``PlayerRow`` field order, from its sized
-    draws; a one-time comer's ``last_day`` is 0."""
-    active = np.ones(last_day + 1, dtype=bool)  # day 0 and the last day are active
-    active[1:-1] = rng.random(max(last_day - 1, 0)) < login_prob
-    if conv_day is not None:
-        active[conv_day] = True
-    active_days = np.flatnonzero(active)
-
-    n_days = active_days.size
-    playtime = np.minimum(
-        rng.lognormal(-0.5 + 0.3 * z1, 0.55, n_days), 16.0)
-    sessions = 1 + rng.poisson(1.2 * math.exp(0.25 * z1 + 0.3 * z2), n_days)
-    actions = rng.poisson(60.0 * playtime + 5.0 * sessions)
-    # diminishing, intensity-compressed progression: heavy players level
-    # faster, but not so fast that casual lifers never reach their range
-    damp = (1.0 + active_days) ** -0.2
-    level_gain = rng.poisson(3.0 * np.sqrt(playtime) * math.exp(0.22 * z2) * damp)
-    levels = 1 + np.cumsum(level_gain)
-
-    purchases = np.zeros(n_days, dtype=int)
-    if conv_day is not None:
-        conv_pos = int(np.searchsorted(active_days, conv_day))
-        purchases[conv_pos] = 1
-        later = rng.random(n_days - conv_pos - 1) < 0.2
-        purchases[conv_pos + 1:][later] += 1
-    return (reg + active_days, np.round(playtime, 3), levels, sessions,
-            actions, purchases)
-
-
 def generate_synthetic(cfg: GeneratorConfig) -> tuple[PlayerLogs, list[GroundTruth]]:
     """Simulate ``cfg.n_players`` players; returns (log table, ground truth)."""
     intercept = _calibrate_intercept(cfg) if cfg.pu_propensity > 0 else -math.inf
     width = len(str(cfg.n_players - 1))
     ids = [f"p{i:0{width}d}" for i in range(cfg.n_players)]
     rngs = [np.random.default_rng((cfg.seed, i)) for i in range(cfg.n_players)]
-    # each stream's draw order is fixed: these eight scalars, then the sized
-    # draws of _simulate_player; changing it silently reshuffles all output
+    # each stream's draw order is fixed: these eight scalars, then one pass
+    # over the streams per sized draw below; changing it reshuffles all output
     limit = _registration_limit(cfg)
     z1, z2, u_otc, reg, u_flag, w_churn, u_impulse, w_conv = np.array([
         (*rng.standard_normal(2), rng.random(), rng.integers(0, limit), rng.random(),
@@ -240,18 +211,46 @@ def generate_synthetic(cfg: GeneratorConfig) -> tuple[PlayerLogs, list[GroundTru
     churned = last_day < _last_possible_day(cfg, reg)
     converted = (~is_otc & observed
                  & (u_flag < _sigmoid(intercept + _propensity_eta(z1, z2))))
-    conv_days = [int(d) if c else None for c, d in zip(
-        converted.tolist(), np.floor(t_conv).tolist())]
-    players = [_simulate_player(*args) for args in zip(
-        rngs, z1.tolist(), z2.tolist(), reg.tolist(), last_day.tolist(), conv_days,
-        _sigmoid(0.6 + 0.8 * z1).tolist())]
-    truths = [GroundTruth(pid, d is not None, d, day if gone else None)
-              for pid, d, day, gone in zip(ids, conv_days, last_day.tolist(),
-                                           churned.tolist())]
-    day, *columns = (np.concatenate(c) for c in zip(*players))
-    offsets = np.cumsum([0] + [p[0].size for p in players])
-    # every player is active on its registration day
-    return PlayerLogs(ids, day[offsets[:-1]], offsets, day, *columns), truths
+    # the purchase day, or a day past the span for players who never buy
+    buy_day = np.where(converted, np.floor(t_conv).astype(int), last_day + 1)
+    # logins: days 0 and last_day are active, the purchase day too, and each
+    # day between with the player's login probability
+    span = last_day + 1
+    owner = np.repeat(np.arange(cfg.n_players), span)
+    day = np.arange(span.sum()) - (np.cumsum(span) - span)[owner]
+    between = (day > 0) & (day < last_day[owner])
+    logins = np.concatenate([
+        rng.random(k) for rng, k in zip(rngs, (span - 2).clip(0).tolist())])
+    active = ~between | (day == buy_day[owner])
+    active[between] |= logins < _sigmoid(0.6 + 0.8 * z1)[owner[between]]
+    owner, day = owner[active], day[active]
+    n_days = np.bincount(owner, minlength=cfg.n_players)
+    offsets = np.concatenate(([0], np.cumsum(n_days)))
+    playtime = np.minimum(np.concatenate([rng.lognormal(m, 0.55, k) for rng, m, k in zip(
+        rngs, (-0.5 + 0.3 * z1).tolist(), n_days.tolist())]), 16.0)
+    # math.exp, not np.exp: the two differ in the last bit on some rates
+    sessions = 1 + np.concatenate([rng.poisson(1.2 * math.exp(x), k) for rng, x, k in zip(
+        rngs, (0.25 * z1 + 0.3 * z2).tolist(), n_days.tolist())])
+    # diminishing, intensity-compressed progression: heavy players level
+    # faster, but not so fast that casual lifers never reach their range
+    level_rate = np.array([math.exp(0.22 * z) for z in z2.tolist()])[owner]
+    rates = np.stack((60.0 * playtime + 5.0 * sessions,
+                      3.0 * np.sqrt(playtime) * level_rate * (1.0 + day) ** -0.2))
+    # one call per stream draws its actions, then its level gains
+    actions, gains = np.hstack([rng.poisson(rates[:, a:b]) for rng, a, b in zip(
+        rngs, offsets[:-1].tolist(), offsets[1:].tolist())])
+    total = np.cumsum(gains)
+    levels = 1 + total - (total - gains)[offsets[:-1]][owner]
+    # repeat purchases: each active day after a converter's purchase day
+    later = day > buy_day[owner]
+    purchases = (day == buy_day[owner]).astype(int)
+    purchases[later] += np.concatenate([np.empty(0), *(rng.random(k) for rng, k in zip(
+        rngs, np.bincount(owner[later], minlength=cfg.n_players).tolist()) if k)]) < 0.2
+    truths = [GroundTruth(pid, c, d if c else None, last if gone else None)
+              for pid, c, d, last, gone in zip(ids, converted.tolist(), buy_day.tolist(),
+                                              last_day.tolist(), churned.tolist())]
+    return PlayerLogs(ids, reg, offsets, reg[owner] + day, np.round(playtime, 3), levels,
+                      sessions, actions, purchases), truths
 
 
 def write_logs_csv(logs: PlayerLogs | list[PlayerLog], path) -> None:

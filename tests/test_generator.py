@@ -120,9 +120,17 @@ class TestReference:
         seed=st.integers(0, 2**32 - 1)))
     @example(cfg=GeneratorConfig(n_players=30, pu_propensity=0.5,
                                  observation_window_days=5))  # unreachable
+    @example(cfg=GeneratorConfig(n_players=1, seed=4))
+    # the repeat-purchase pass makes no draw at all
+    @example(cfg=GeneratorConfig(n_players=200, pu_propensity=0.0, seed=8))
+    # long spans with many converters: many repeat-purchase draws
+    @example(cfg=GeneratorConfig(n_players=200, one_time_comer_rate=0.0,
+                                 pu_propensity=0.2, observation_window_days=200,
+                                 seed=12))
+    @example(cfg=GeneratorConfig(n_players=200, observation_window_days=5, seed=6))
     def test_matches_per_player_reference(self, cfg):
-        """The array pass gives the per-player simulation's table and truth,
-        or fails with its ConfigError."""
+        """The passes over all streams give the per-player simulation's table
+        and truth, or fail with its ConfigError."""
         try:
             ref_logs, ref_truths = reference_generate(cfg)
         except ConfigError as exc:
