@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import EventStatus, StepFunction, SurvivalDataset, TimeAxis, row_chunks
 from .errors import (
     ConfigError,
@@ -482,19 +483,31 @@ def fit_rsf_competing(data: SurvivalDataset, cfg: ForestConfig,
 
 # --- prediction ---------------------------------------------------------
 #
-# Leaf curves are held as knot tables (_knot_table): the size of the leaf
-# counts they come from, not n_leaves x grid. Medians bisect the grid
-# against them one row chunk at a time.
+# Each call builds every tree's dense leaf table (a row of grid values per
+# leaf) once while all of them fit CHUNK_BYTES. Past that, bisection
+# searches knot tables (_knot_table), the size of the leaf counts, and
+# scans rebuild one tree's table at a time. Memory is that plus one row
+# chunk, whatever the row count.
 
 # Medians on shorter grids scan whole curves: there, gathering every grid
-# point of a row chunk costs less than log2(grid) knot-table searches
-# (measured crossover near 400 points, 60 trees, 15k rows).
+# point of a row chunk cost less than log2(grid) knot-table searches
+# (measured crossover near 400 points, 60 trees, 15k rows). Steps that
+# gather from dense tables cost less, so the crossover now lies lower.
 _BISECT_MIN_GRID = 400
 
 
 def _curve_width(grid: np.ndarray, curve: str) -> int:
     """Columns of one leaf's row of a dense table of ``curve``."""
     return grid.size * (2 if curve == "pooled" else 1)
+
+
+def _tables_once(model: ForestModel, width: int, build):
+    """Every tree's ``build(tree)``, a table of ``width`` float64 columns
+    per leaf, built now if all of them fit CHUNK_BYTES together; else None."""
+    n_leaves = sum(len(tree.leaves) for tree in model.trees)
+    if 8 * width * n_leaves > core.CHUNK_BYTES:
+        return None
+    return [build(tree) for tree in model.trees]
 
 
 def _route(tree: SurvivalTree, x: np.ndarray) -> np.ndarray:
@@ -547,8 +560,19 @@ def _leaf_counts(tree: SurvivalTree, grid: np.ndarray) -> tuple:
 
 
 def _leaf_keys(leaf: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Knot-table key of grid index 0 in each ``leaf``; index g adds g."""
+    """Table key of grid index 0 in each ``leaf``; index g adds g."""
     return (grid.size + 2) * np.asarray(leaf, dtype=np.int64)
+
+
+def _knot_values(tree: SurvivalTree, grid: np.ndarray, curve: str) -> tuple:
+    """(present, ranks, values) of one named curve of every leaf: column 0
+    of ``values`` is the value before the leaf's first knot, column k + 1
+    its value at knot k, of grid rank ``ranks[:, k]``."""
+    present, ranks, at_risk, d_conv, d_churn = _leaf_counts(tree, grid)
+    values_at_knots, left_value = COUNT_CURVES[curve]
+    values = np.hstack([np.full((present.shape[0], 1), left_value),
+                        values_at_knots(at_risk, d_conv, d_churn)])
+    return present, ranks, values
 
 
 def _knot_table(tree: SurvivalTree, grid: np.ndarray, curve: str) -> tuple:
@@ -559,13 +583,10 @@ def _knot_table(tree: SurvivalTree, grid: np.ndarray, curve: str) -> tuple:
     the knot's grid rank. Leaf l's value at grid index g is thus the last
     entry keyed <= _leaf_keys(l) + g (see _knot_lookup).
     """
-    present, ranks, at_risk, d_conv, d_churn = _leaf_counts(tree, grid)
-    values_at_knots, left_value = COUNT_CURVES[curve]
+    present, ranks, values = _knot_values(tree, grid, curve)
     n_leaves = present.shape[0]
     keys = (np.hstack([np.full((n_leaves, 1), -1), ranks])
             + _leaf_keys(np.arange(n_leaves), grid)[:, None])
-    values = np.hstack([np.full((n_leaves, 1), left_value),
-                        values_at_knots(at_risk, d_conv, d_churn)])
     entries = np.hstack([np.ones((n_leaves, 1), dtype=bool), present])
     # the leading placeholder lets the count of keys <= a query index the
     # last of them
@@ -578,12 +599,28 @@ def _knot_lookup(table: tuple, queries: np.ndarray) -> np.ndarray:
     return values[np.searchsorted(keys, queries, side="right")]
 
 
+def _dense_table(tree: SurvivalTree, grid: np.ndarray, curve: str) -> np.ndarray:
+    """(n_leaves, len(grid) + 2) values of one named curve of every leaf:
+    leaf l's value at grid index g is in column g, at flat index
+    _leaf_keys(l) + g; the last two columns repeat the last value.
+
+    Each knot's number is marked at its grid rank and carried forward, so
+    every grid index picks the last knot at or before it (0, the value
+    before the first knot, where there is none). A leaf's knots are
+    distinct grid points, so no mark overwrites another.
+    """
+    present, ranks, values = _knot_values(tree, grid, curve)
+    last = np.zeros((present.shape[0], grid.size + 2), dtype=np.intp)
+    leaf, knot = np.nonzero(present)
+    last[leaf, ranks[present]] = knot + 1
+    return np.take_along_axis(values, np.maximum.accumulate(last, axis=1), axis=1)
+
+
 def _leaf_curve_matrix(tree: SurvivalTree, grid: np.ndarray, curve: str) -> np.ndarray:
     """(n_leaves, len(grid)) values of one named per-leaf curve.
 
-    The dense expansion of the curve's knot table. ``"pooled"`` holds
-    counts instead, (n_leaves, 2 * len(grid)): events at each grid time,
-    then subjects at risk there.
+    ``"pooled"`` holds counts instead, (n_leaves, 2 * len(grid)): events
+    at each grid time, then subjects at risk there.
     """
     if curve == "pooled":
         present, ranks, _, d_conv, d_churn = _leaf_counts(tree, grid)
@@ -591,9 +628,7 @@ def _leaf_curve_matrix(tree: SurvivalTree, grid: np.ndarray, curve: str) -> np.n
         rows[np.nonzero(present)[0], ranks[present]] = (d_conv + d_churn)[present]
         rows[:, grid.size:] = [leaf.at_risk_grid for leaf in tree.leaves]
         return rows
-    queries = (_leaf_keys(np.arange(len(tree.leaves)), grid)[:, None]
-               + np.arange(grid.size))
-    return _knot_lookup(_knot_table(tree, grid, curve), queries)
+    return np.ascontiguousarray(_dense_table(tree, grid, curve)[:, :grid.size])
 
 
 def _check_x_matrix(model: ForestModel, x) -> np.ndarray:
@@ -605,17 +640,20 @@ def _check_x_matrix(model: ForestModel, x) -> np.ndarray:
     return x
 
 
-def _tree_sum(model: ForestModel, x, curve: str) -> np.ndarray:
+def _tree_sum(model: ForestModel, x, curve: str, tables=None) -> np.ndarray:
     """Per-subject sum over the trees, in tree order, of its leaf's curve.
 
-    Leaf tables are gathered one row chunk at a time, so the only
-    temporary beside the result is one chunk wide.
+    ``tables`` are the trees' _leaf_curve_matrix tables if already built;
+    without them each tree's is built in turn. Leaf tables are gathered
+    one row chunk at a time, so the only temporary beside the result is
+    one chunk wide.
     """
     x = _check_x_matrix(model, x)
     width = _curve_width(model.grid, curve)
+    if tables is None:
+        tables = (_leaf_curve_matrix(tree, model.grid, curve) for tree in model.trees)
     acc = np.zeros((x.shape[0], width))
-    for tree in model.trees:
-        table = _leaf_curve_matrix(tree, model.grid, curve)
+    for tree, table in zip(model.trees, tables):
         leaf = _route(tree, x)
         for rows in row_chunks(x.shape[0], width):
             acc[rows] += table[leaf[rows]]
@@ -691,19 +729,27 @@ def _bisect_crossing(model: ForestModel, x: np.ndarray, curve: str,
 
     Leaf curves are monotone and rounded addition is monotone, so the
     tree-order sum at each grid index is monotone too: bisecting it finds
-    the crossing a scan of the whole curve finds. Each row chunk is routed
-    through every tree once, into a chunk x trees block of leaf keys. The
-    chunk width is the tree count, but at least the grid length: a few
-    trees alone would let a chunk reach millions of rows, and its dozen
-    row-length vectors would then outweigh the leaf keys.
+    the crossing a scan of the whole curve finds. Each step reads one
+    value per tree at the row's leaf key plus the step's grid index: one
+    gather from the trees' dense tables while all of them fit CHUNK_BYTES,
+    else a knot-table search. Each row chunk is routed through every tree
+    once, into a chunk x trees block of leaf keys. The chunk width is the
+    tree count, but at least the grid length: a few trees alone would let
+    a chunk reach millions of rows, and its dozen row-length vectors would
+    then outweigh the leaf keys.
     """
-    n_grid = model.grid.size
-    tables = [_knot_table(tree, model.grid, curve) for tree in model.trees]
+    grid = model.grid
+    n_grid = grid.size
+    tables = _tables_once(model, n_grid + 2,
+                          lambda tree: _dense_table(tree, grid, curve).ravel())
+    lookup = np.take
+    if tables is None:
+        tables = [_knot_table(tree, grid, curve) for tree in model.trees]
+        lookup = _knot_lookup
     first = np.empty(x.shape[0], dtype=np.int64)
     for rows in row_chunks(x.shape[0], max(len(model.trees), n_grid)):
         xs = x[rows]
-        leaf_keys = [_leaf_keys(_route(tree, xs), model.grid)
-                     for tree in model.trees]
+        leaf_keys = [_leaf_keys(_route(tree, xs), grid) for tree in model.trees]
         lo = np.zeros(xs.shape[0], dtype=np.int64)
         hi = np.full(xs.shape[0], n_grid)
         for _ in range(n_grid.bit_length()):
@@ -712,7 +758,7 @@ def _bisect_crossing(model: ForestModel, x: np.ndarray, curve: str,
             mid = np.minimum((lo + hi) // 2, n_grid - 1)
             acc = np.zeros(xs.shape[0])
             for table, keys in zip(tables, leaf_keys):
-                acc += _knot_lookup(table, keys + mid)
+                acc += lookup(table, keys + mid)
             hit = crossed(acc)
             hi = np.where(hit, mid, hi)
             lo = np.where(hit, lo, mid + 1)
@@ -724,10 +770,14 @@ def predict_median_batch(model: ForestModel, x) -> np.ndarray:
     """Vectorized medians; NaN where the curve never crosses 0.5.
 
     Mean-aggregated kinds on grids of _BISECT_MIN_GRID points or more
-    bisect the grid one row chunk at a time, so memory is the model's knot
-    tables plus one chunk. Otherwise the curve is computed and scanned per
-    row chunk: pooled survival is a running product over the grid, and
-    short grids scan faster than they bisect.
+    bisect the grid one row chunk at a time (see _bisect_crossing).
+    Otherwise the curve is computed and scanned per row chunk: pooled
+    survival is a running product over the grid, and short grids scan
+    faster than they bisect. Either path builds each tree's dense leaf
+    table once per call while all of them fit CHUNK_BYTES; past that the
+    bisection searches knot tables and the scan rebuilds one tree's table
+    at a time for each chunk. Memory is those tables plus one row chunk,
+    whatever the row count.
     """
     x = _check_x_matrix(model, x)
     out = np.full(x.shape[0], np.nan)
@@ -738,9 +788,12 @@ def predict_median_batch(model: ForestModel, x) -> np.ndarray:
     if curve != "pooled" and n_grid >= _BISECT_MIN_GRID:
         first = _bisect_crossing(model, x, curve, crossed)
     else:
+        width = _curve_width(model.grid, curve)
+        tables = _tables_once(model, width,
+                              lambda tree: _leaf_curve_matrix(tree, model.grid, curve))
         first = np.empty(x.shape[0], dtype=np.int64)
-        for rows in row_chunks(x.shape[0], _curve_width(model.grid, curve)):
-            hit = crossed(_tree_sum(model, x[rows], curve))
+        for rows in row_chunks(x.shape[0], width):
+            hit = crossed(_tree_sum(model, x[rows], curve, tables))
             first[rows] = np.where(hit.any(axis=1), np.argmax(hit, axis=1), n_grid)
     found = first < n_grid
     out[found] = model.grid[first[found]]

@@ -10,7 +10,9 @@ shares the row checks and the table types: it judges the np.loadtxt
 pass, not the input rule. The split-rule reference is the per-feature tree-growth code that the
 per-node hoist replaced, on float columns as before rank codes; it shares
 the forest's bin-count and permutation-test helpers. The routing reference
-is the level walk the child-table route replaced. The generator reference
+is the level walk the child-table route replaced. The leaf-curve reference
+is the knot-table expansion that the forward-filled dense tables replaced;
+it shares the forest's knot tables. The generator reference
 at the end is the per-player simulation that the array pass replaced.
 """
 
@@ -31,7 +33,14 @@ from convsurv.errors import (
     ShapeMismatchError,
     StratificationError,
 )
-from convsurv.forest import _bin_matrix, _feature_pvalues, _score_moments
+from convsurv.forest import (
+    _bin_matrix,
+    _feature_pvalues,
+    _knot_lookup,
+    _knot_table,
+    _leaf_keys,
+    _score_moments,
+)
 from convsurv.pipeline import PlayerLog, PlayerLogs, PlayerRow, _check_row
 
 
@@ -611,6 +620,16 @@ def reference_route(tree, x):
         go_left = x[rows, tree.feature[nodes]] <= tree.threshold[nodes]
         cur[rows] = np.where(go_left, tree.left[nodes], tree.right[nodes])
     return tree.leaf_index[cur]
+
+
+# ---------------------------------------------------------------------------
+# Leaf-curve reference: one knot-table search per leaf and grid index.
+
+def reference_leaf_curve_matrix(tree, grid, curve):
+    """(n_leaves, len(grid)) values of one named mean curve of every leaf."""
+    queries = (_leaf_keys(np.arange(len(tree.leaves)), grid)[:, None]
+               + np.arange(grid.size))
+    return _knot_lookup(_knot_table(tree, grid, curve), queries)
 
 
 # ---------------------------------------------------------------------------

@@ -851,18 +851,30 @@ class TestLogFileEdges:
         assert len(err) == 1 and "player 'p1'" in err[0]
 
 
-def test_cli_import_leaves_out_scipy_stats_and_optimize(tmp_path):
+def test_cli_import_leaves_out_scipy_stats_and_optimize(data_dir, tmp_path):
     """Start-up cost: nothing needs scipy.stats or scipy.optimize, and
     scipy.special loads only where a p-value or a band is computed; a
-    ``generate`` run loads none of them."""
+    ``generate`` run loads none of them, and a forest ``predict`` that
+    bisects a long grid loads no scipy.sparse either."""
+    model = tmp_path / "rsf-cr.json"
+    assert main(["train", "--data", str(data_dir / "logs.csv"), "--model", "rsf-cr",
+                 "--target", "playtime", "--train-frac", "0.9", "--trees", "3",
+                 "--seed", "5", "--out", str(model)]) == 0
+    from convsurv import forest
+    assert len(json.loads(model.read_text())["model"]["grid"]) >= forest._BISECT_MIN_GRID
     script = ("import sys, convsurv.cli as cli\n"
-              "heavy = lambda: [m for m in ('scipy.stats', 'scipy.optimize', 'scipy.special')"
-              " if m in sys.modules]\n"
+              "heavy = lambda: [m for m in ('scipy.stats', 'scipy.optimize', 'scipy.special',"
+              " 'scipy.sparse') if m in sys.modules]\n"
               "loaded = heavy()\n"
               "code = cli.main(['generate', '--players', '50', '--seed', '3',"
               " '--out', sys.argv[1]])\n"
-              "print(code, loaded, heavy())\n")
+              "print(code, loaded, heavy())\n"
+              "code = cli.main(['predict', '--model', sys.argv[2], '--data', sys.argv[3],"
+              " '--out', sys.argv[4]])\n"
+              "print(code, heavy())\n")
     out = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path / "g")],
+        [sys.executable, "-c", script, str(tmp_path / "g"), str(model),
+         str(data_dir / "logs.csv"), str(tmp_path / "pred.csv")],
         env=src_env(), capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout.splitlines()[-1] == "0 [] []"
+    lines = out.stdout.splitlines()
+    assert "0 [] []" in lines and lines[-1] == "0 []"

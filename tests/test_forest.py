@@ -1,12 +1,13 @@
 """Tree ensembles: splitting behavior, aggregation identities, determinism."""
 
+import dataclasses
 import functools
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from convsurv import core, forest
@@ -26,6 +27,7 @@ from convsurv.forest import (
     Leaf,
     SurvivalTree,
     _leaf_curve_matrix,
+    _median_terms,
     _route,
     fit_conditional_ensemble,
     fit_rsf,
@@ -433,6 +435,51 @@ class TestHandmadeEnsemble:
         assert predict_forest_median(model, np.zeros(1)) is None
 
 
+MEAN_CURVES = ("cumhaz", "survival", "cif_conv", "cif_churn")
+# (grid index, conversions, churns, censorings) of one leaf's knots
+LEAF_KNOTS = st.lists(st.tuples(st.integers(0, 39), st.integers(0, 3),
+                                st.integers(0, 3), st.integers(0, 2)), max_size=8)
+
+
+def knot_tree(n_grid, leaves):
+    """(tree, grid) whose leaves hold the given knots, each at the grid
+    index it names modulo the grid size (repeats dropped), with the
+    number at risk counting down from one more than the leaf's removals.
+    Only the leaves are read by the tables."""
+    grid = np.arange(1, n_grid + 1) * 0.5
+    built = []
+    for knots in leaves:
+        kept = {}
+        for index, conv, churn, cens in knots:
+            kept.setdefault(index % n_grid, (conv, churn, cens))
+        ranks = np.array(sorted(kept), dtype=int)
+        conv, churn, cens = np.array([kept[r] for r in ranks], dtype=int).reshape(-1, 3).T
+        at_risk = 1 + np.cumsum((conv + churn + cens)[::-1])[::-1]
+        built.append(Leaf(times=grid[ranks], at_risk=at_risk, d_conv=conv, d_churn=churn))
+    return dataclasses.replace(handmade_stump([1, 1], [0, 0]), leaves=built), grid
+
+
+class TestDenseTables:
+    @settings(max_examples=200, deadline=None)
+    @given(n_grid=st.integers(1, 40), leaves=st.lists(LEAF_KNOTS, min_size=1, max_size=6),
+           curve=st.sampled_from(MEAN_CURVES))
+    @example(n_grid=5, leaves=[[(1, 1, 0, 1), (3, 0, 1, 0)]], curve="cif_conv")
+    @example(n_grid=6, leaves=[[(0, 2, 1, 0)], [(2, 1, 0, 2), (4, 0, 1, 1)]],
+             curve="survival")
+    @example(n_grid=4, leaves=[[(3, 1, 1, 1)], [(0, 1, 0, 0), (3, 2, 0, 0)], []],
+             curve="cumhaz")
+    @example(n_grid=1, leaves=[[(0, 1, 2, 0)], []], curve="cif_churn")
+    def test_forward_fill_matches_knot_lookup(self, n_grid, leaves, curve):
+        """Every leaf's dense curve equals its knot-table lookup at every
+        grid index: one-leaf trees, leaves without knots, knots on the
+        grid's first and last points."""
+        tree, grid = knot_tree(n_grid, leaves)
+        got = _leaf_curve_matrix(tree, grid, curve)
+        want = oracles.reference_leaf_curve_matrix(tree, grid, curve)
+        assert got.shape == (len(leaves), n_grid)
+        assert np.array_equal(got, want)
+
+
 def scan_medians(model, x):
     """Oracle: the first grid point where the full predicted curve crosses."""
     if model.kind == ForestKind.COMPETING:
@@ -513,6 +560,45 @@ class TestMedianBisection:
             assert np.isnan(medians).any() and not np.isnan(medians).all()
         for model in median_models()[4:]:
             assert scan_medians(model, np.zeros((1, 1)))[0] == 1.0
+
+    @pytest.mark.parametrize("which", [0, 2, 3, 5, 7])
+    def test_dense_tables_only_within_the_budget(self, which):
+        """Bisection gathers from dense tables when all of them fit
+        CHUNK_BYTES exactly and searches knot tables one byte below; both
+        give the full curve's first crossing."""
+        model = median_models()[which]
+        x = np.random.default_rng(5).standard_normal((60, model.n_features)) * 2
+        expect = scan_medians(model, x)
+        dense = 8 * (model.grid.size + 2) * sum(len(t.leaves) for t in model.trees)
+        for chunk_bytes, knot_tables in ((dense, 0), (dense - 1, len(model.trees))):
+            spy = mock.Mock(wraps=forest._knot_table)
+            with mock.patch.object(core, "CHUNK_BYTES", chunk_bytes), \
+                    mock.patch.object(forest, "_BISECT_MIN_GRID", 0), \
+                    mock.patch.object(forest, "_knot_table", spy):
+                got = predict_median_batch(model, x)
+            assert spy.call_count == knot_tables
+            assert np.array_equal(got, expect, equal_nan=True)
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_scan_builds_each_table_once_within_the_budget(self, which):
+        """A scanned batch of several row chunks builds each tree's leaf
+        table once when all of them fit CHUNK_BYTES, and once per chunk one
+        byte below; the medians are those of one chunk."""
+        model = median_models()[which]
+        width = forest._curve_width(model.grid, _median_terms(model)[0])
+        tables = 8 * width * sum(len(t.leaves) for t in model.trees)
+        x = np.random.default_rng(8).standard_normal((300, 3)) * 2
+        with mock.patch.object(forest, "_BISECT_MIN_GRID", 10**9):
+            whole = predict_median_batch(model, x)
+            for chunk_bytes, fits in ((tables, True), (tables - 1, False)):
+                spy = mock.Mock(wraps=forest._leaf_curve_matrix)
+                with mock.patch.object(core, "CHUNK_BYTES", chunk_bytes), \
+                        mock.patch.object(forest, "_leaf_curve_matrix", spy):
+                    n_chunks = len(core.row_chunks(len(x), width))
+                    got = predict_median_batch(model, x)
+                assert n_chunks > 1
+                assert spy.call_count == len(model.trees) * (1 if fits else n_chunks)
+                assert np.array_equal(got, whole, equal_nan=True)
 
     def test_memory_does_not_grow_with_rows(self):
         """Peak traced memory of a competing-risks median batch over a
