@@ -483,31 +483,21 @@ def fit_rsf_competing(data: SurvivalDataset, cfg: ForestConfig,
 
 # --- prediction ---------------------------------------------------------
 #
-# Each call builds every tree's dense leaf table (a row of grid values per
-# leaf) once while all of them fit CHUNK_BYTES. Past that, bisection
-# searches knot tables (_knot_table), the size of the leaf counts, and
-# scans rebuild one tree's table at a time. Memory is that plus one row
-# chunk, whatever the row count.
+# Medians bisect the grid one row chunk at a time. Each call builds every
+# tree's dense leaf table (a row of grid values per leaf) once while all of
+# them fit CHUNK_BYTES, and knot tables (_knot_table), the size of the leaf
+# counts, past that. Scans build one tree's dense table at a time for each
+# row chunk. Memory is that plus one row chunk, whatever the row count.
 
 # Medians on shorter grids scan whole curves: there, gathering every grid
-# point of a row chunk cost less than log2(grid) knot-table searches
-# (measured crossover near 400 points, 60 trees, 15k rows). Steps that
-# gather from dense tables cost less, so the crossover now lies lower.
+# point of a row chunk costs less than log2(grid) knot-table searches
+# (measured crossover near 400 points, 60 trees, 15k rows).
 _BISECT_MIN_GRID = 400
 
 
 def _curve_width(grid: np.ndarray, curve: str) -> int:
     """Columns of one leaf's row of a dense table of ``curve``."""
     return grid.size * (2 if curve == "pooled" else 1)
-
-
-def _tables_once(model: ForestModel, width: int, build):
-    """Every tree's ``build(tree)``, a table of ``width`` float64 columns
-    per leaf, built now if all of them fit CHUNK_BYTES together; else None."""
-    n_leaves = sum(len(tree.leaves) for tree in model.trees)
-    if 8 * width * n_leaves > core.CHUNK_BYTES:
-        return None
-    return [build(tree) for tree in model.trees]
 
 
 def _route(tree: SurvivalTree, x: np.ndarray) -> np.ndarray:
@@ -640,20 +630,17 @@ def _check_x_matrix(model: ForestModel, x) -> np.ndarray:
     return x
 
 
-def _tree_sum(model: ForestModel, x, curve: str, tables=None) -> np.ndarray:
+def _tree_sum(model: ForestModel, x, curve: str) -> np.ndarray:
     """Per-subject sum over the trees, in tree order, of its leaf's curve.
 
-    ``tables`` are the trees' _leaf_curve_matrix tables if already built;
-    without them each tree's is built in turn. Leaf tables are gathered
-    one row chunk at a time, so the only temporary beside the result is
-    one chunk wide.
+    Leaf tables are gathered one row chunk at a time, so the only
+    temporary beside the result is one chunk wide.
     """
     x = _check_x_matrix(model, x)
     width = _curve_width(model.grid, curve)
-    if tables is None:
-        tables = (_leaf_curve_matrix(tree, model.grid, curve) for tree in model.trees)
     acc = np.zeros((x.shape[0], width))
-    for tree, table in zip(model.trees, tables):
+    for tree in model.trees:
+        table = _leaf_curve_matrix(tree, model.grid, curve)
         leaf = _route(tree, x)
         for rows in row_chunks(x.shape[0], width):
             acc[rows] += table[leaf[rows]]
@@ -740,10 +727,11 @@ def _bisect_crossing(model: ForestModel, x: np.ndarray, curve: str,
     """
     grid = model.grid
     n_grid = grid.size
-    tables = _tables_once(model, n_grid + 2,
-                          lambda tree: _dense_table(tree, grid, curve).ravel())
-    lookup = np.take
-    if tables is None:
+    n_leaves = sum(len(tree.leaves) for tree in model.trees)
+    if 8 * (n_grid + 2) * n_leaves <= core.CHUNK_BYTES:
+        tables = [_dense_table(tree, grid, curve).ravel() for tree in model.trees]
+        lookup = np.take
+    else:
         tables = [_knot_table(tree, grid, curve) for tree in model.trees]
         lookup = _knot_lookup
     first = np.empty(x.shape[0], dtype=np.int64)
@@ -770,14 +758,13 @@ def predict_median_batch(model: ForestModel, x) -> np.ndarray:
     """Vectorized medians; NaN where the curve never crosses 0.5.
 
     Mean-aggregated kinds on grids of _BISECT_MIN_GRID points or more
-    bisect the grid one row chunk at a time (see _bisect_crossing).
-    Otherwise the curve is computed and scanned per row chunk: pooled
-    survival is a running product over the grid, and short grids scan
-    faster than they bisect. Either path builds each tree's dense leaf
-    table once per call while all of them fit CHUNK_BYTES; past that the
-    bisection searches knot tables and the scan rebuilds one tree's table
-    at a time for each chunk. Memory is those tables plus one row chunk,
-    whatever the row count.
+    bisect the grid one row chunk at a time, against every tree's dense
+    table while all of them fit CHUNK_BYTES and its knot table past that
+    (see _bisect_crossing). Otherwise the curve is computed and scanned per
+    row chunk, one tree's dense table at a time: pooled survival is a
+    running product over the grid, and short grids scan faster than they
+    bisect. Memory is those tables plus one row chunk, whatever the row
+    count.
     """
     x = _check_x_matrix(model, x)
     out = np.full(x.shape[0], np.nan)
@@ -788,12 +775,9 @@ def predict_median_batch(model: ForestModel, x) -> np.ndarray:
     if curve != "pooled" and n_grid >= _BISECT_MIN_GRID:
         first = _bisect_crossing(model, x, curve, crossed)
     else:
-        width = _curve_width(model.grid, curve)
-        tables = _tables_once(model, width,
-                              lambda tree: _leaf_curve_matrix(tree, model.grid, curve))
         first = np.empty(x.shape[0], dtype=np.int64)
-        for rows in row_chunks(x.shape[0], width):
-            hit = crossed(_tree_sum(model, x[rows], curve, tables))
+        for rows in row_chunks(x.shape[0], _curve_width(model.grid, curve)):
+            hit = crossed(_tree_sum(model, x[rows], curve))
             first[rows] = np.where(hit.any(axis=1), np.argmax(hit, axis=1), n_grid)
     found = first < n_grid
     out[found] = model.grid[first[found]]

@@ -27,7 +27,6 @@ from convsurv.forest import (
     Leaf,
     SurvivalTree,
     _leaf_curve_matrix,
-    _median_terms,
     _route,
     fit_conditional_ensemble,
     fit_rsf,
@@ -578,27 +577,6 @@ class TestMedianBisection:
                 got = predict_median_batch(model, x)
             assert spy.call_count == knot_tables
             assert np.array_equal(got, expect, equal_nan=True)
-
-    @pytest.mark.parametrize("which", [0, 1])
-    def test_scan_builds_each_table_once_within_the_budget(self, which):
-        """A scanned batch of several row chunks builds each tree's leaf
-        table once when all of them fit CHUNK_BYTES, and once per chunk one
-        byte below; the medians are those of one chunk."""
-        model = median_models()[which]
-        width = forest._curve_width(model.grid, _median_terms(model)[0])
-        tables = 8 * width * sum(len(t.leaves) for t in model.trees)
-        x = np.random.default_rng(8).standard_normal((300, 3)) * 2
-        with mock.patch.object(forest, "_BISECT_MIN_GRID", 10**9):
-            whole = predict_median_batch(model, x)
-            for chunk_bytes, fits in ((tables, True), (tables - 1, False)):
-                spy = mock.Mock(wraps=forest._leaf_curve_matrix)
-                with mock.patch.object(core, "CHUNK_BYTES", chunk_bytes), \
-                        mock.patch.object(forest, "_leaf_curve_matrix", spy):
-                    n_chunks = len(core.row_chunks(len(x), width))
-                    got = predict_median_batch(model, x)
-                assert n_chunks > 1
-                assert spy.call_count == len(model.trees) * (1 if fits else n_chunks)
-                assert np.array_equal(got, whole, equal_nan=True)
 
     def test_memory_does_not_grow_with_rows(self):
         """Peak traced memory of a competing-risks median batch over a
