@@ -55,6 +55,22 @@ def row_chunks(n: int, width: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, n, step)]
 
 
+def first_crossing(n_rows: int, n_points: int, crossed_at) -> np.ndarray:
+    """Each row's first index in range(n_points) where ``crossed_at`` holds,
+    n_points where none does. ``crossed_at`` maps one index per row to one
+    bool per row and must turn false to true at most once along a row."""
+    lo = np.zeros(n_rows, dtype=np.int64)
+    hi = np.full(n_rows, n_points, dtype=np.int64)
+    for _ in range(n_points.bit_length()):
+        # once lo == hi, mid re-tests a settled answer; the clamp keeps
+        # rows that never cross inside the range
+        mid = np.minimum((lo + hi) // 2, n_points - 1)
+        hit = crossed_at(mid)
+        hi = np.where(hit, mid, hi)
+        lo = np.where(hit, lo, mid + 1)
+    return lo
+
+
 @dataclass(frozen=True)
 class StepFunction:
     """Right-continuous piecewise-constant function over time.

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EventStatus, StepFunction, SurvivalDataset, row_chunks
+from .core import EventStatus, StepFunction, SurvivalDataset, first_crossing
 from .estimators import event_counts
 from .errors import (
     ConfigError,
@@ -246,8 +246,8 @@ def predict_cox_median(fit: CoxFit, x) -> float | None:
 def predict_median_batch(fit: CoxFit, x) -> np.ndarray:
     """Vectorized medians for a covariate matrix; NaN where never crossed.
 
-    Survival is evaluated one row chunk at a time, so memory stays at one
-    chunk x knots block whatever the row count.
+    The baseline is non-decreasing, so survival falls along the knots, and
+    core.first_crossing bisects them in a few row-length vectors.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != fit.beta.shape[0]:
@@ -255,17 +255,13 @@ def predict_median_batch(fit: CoxFit, x) -> np.ndarray:
             f"covariate matrix has {x.shape[1]} columns, expected {fit.beta.shape[0]}"
         )
     h0 = fit.baseline_cum_hazard
-    out = np.full(x.shape[0], np.nan)
-    if h0.knots.size == 0:
-        return out
     # a huge beta' x overflows to an infinite risk, which times a zero
-    # baseline hazard is NaN: that row never crosses
+    # baseline hazard is NaN: that row has not crossed at such a knot
     with np.errstate(over="ignore", invalid="ignore"):
         risk = np.exp(x @ fit.beta)
-        for rows in row_chunks(x.shape[0], h0.knots.size):
-            surv = np.outer(risk[rows], h0.values)
-            crossed = np.exp(np.negative(surv, out=surv), out=surv) <= 0.5
-            del surv  # the next chunk's block replaces it, not joins it
-            out[rows] = np.where(crossed.any(axis=1),
-                                 h0.knots[np.argmax(crossed, axis=1)], np.nan)
+        first = first_crossing(x.shape[0], h0.knots.size,
+                               lambda k: np.exp(-(risk * h0.values[k])) <= 0.5)
+    out = np.full(x.shape[0], np.nan)
+    found = first < h0.knots.size
+    out[found] = h0.knots[first[found]]
     return out

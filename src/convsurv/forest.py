@@ -483,16 +483,9 @@ def fit_rsf_competing(data: SurvivalDataset, cfg: ForestConfig,
 
 # --- prediction ---------------------------------------------------------
 #
-# Medians bisect the grid one row chunk at a time. Each call builds every
-# tree's dense leaf table (a row of grid values per leaf) once while all of
-# them fit CHUNK_BYTES, and knot tables (_knot_table), the size of the leaf
-# counts, past that. Scans build one tree's dense table at a time for each
-# row chunk. Memory is that plus one row chunk, whatever the row count.
-
-# Medians on shorter grids scan whole curves: there, gathering every grid
-# point of a row chunk costs less than log2(grid) knot-table searches
-# (measured crossover near 400 points, 60 trees, 15k rows).
-_BISECT_MIN_GRID = 400
+# Medians of the mean-aggregated kinds bisect the grid (_bisect_crossing);
+# pooled survival is a running product, so its medians scan whole curves.
+# Memory is the leaf tables plus one row chunk, whatever the row count.
 
 
 def _curve_width(grid: np.ndarray, curve: str) -> int:
@@ -715,15 +708,15 @@ def _bisect_crossing(model: ForestModel, x: np.ndarray, curve: str,
     """First grid index where ``crossed`` holds, len(grid) where it never does.
 
     Leaf curves are monotone and rounded addition is monotone, so the
-    tree-order sum at each grid index is monotone too: bisecting it finds
-    the crossing a scan of the whole curve finds. Each step reads one
-    value per tree at the row's leaf key plus the step's grid index: one
-    gather from the trees' dense tables while all of them fit CHUNK_BYTES,
-    else a knot-table search. Each row chunk is routed through every tree
-    once, into a chunk x trees block of leaf keys. The chunk width is the
-    tree count, but at least the grid length: a few trees alone would let
-    a chunk reach millions of rows, and its dozen row-length vectors would
-    then outweigh the leaf keys.
+    tree-order sum along the grid is too: ``crossed`` turns true at most
+    once along a row, and core.first_crossing finds the crossing a scan of
+    the whole curve finds. Each step reads one value per tree at the row's
+    leaf key plus the step's grid index: one gather from the trees' dense
+    tables while all of them fit CHUNK_BYTES, else a knot-table search.
+    Each row chunk is routed through every tree once, into a chunk x trees
+    block of leaf keys. The chunk width is the tree count, but at least the
+    grid length: a few trees alone would let a chunk reach millions of
+    rows, and its dozen row-length vectors would then outweigh the leaf keys.
     """
     grid = model.grid
     n_grid = grid.size
@@ -738,32 +731,27 @@ def _bisect_crossing(model: ForestModel, x: np.ndarray, curve: str,
     for rows in row_chunks(x.shape[0], max(len(model.trees), n_grid)):
         xs = x[rows]
         leaf_keys = [_leaf_keys(_route(tree, xs), grid) for tree in model.trees]
-        lo = np.zeros(xs.shape[0], dtype=np.int64)
-        hi = np.full(xs.shape[0], n_grid)
-        for _ in range(n_grid.bit_length()):
-            # once lo == hi, mid re-tests a settled answer; the clamp keeps
-            # rows that never cross inside the grid
-            mid = np.minimum((lo + hi) // 2, n_grid - 1)
+
+        def crossed_at(mid):
             acc = np.zeros(xs.shape[0])
             for table, keys in zip(tables, leaf_keys):
                 acc += lookup(table, keys + mid)
-            hit = crossed(acc)
-            hi = np.where(hit, mid, hi)
-            lo = np.where(hit, lo, mid + 1)
-        first[rows] = lo
+            return crossed(acc)
+
+        first[rows] = core.first_crossing(xs.shape[0], n_grid, crossed_at)
+        del leaf_keys  # the next chunk's keys replace these, not join them
     return first
 
 
 def predict_median_batch(model: ForestModel, x) -> np.ndarray:
     """Vectorized medians; NaN where the curve never crosses 0.5.
 
-    Mean-aggregated kinds on grids of _BISECT_MIN_GRID points or more
-    bisect the grid one row chunk at a time, against every tree's dense
-    table while all of them fit CHUNK_BYTES and its knot table past that
-    (see _bisect_crossing). Otherwise the curve is computed and scanned per
-    row chunk, one tree's dense table at a time: pooled survival is a
-    running product over the grid, and short grids scan faster than they
-    bisect. Memory is those tables plus one row chunk, whatever the row
+    Mean-aggregated kinds bisect the grid one row chunk at a time, against
+    every tree's dense table while all of them fit CHUNK_BYTES and its knot
+    table past that (see _bisect_crossing). Pooled survival is a running
+    product over the grid, so it cannot be read at one grid index: its
+    curve is computed and scanned per row chunk, one tree's dense table at
+    a time. Memory is those tables plus one row chunk, whatever the row
     count.
     """
     x = _check_x_matrix(model, x)
@@ -772,7 +760,7 @@ def predict_median_batch(model: ForestModel, x) -> np.ndarray:
     if not n_grid:
         return out
     curve, crossed = _median_terms(model)
-    if curve != "pooled" and n_grid >= _BISECT_MIN_GRID:
+    if curve != "pooled":
         first = _bisect_crossing(model, x, curve, crossed)
     else:
         first = np.empty(x.shape[0], dtype=np.int64)

@@ -854,14 +854,12 @@ class TestLogFileEdges:
 def test_cli_import_leaves_out_scipy_stats_and_optimize(data_dir, tmp_path):
     """Start-up cost: nothing needs scipy.stats or scipy.optimize, and
     scipy.special loads only where a p-value or a band is computed; a
-    ``generate`` run loads none of them, and a forest ``predict`` that
-    bisects a long grid loads no scipy.sparse either."""
+    ``generate`` run loads none of them, and a forest ``predict``, which
+    bisects its grid, loads no scipy.sparse either."""
     model = tmp_path / "rsf-cr.json"
     assert main(["train", "--data", str(data_dir / "logs.csv"), "--model", "rsf-cr",
                  "--target", "playtime", "--train-frac", "0.9", "--trees", "3",
                  "--seed", "5", "--out", str(model)]) == 0
-    from convsurv import forest
-    assert len(json.loads(model.read_text())["model"]["grid"]) >= forest._BISECT_MIN_GRID
     script = ("import sys, convsurv.cli as cli\n"
               "heavy = lambda: [m for m in ('scipy.stats', 'scipy.optimize', 'scipy.special',"
               " 'scipy.sparse') if m in sys.modules]\n"

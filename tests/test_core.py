@@ -13,6 +13,7 @@ from convsurv.core import (
     TimeAxis,
     complement,
     evaluate_step,
+    first_crossing,
     median_crossing,
     survival_to_incidence,
 )
@@ -102,6 +103,35 @@ class TestMedianCrossing:
     def test_constant_survival_never_crosses(self):
         f = StepFunction(np.zeros(0), np.zeros(0), 1.0)
         assert median_crossing(f, 0.5) is None
+
+
+# 0 and 1 points, and point counts on either side of a power of two, where
+# the number of bisection steps changes
+POINT_COUNTS = st.sampled_from([0, 1] + [2**k + d for k in range(1, 11) for d in (-1, 1)])
+
+
+class TestFirstCrossing:
+    @settings(max_examples=200, deadline=None)
+    @given(n_points=POINT_COUNTS | st.integers(0, 300), data=st.data())
+    def test_matches_argmax_on_monotone_rows(self, n_points, data):
+        """Bisection gives each row's first true index, or n_points, on rows
+        that turn true once: at index 0, at the last index, anywhere, or
+        never; every probed index lies inside range(n_points)."""
+        edges = sorted({0, max(n_points - 1, 0), n_points})
+        cross = np.array(data.draw(st.lists(
+            st.sampled_from(edges) | st.integers(0, n_points), max_size=30)), dtype=int)
+        rows = np.arange(n_points) >= cross[:, None]
+        probed = []
+
+        def crossed_at(index):
+            probed.append(index)
+            return rows[np.arange(len(rows)), index]
+
+        got = first_crossing(len(rows), n_points, crossed_at)
+        expect = np.argmax(np.column_stack([rows, np.ones(len(rows), dtype=bool)]), axis=1)
+        assert np.array_equal(got, expect)
+        assert len(probed) == n_points.bit_length()
+        assert all(np.all((0 <= index) & (index < n_points)) for index in probed)
 
 
 class TestComplement:

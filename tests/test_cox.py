@@ -1,14 +1,13 @@
 """Proportional-hazards fitting against oracles, identities and guards."""
 
+import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from convsurv import core
 from convsurv.core import EventStatus, StepFunction
 from convsurv.cox import (
     ConvergenceInfo,
@@ -275,25 +274,39 @@ class TestMedian:
                       feature_names=("f0", "f1"),
                       convergence=ConvergenceInfo(0, 0.0, 0.0))
 
-    @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(1, 40), chunk_rows=st.integers(1, 45),
-           seed=st.integers(0, 2**32 - 1))
-    def test_row_chunks_match_the_whole_matrix(self, n, chunk_rows, seed):
-        """Medians computed one row chunk at a time equal the first
-        crossing of every row's full survival curve."""
-        fit = self.many_knot_fit(50)
-        x = np.random.default_rng(seed).standard_normal((n, 2)) * 2
-        h0 = fit.baseline_cum_hazard
-        crossed = np.exp(-np.outer(np.exp(x @ fit.beta), h0.values)) <= 0.5
-        expect = np.where(crossed.any(axis=1), h0.knots[np.argmax(crossed, axis=1)],
-                          np.nan)
-        with mock.patch.object(core, "CHUNK_BYTES", chunk_rows * 8 * h0.knots.size):
-            got = predict_median_batch(fit, x)
-        assert np.array_equal(got, expect, equal_nan=True)
+    @settings(max_examples=100, deadline=None)
+    @given(increments=st.lists(st.sampled_from([0.0, 0.01, 0.2, 1.0]) | st.floats(0, 2),
+                               max_size=50),
+           beta=st.tuples(st.floats(-300, 300), st.floats(-300, 300)),
+           x=st.lists(st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
+                      min_size=1, max_size=40))
+    @example(increments=[], beta=(1.0, -0.5), x=[(0.0, 0.0), (3.0, 1.0)])
+    @example(increments=[0.3], beta=(1.0, -0.5), x=[(0.0, 0.0), (3.0, 1.0)])
+    @example(increments=[math.log(2)], beta=(1.0, -0.5), x=[(0.0, 0.0)])
+    @example(increments=[0.0, 0.0, 0.2, 0.5], beta=(300.0, 0.0), x=[(5.0, 0.0)])
+    def test_bisection_matches_the_whole_matrix(self, increments, beta, x):
+        """Medians equal the first crossing of every row's full survival
+        curve: no knots, one knot, a survival of exactly 0.5 (ln 2 at x =
+        0), and a zero baseline prefix under an overflowing beta' x, whose
+        inf x 0 = NaN survival has not crossed before the first positive
+        knot."""
+        values = np.cumsum(increments)
+        knots = np.arange(1.0, values.size + 1.0)
+        fit = CoxFit(beta=np.array(beta),
+                     baseline_cum_hazard=StepFunction(knots, values, 0.0),
+                     feature_names=("f0", "f1"),
+                     convergence=ConvergenceInfo(0, 0.0, 0.0))
+        x = np.array(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            crossed = np.exp(-np.outer(np.exp(x @ fit.beta), values)) <= 0.5
+        first = np.argmax(np.column_stack([crossed, np.ones(len(x), dtype=bool)]), axis=1)
+        expect = np.append(knots, np.nan)[first]
+        assert np.array_equal(predict_median_batch(fit, x), expect, equal_nan=True)
 
     def test_memory_does_not_grow_with_rows(self):
         """Peak traced memory of a median batch over 1,500 baseline knots
-        stays at about one row chunk as rows grow."""
+        stays under 16 float64 vectors of the row count at 2,000 and 20,000
+        rows: no rows x knots block is ever built."""
         fit = self.many_knot_fit()
         rng = np.random.default_rng(2)
 
@@ -306,4 +319,5 @@ class TestMedian:
             finally:
                 tracemalloc.stop()
 
-        assert peak(20000) < 2 * peak(2000)
+        for rows in (2000, 20000):
+            assert peak(rows) < 16 * 8 * rows

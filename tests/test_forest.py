@@ -536,17 +536,16 @@ def median_models():
 class TestMedianBisection:
     @settings(max_examples=120, deadline=None)
     @given(which=st.integers(0, 7), n=st.integers(1, 40),
-           chunk_rows=st.integers(1, 45), bisect=st.booleans(),
-           seed=st.integers(0, 2**32 - 1))
-    def test_matches_linear_scan(self, which, n, chunk_rows, bisect, seed):
-        """Medians, bisected or scanned per chunk, equal the first crossing
-        of the full curve, for row counts above and below the chunk size."""
+           chunk_rows=st.integers(1, 45), seed=st.integers(0, 2**32 - 1))
+    def test_matches_linear_scan(self, which, n, chunk_rows, seed):
+        """Medians, bisected (mean kinds) or scanned (pooled cif) per chunk,
+        equal the first crossing of the full curve, for row counts above
+        and below the chunk size."""
         model = median_models()[which]
         x = np.random.default_rng(seed).standard_normal((n, model.n_features)) * 2
         expect = scan_medians(model, x)
         chunk_bytes = chunk_rows * 8 * model.grid.size
-        with mock.patch.object(core, "CHUNK_BYTES", chunk_bytes), \
-                mock.patch.object(forest, "_BISECT_MIN_GRID", 0 if bisect else 10**9):
+        with mock.patch.object(core, "CHUNK_BYTES", chunk_bytes):
             got = predict_median_batch(model, x)
         assert np.array_equal(got, expect, equal_nan=True)
 
@@ -560,6 +559,19 @@ class TestMedianBisection:
         for model in median_models()[4:]:
             assert scan_medians(model, np.zeros((1, 1)))[0] == 1.0
 
+    def test_every_mean_kind_bisects(self):
+        """rsf, rsf-cr and mean-aggregated cif bisect on any grid, the
+        2-point grid of the handmade stumps included; pooled cif, whose
+        survival is a running product, always scans."""
+        for model in median_models():
+            pooled = (model.kind == ForestKind.CONDITIONAL
+                      and model.config.aggregate == "pooled")
+            spy = mock.Mock(wraps=forest._bisect_crossing)
+            with mock.patch.object(forest, "_bisect_crossing", spy):
+                predict_median_batch(model, np.zeros((3, model.n_features)))
+            assert spy.call_count == (0 if pooled else 1)
+        assert [m.grid.size for m in median_models()[4:]] == [2] * 4
+
     @pytest.mark.parametrize("which", [0, 2, 3, 5, 7])
     def test_dense_tables_only_within_the_budget(self, which):
         """Bisection gathers from dense tables when all of them fit
@@ -572,7 +584,6 @@ class TestMedianBisection:
         for chunk_bytes, knot_tables in ((dense, 0), (dense - 1, len(model.trees))):
             spy = mock.Mock(wraps=forest._knot_table)
             with mock.patch.object(core, "CHUNK_BYTES", chunk_bytes), \
-                    mock.patch.object(forest, "_BISECT_MIN_GRID", 0), \
                     mock.patch.object(forest, "_knot_table", spy):
                 got = predict_median_batch(model, x)
             assert spy.call_count == knot_tables
@@ -594,7 +605,7 @@ class TestMedianBisection:
                          x, competing=True)
         model = fit_rsf_competing(d, ForestConfig(n_trees=4, min_node_events=30,
                                                   seed=1))
-        assert model.grid.size >= max(1000, forest._BISECT_MIN_GRID)
+        assert model.grid.size >= 1000
 
         def peak(rows):
             xs = rng.standard_normal((rows, 3))
@@ -611,33 +622,54 @@ class TestMedianBisection:
         """A 40-tree model on a grid shorter than its tree count bisects in
         row chunks whose rows x trees block of int64 leaf keys fits
         CHUNK_BYTES, and its medians equal the unchunked ones."""
-        rng = np.random.default_rng(11)
-        n = 300
-        x = rng.standard_normal((n, 3))
-        times = rng.integers(1, 16, n) * (1.0 + (x[:, 0] < 0))
-        d = make_dataset(times, rng.choice([CENS, CONV, CHURN], n), x,
-                         competing=True)
-        model = fit_rsf_competing(d, ForestConfig(n_trees=40, min_node_events=6,
-                                                  seed=3))
+        model = forty_tree_model()
         n_trees = len(model.trees)
-        x = rng.standard_normal((50, 3)) * 2
+        x = np.random.default_rng(12).standard_normal((50, 3)) * 2
         assert model.grid.size < n_trees
-        with mock.patch.object(forest, "_BISECT_MIN_GRID", 0):
-            whole = predict_median_batch(model, x)
-            chunk_bytes = 7 * n_trees * 8
-            seen = []
+        whole = predict_median_batch(model, x)
+        chunk_bytes = 7 * n_trees * 8
+        seen = []
 
-            def spy(n, width):
-                chunks = core.row_chunks(n, width)
-                seen.extend(len(range(n)[rows]) for rows in chunks)
-                return chunks
+        def spy(n, width):
+            chunks = core.row_chunks(n, width)
+            seen.extend(len(range(n)[rows]) for rows in chunks)
+            return chunks
 
-            with mock.patch.object(core, "CHUNK_BYTES", chunk_bytes), \
-                    mock.patch.object(forest, "row_chunks", spy):
-                chunked = predict_median_batch(model, x)
+        with mock.patch.object(core, "CHUNK_BYTES", chunk_bytes), \
+                mock.patch.object(forest, "row_chunks", spy):
+            chunked = predict_median_batch(model, x)
         assert len(seen) > 1 and sum(seen) == len(x)
         assert all(rows * n_trees * 8 <= chunk_bytes for rows in seen)
         assert np.array_equal(chunked, whole, equal_nan=True)
+
+    def test_one_chunk_of_leaf_keys_at_a_time(self):
+        """Over four row chunks, traced memory peaks below the dense tables
+        plus two chunks: one chunk's leaf keys are freed before the next
+        chunk's are built."""
+        model = forty_tree_model()
+        rows = 2000
+        chunk_bytes = rows * len(model.trees) * 8
+        tables = 8 * (model.grid.size + 2) * sum(len(t.leaves) for t in model.trees)
+        x = np.random.default_rng(13).standard_normal((4 * rows, 3))
+        with mock.patch.object(core, "CHUNK_BYTES", chunk_bytes):
+            tracemalloc.start()
+            try:
+                predict_median_batch(model, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < tables + 2 * chunk_bytes
+
+
+@functools.cache
+def forty_tree_model():
+    """A 40-tree competing-risks forest on a grid of under 40 points."""
+    rng = np.random.default_rng(11)
+    n = 300
+    x = rng.standard_normal((n, 3))
+    times = rng.integers(1, 16, n) * (1.0 + (x[:, 0] < 0))
+    d = make_dataset(times, rng.choice([CENS, CONV, CHURN], n), x, competing=True)
+    return fit_rsf_competing(d, ForestConfig(n_trees=40, min_node_events=6, seed=3))
 
 
 # P(censored, converted, churned) per node; the last two hold no conversion
