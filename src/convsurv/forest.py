@@ -721,16 +721,17 @@ def _bisect_crossing(model: ForestModel, x: np.ndarray, curve: str,
     grid = model.grid
     n_grid = grid.size
     n_leaves = sum(len(tree.leaves) for tree in model.trees)
-    if 8 * (n_grid + 2) * n_leaves <= core.CHUNK_BYTES:
+    if 8 * (n_grid + 2) * n_leaves <= core.CHUNK_BYTES:  # every key < 2**22
         tables = [_dense_table(tree, grid, curve).ravel() for tree in model.trees]
-        lookup = np.take
+        lookup, key_type = np.take, np.int32
     else:
         tables = [_knot_table(tree, grid, curve) for tree in model.trees]
-        lookup = _knot_lookup
+        lookup, key_type = _knot_lookup, np.int64
     first = np.empty(x.shape[0], dtype=np.int64)
     for rows in row_chunks(x.shape[0], max(len(model.trees), n_grid)):
         xs = x[rows]
-        leaf_keys = [_leaf_keys(_route(tree, xs), grid) for tree in model.trees]
+        leaf_keys = [_leaf_keys(_route(tree, xs), grid).astype(key_type, copy=False)
+                     for tree in model.trees]
 
         def crossed_at(mid):
             acc = np.zeros(xs.shape[0])

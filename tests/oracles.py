@@ -12,8 +12,10 @@ per-node hoist replaced, on float columns as before rank codes; it shares
 the forest's bin-count and permutation-test helpers. The routing reference
 is the level walk the child-table route replaced. The leaf-curve reference
 is the knot-table expansion that the forward-filled dense tables replaced;
-it shares the forest's knot tables. The generator reference
-at the end is the per-player simulation that the array pass replaced.
+it shares the forest's knot tables. The block-sort reference is the
+unconditional ``np.lexsort`` that the ordered-log skip bypasses. The
+generator reference at the end is the per-player simulation that the
+array pass replaced.
 """
 
 import csv
@@ -372,6 +374,17 @@ def record_ingest(path):
     logs = [sorted(rows, key=lambda r: r.day_index) for rows in per_player.values()]
     return PlayerLogs.from_logs([PlayerLog(pid, rows[0].day_index, rows)
                                  for pid, rows in zip(per_player, logs)])
+
+
+def lexsorted_logs(ids, blocks):
+    """``pipeline._sorted_logs`` that always lexsorts by (player code, day)."""
+    empty = tuple(np.empty(0, dtype=t) for t in (np.int64, np.int64, float) + (np.int64,) * 4)
+    code, *columns = (np.concatenate(parts) for parts in zip(empty, *blocks))
+    order = np.lexsort((columns[0], code))
+    code = code[order]
+    columns = [c[order] for c in columns]
+    offsets = np.searchsorted(code, np.arange(len(ids) + 1))
+    return PlayerLogs(ids, columns[0][offsets[:-1]], offsets, *columns)
 
 
 def reference_log_check(logs):

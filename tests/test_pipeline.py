@@ -1,11 +1,12 @@
 """Log ingestion, the two-day filter, features, and dataset labeling."""
 
+import tracemalloc
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import oracles
@@ -319,6 +320,69 @@ class TestTableCheck:
             PlayerLogs.from_logs([log])
 
 
+LAYOUTS = ("in-order", "split-player", "swapped-days", "day-major")
+
+
+@st.composite
+def parsed_blocks(draw):
+    """Ids and the blocks ``_loadtxt_block`` would return for a log file:
+    0-4 players coded in order of first appearance, 1-4 rows each, days
+    possibly repeated, levels possibly decreasing, in file order or with
+    one row moved to the end (its player then has two runs when another
+    player's rows lie between), two neighbouring rows swapped, or all rows
+    day-major; playtime is the row's position in the file."""
+    rows = []
+    for code in range(draw(st.integers(0, 4))):
+        days = sorted(draw(st.lists(st.integers(0, 5), min_size=1, max_size=4)))
+        rows += [[code, day, draw(st.integers(1, 3))] for day in days]
+    layout = draw(st.sampled_from(LAYOUTS))
+    if layout == "split-player" and rows:
+        rows.append(rows.pop(draw(st.integers(0, len(rows) - 1))))
+    elif layout == "swapped-days" and len(rows) >= 2:
+        k = draw(st.integers(0, len(rows) - 2))
+        rows[k], rows[k + 1] = rows[k + 1], rows[k]
+    elif layout == "day-major":
+        rows.sort(key=lambda r: r[1])
+    first_seen = {}
+    for r in rows:  # ingest numbers players in order of first appearance
+        r[0] = first_seen.setdefault(r[0], len(first_seen))
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=3)))
+    blocks = []
+    for lo, hi in zip([0] + cuts, cuts + [len(rows)]):
+        part = np.array(rows[lo:hi], dtype=np.int64).reshape(-1, 3)
+        blocks.append((part[:, 0], part[:, 1], np.arange(lo, hi, dtype=float),
+                       part[:, 2], *(np.ones(hi - lo, dtype=np.int64),) * 3))
+    return tuple(f"p{i}" for i in range(len(first_seen))), blocks
+
+
+class TestSortedLogs:
+    """The ordered-log skip against the unconditional lexsort."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(parsed=parsed_blocks())
+    @example(parsed=((), []))  # an empty table
+    @example(parsed=(("p0",), [tuple(np.array([v]) for v in (0, 3, 0.0, 1, 1, 1, 1))]))
+    def test_skip_matches_lexsort(self, parsed):
+        ids, blocks = parsed
+        want = self.outcome(oracles.lexsorted_logs, ids, blocks)
+        with mock.patch.object(pipeline.np, "lexsort", wraps=np.lexsort) as lexsort:
+            got = self.outcome(pipeline._sorted_logs, ids, blocks)
+        assert got == want
+        keys = [key for block in blocks for key in zip(*map(np.ndarray.tolist, block[:2]))]
+        assert lexsort.called == (keys != sorted(keys))
+
+    @staticmethod
+    def outcome(sort, ids, blocks):
+        """Every array of the table with its dtype, or the check's message
+        and the player it names."""
+        try:
+            table = sort(ids, blocks)
+        except LogValidationError as exc:
+            return str(exc), exc.player_id
+        return table.ids, [(a.dtype, a.tolist())
+                           for a in (table.registration, table.offsets) + table.columns]
+
+
 @st.composite
 def cohort_csv(draw):
     """A random log file body: unsorted rows, blank lines, one-day players,
@@ -376,7 +440,7 @@ class TestColumnarEquivalence:
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(cohort=cohort_csv(), block_rows=st.sampled_from([1, 3, 1024]),
+    @given(cohort=cohort_csv(), block_rows=st.sampled_from([1, 3, 1024, 8192]),
            churn_window=st.integers(0, 12),
            data_end_shift=st.one_of(st.none(), st.integers(0, 12)),
            cutoff=st.integers(-2, 40))
@@ -429,7 +493,7 @@ class TestColumnarEquivalence:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(log=undecodable_log(), terminator=st.sampled_from(["\n", "\r\n", "\r"]),
            byte=st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80"]),
-           position=st.floats(0, 1), block_rows=st.sampled_from([1, 3, 1024]))
+           position=st.floats(0, 1), block_rows=st.sampled_from([1, 3, 1024, 8192]))
     def test_undecodable_byte_fails_at_its_record(self, tmp_path, log, terminator,
                                                   byte, position, block_rows):
         """A parse error in the records before the bad byte wins, as the
@@ -453,7 +517,7 @@ class TestColumnarEquivalence:
     VALID = ["a,0,1.5,1,2,30,0", "b,1,0.25,2,1,12,0", "", "a,3,2.0,3,1,5,1",
              "c,2,1.0,1,1,1,0", "b,4,1.0,2,0,0,0"]
 
-    @pytest.mark.parametrize("block_rows", [2, 1024])
+    @pytest.mark.parametrize("block_rows", [2, 1024, 8192])
     @pytest.mark.parametrize("column,value", [
         (0, ""), (0, "  "),
         (1, "one"), (1, ""), (1, "-1"), (1, "1.5"), (1, "1e3"), (1, "0x1f"),
@@ -472,7 +536,7 @@ class TestColumnarEquivalence:
         lines[3] = ",".join(cells)
         self.assert_same_error(tmp_path, lines, block_rows)
 
-    @pytest.mark.parametrize("block_rows", [1, 2, 1024])
+    @pytest.mark.parametrize("block_rows", [1, 2, 1024, 8192])
     @pytest.mark.parametrize("edit", {
         "width-after-bad-value": {1: "b,1,0.25,two,1,12,0", 4: "c,2,1.0,1,1,1"},
         "width": {4: "c,2,1.0,1,1,1,0,9"},
@@ -563,13 +627,28 @@ class TestInputEdges:
             ingest_logs(path)
         assert info.value.line_number == 3
 
+    def test_ordered_log_peak_memory(self, tmp_path):
+        """A log already in (player, day) order, as ``generate`` writes it,
+        is kept as read: ingest's traced peak stays below 3x the table."""
+        logs, _ = generate_synthetic(GeneratorConfig(n_players=4000, seed=3))
+        path = tmp_path / "logs.csv"
+        write_logs_csv(logs, path)
+        tracemalloc.start()
+        try:
+            table = ingest_logs(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = (table.registration, table.offsets) + table.columns
+        assert peak < 3 * sum(a.nbytes for a in arrays)
+
     def test_long_player_id_is_kept_whole(self, tmp_path):
         pid = "x" * 100
         path = write_csv(tmp_path, f"{pid},0,1.0,1,1,1,0\n{pid},1,1.0,1,1,1,0\n")
         assert ingest_logs(path).ids == (pid,)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("block_rows", [2, 1024])
+    @pytest.mark.parametrize("block_rows", [2, 1024, 8192])
     def test_blank_lines_raise_no_warning(self, tmp_path, block_rows):
         path = write_csv(tmp_path, "a,0,1.0,1,1,1,0\n" + "\n" * 2100
                          + "a,1,1.0,1,1,1,0\n\n\r\n")
@@ -637,7 +716,7 @@ class TestLoadtxtPass:
 
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(text=edge_csv(), block_rows=st.sampled_from([1, 2, 3, 1024]))
+    @given(text=edge_csv(), block_rows=st.sampled_from([1, 2, 3, 1024, 8192]))
     def test_matches_record_reference(self, tmp_path, text, block_rows):
         with mock.patch.object(pipeline, "_BLOCK_ROWS", block_rows):
             self.assert_same_outcome(tmp_path, text)
@@ -665,7 +744,7 @@ class TestLoadtxtPass:
             with pytest.raises(LogParseError, match="^line 3: "):
                 ingest_logs(tmp_path / "logs.csv")
 
-    @pytest.mark.parametrize("block_rows", [1, 2, 1024])
+    @pytest.mark.parametrize("block_rows", [1, 2, 1024, 8192])
     @pytest.mark.parametrize("last", ['a,1,1.0,1,1,1,"0', 'a,1,1.0,1,1,1,"0\n', '"a,1,1.0,1,1,1,0',
                                       '"a",1,1.0,1,1,1,0', 'a,1,1.0,1,1,1,"0"""'])
     def test_quote_left_open_at_the_end_of_the_file(self, tmp_path, last, block_rows):
