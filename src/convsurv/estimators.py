@@ -1,9 +1,10 @@
 """Nonparametric baseline estimators for censored conversion data.
 
 Provides the product-limit survival estimator, the cumulative-hazard
-estimator, the competing-risks cumulative incidence estimator and
-Greenwood-style confidence bands. All estimators emit right-continuous step
-functions with knots at observed event times only, and all are pure
+estimator, the competing-risks cumulative incidence estimator,
+Greenwood-style confidence bands and the two-sided normal p-value of the
+conditional ensemble's variable test. All estimators emit right-continuous
+step functions with knots at observed event times only, and all are pure
 functions of the dataset (invariant under record permutation).
 
 Tie convention: at a time carrying both events and censorings, censorings
@@ -13,6 +14,7 @@ for that event time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,3 +271,61 @@ def cif_confidence_band(data: SurvivalDataset, event: EventStatus,
         StepFunction(table.event_times, lower, 0.0),
         StepFunction(table.event_times, upper, 0.0),
     )
+
+
+# --- normal tail -------------------------------------------------------
+# Cephes' ndtr, erf and erfc rational approximations, the ones scipy.special
+# uses, ported for c >= 0 in cephes' expression order so every result equals
+# 2 * scipy.special.ndtr(-c) bit for bit, subnormal tail, inf and nan
+# included. Scalar libm math.exp: np.exp need not round as libm does.
+
+_SQRT1_2 = 0.70710678118654752440
+_MAXLOG = 7.09782712893383996843e2
+# leading coefficient first; a leading 1.0 stands for cephes' p1evl
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+
+
+def _horner(x: float, coef: tuple) -> float:
+    acc = coef[0]
+    for c in coef[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _erf(x: float) -> float:
+    """erf(x) for 0 <= x < 1."""
+    z = x * x
+    return x * _horner(z, _ERF_T) / _horner(z, _ERF_U)
+
+
+def _erfc(x: float) -> float:
+    """erfc(x) for x >= 1/sqrt(2), inf and nan."""
+    if x < 1.0:
+        return 1.0 - _erf(x)
+    z = -x * x
+    if z < -_MAXLOG:
+        return 0.0
+    p, q = (_ERFC_P, _ERFC_Q) if x < 8.0 else (_ERFC_R, _ERFC_S)
+    return (math.exp(z) * _horner(x, p)) / _horner(x, q)
+
+
+def two_sided_normal_pvalue(c: float) -> float:
+    """2 * Phi(-c), the two-sided p-value of a standard normal statistic
+    |Z| = c >= 0; nan stays nan."""
+    z = c * _SQRT1_2
+    if z < _SQRT1_2:
+        return 2.0 * (0.5 + 0.5 * -_erf(z))
+    return 2.0 * (0.5 * _erfc(z))

@@ -43,7 +43,8 @@ from .errors import (
     ShapeMismatchError,
     WrongEstimatorError,
 )
-from .estimators import COUNT_CURVES, event_counts, na_values_from_counts
+from .estimators import (COUNT_CURVES, event_counts, na_values_from_counts,
+                         two_sided_normal_pvalue)
 
 
 class ForestKind(enum.Enum):
@@ -230,9 +231,6 @@ def _feature_pvalues(xmat: np.ndarray, a: np.ndarray) -> np.ndarray:
     The linear statistic sum_i x_i a_i is standardized by its conditional
     permutation moments; constant features get p = 1.
     """
-    # imported here so that importing the package does not load scipy.special
-    from scipy.special import ndtr
-
     n = a.size
     centered, var_a = _score_moments(a)
     t = xmat.T @ centered
@@ -241,7 +239,7 @@ def _feature_pvalues(xmat: np.ndarray, a: np.ndarray) -> np.ndarray:
     p = np.ones(xmat.shape[1])
     ok = v > 0.0
     cstat = np.abs(t[ok]) / np.sqrt(v[ok])
-    p[ok] = 2.0 * ndtr(-cstat)
+    p[ok] = [two_sided_normal_pvalue(c) for c in cstat.tolist()]
     return p
 
 

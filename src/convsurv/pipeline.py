@@ -394,26 +394,32 @@ def ingest_logs(path) -> PlayerLogs:
                        else f"expected header {','.join(EXPECTED_HEADER)}")
             raise LogParseError(f"line 1: {message}", 1)
         index: dict[str, int] = {}
-        blocks = []
+        parts = [[empty] for empty in _empty_block()]
         line = 2
         while lines := list(islice(fh, _BLOCK_ROWS)):
             block = _loadtxt_block(lines, index)
             if block is None:
                 _raise_first_error(csv.reader(chain(lines, fh)), line)
-            blocks.append(block)
+            for pieces, part in zip(parts, block):
+                pieces.append(part)
             line += len(lines)
-    return _sorted_logs(tuple(index), blocks)
+    return _sorted_logs(tuple(index), parts)
 
 
-def _sorted_logs(ids: tuple[str, ...], blocks: list[tuple]) -> PlayerLogs:
+def _sorted_logs(ids: tuple[str, ...], parts: list[list]) -> PlayerLogs:
     """The table of parsed blocks, each player's rows sorted by day.
 
-    Rows already in (player, day) order, as ``generate`` writes them, are
-    kept as read. The table's check names the first player in file order
-    with a duplicate day or a decreasing level.
+    ``parts[k]`` lists column k's pieces, player codes first; each list is
+    emptied once its column is joined, so memory holds one copy of the
+    table plus one column. Rows already in (player, day) order, as ``generate``
+    writes them, are kept as read. The table's check names the first player
+    in file order with a duplicate day or a decreasing level.
     """
-    code, *columns = (np.concatenate(parts)
-                      for parts in zip(_empty_block(), *blocks))
+    joined = []
+    for pieces in parts:
+        joined.append(np.concatenate(pieces))
+        pieces.clear()
+    code, *columns = joined
     day = columns[0]
     if not np.all((code[:-1] < code[1:])
                   | ((code[:-1] == code[1:]) & (day[:-1] <= day[1:]))):

@@ -7,10 +7,12 @@ record-based dataset reference shares ``SurvivalRecord`` and the exception
 types; the log-pipeline reference shares only the exception types and
 states the input rule itself. The record-by-record ingest reference
 shares the row checks and the table types: it judges the np.loadtxt
-pass, not the input rule. The split-rule reference is the per-feature tree-growth code that the
-per-node hoist replaced, on float columns as before rank codes; it shares
-the forest's bin-count and permutation-test helpers. The routing reference
-is the level walk the child-table route replaced. The leaf-curve reference
+pass, not the input rule. The split-rule reference is the
+per-feature tree-growth code that the per-node hoist replaced, on float
+columns as before rank codes; it shares the forest's bin-count and
+score-moment helpers, and takes its p-values from scipy's ``ndtr`` as the
+forest did before its own normal tail. The routing reference is the level
+walk the child-table route replaced. The leaf-curve reference
 is the knot-table expansion that the forward-filled dense tables replaced;
 it shares the forest's knot tables. The block-sort reference is the
 unconditional ``np.lexsort`` that the ordered-log skip bypasses. The
@@ -24,6 +26,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 from convsurv import generator as gen
 from convsurv.core import EventStatus, SurvivalRecord, TimeAxis
@@ -37,7 +40,6 @@ from convsurv.errors import (
 )
 from convsurv.forest import (
     _bin_matrix,
-    _feature_pvalues,
     _knot_lookup,
     _knot_table,
     _leaf_keys,
@@ -593,12 +595,26 @@ def reference_best_split_rsf(x_node, t_node, s_node, candidates, min_events, cap
     return best[1], best[2]
 
 
+def reference_feature_pvalues(xmat, a):
+    """``forest._feature_pvalues`` as scipy computes it: 2 * ndtr(-c)."""
+    n = a.size
+    centered, var_a = _score_moments(a)
+    t = xmat.T @ centered
+    ssx = ((xmat - xmat.mean(axis=0)) ** 2).sum(axis=0)
+    v = var_a * (n / (n - 1.0)) * ssx if n > 1 else np.zeros_like(t)
+    p = np.ones(xmat.shape[1])
+    ok = v > 0.0
+    cstat = np.abs(t[ok]) / np.sqrt(v[ok])
+    p[ok] = 2.0 * ndtr(-cstat)
+    return p
+
+
 def reference_best_split_conditional(x_node, t_node, s_node, candidates,
                                      min_events, cap, alpha):
     """Two-step conditional-inference split (feature test, then cutpoint)."""
     events = s_node == int(EventStatus.CONVERTED)
     scores = reference_logrank_scores(t_node, events)
-    pvals = _feature_pvalues(x_node[:, candidates], scores)
+    pvals = reference_feature_pvalues(x_node[:, candidates], scores)
     testable = pvals < 1.0
     n_tests = int(testable.sum())
     if n_tests == 0:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convsurv import errors
+from convsurv import errors, pipeline
 from convsurv.cli import _exit_code, main
 
 
@@ -228,11 +228,13 @@ class TestPredict:
             assert all(0.0 <= v <= 1.0 for v in values)
 
     def test_blank_lines_leave_stderr_empty(self, data_dir, rsf_model, tmp_path):
-        """Runs of blank lines, one 1024-line ingest block of them included,
-        print no warning."""
+        """Runs of blank lines print no warning. The long run spans two
+        ``pipeline._BLOCK_ROWS`` chunks from within the first, so one whole
+        ingest chunk of the default size is blank."""
         lines = (data_dir / "logs.csv").read_text().splitlines(keepends=True)
         logs = tmp_path / "logs.csv"
-        logs.write_text("".join(lines[:500] + ["\n"] * 2100 + lines[500:] + ["\n"]))
+        blank = ["\n"] * (2 * pipeline._BLOCK_ROWS)
+        logs.write_text("".join(lines[:500] + blank + lines[500:] + ["\n"]))
         out = subprocess.run(
             [sys.executable, "-m", "convsurv.cli", "predict", "--model", str(rsf_model),
              "--data", str(logs), "--out", str(tmp_path / "pred.csv")],
@@ -853,9 +855,11 @@ class TestLogFileEdges:
 
 def test_cli_import_leaves_out_scipy_stats_and_optimize(data_dir, tmp_path):
     """Start-up cost: nothing needs scipy.stats or scipy.optimize, and
-    scipy.special loads only where a p-value or a band is computed; a
-    ``generate`` run loads none of them, and a forest ``predict``, which
-    bisects its grid, loads no scipy.sparse either."""
+    scipy.special loads only where a band is computed. A ``generate`` run
+    loads none of them; a forest ``predict``, which bisects its grid, loads
+    no scipy.sparse either; a cif fit computes its p-values without
+    scipy.special, serially and in fork workers, which fail to import it
+    once it is blocked in the parent."""
     model = tmp_path / "rsf-cr.json"
     assert main(["train", "--data", str(data_dir / "logs.csv"), "--model", "rsf-cr",
                  "--target", "playtime", "--train-frac", "0.9", "--trees", "3",
@@ -863,16 +867,26 @@ def test_cli_import_leaves_out_scipy_stats_and_optimize(data_dir, tmp_path):
     script = ("import sys, convsurv.cli as cli\n"
               "heavy = lambda: [m for m in ('scipy.stats', 'scipy.optimize', 'scipy.special',"
               " 'scipy.sparse') if m in sys.modules]\n"
+              "model, logs, out = sys.argv[1:]\n"
               "loaded = heavy()\n"
               "code = cli.main(['generate', '--players', '50', '--seed', '3',"
-              " '--out', sys.argv[1]])\n"
-              "print(code, loaded, heavy())\n"
-              "code = cli.main(['predict', '--model', sys.argv[2], '--data', sys.argv[3],"
-              " '--out', sys.argv[4]])\n"
-              "print(code, heavy())\n")
+              " '--out', out + '/g'])\n"
+              "print('generate', code, loaded, heavy())\n"
+              "code = cli.main(['predict', '--model', model, '--data', logs,"
+              " '--out', out + '/pred.csv'])\n"
+              "print('predict', code, heavy())\n"
+              "code = cli.main(['train', '--data', logs, '--model', 'cif', '--target',"
+              " 'lifetime', '--trees', '3', '--threads', '1', '--seed', '5',"
+              " '--out', out + '/cif.json'])\n"
+              "print('train', code, heavy())\n"
+              "sys.modules['scipy.special'] = None\n"
+              "code = cli.main(['evaluate', '--data', logs, '--models', 'cif', '--targets',"
+              " 'lifetime', '--trees', '8', '--threads', '2', '--seed', '5',"
+              " '--out', out + '/ev'])\n"
+              "print('evaluate', code)\n")
     out = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path / "g"), str(model),
-         str(data_dir / "logs.csv"), str(tmp_path / "pred.csv")],
+        [sys.executable, "-c", script, str(model), str(data_dir / "logs.csv"), str(tmp_path)],
         env=src_env(), capture_output=True, text=True, timeout=120, check=True)
-    lines = out.stdout.splitlines()
-    assert "0 [] []" in lines and lines[-1] == "0 []"
+    tagged = [line for line in out.stdout.splitlines()
+              if line.split(" ", 1)[0] in ("generate", "predict", "train", "evaluate")]
+    assert tagged == ["generate 0 [] []", "predict 0 []", "train 0 []", "evaluate 0"]

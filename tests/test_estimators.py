@@ -1,11 +1,13 @@
 """Nonparametric estimators against hand counts and brute-force oracles."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import ndtr
 
 from convsurv.core import EventStatus
 from convsurv.errors import EmptyInputError, InvalidEventError, WrongEstimatorError
@@ -17,7 +19,10 @@ from convsurv.estimators import (
     km_confidence_band,
     nelson_aalen,
     risk_table,
+    two_sided_normal_pvalue,
 )
+from convsurv.estimators import _MAXLOG, _SQRT1_2
+from convsurv.forest import _feature_pvalues
 
 import oracles
 from conftest import make_dataset, random_dataset
@@ -263,3 +268,58 @@ class TestConfidenceBand:
             lo, hi = cif_confidence_band(d, CONV, 0.95)
             assert np.all(lo.values <= cif.values + 1e-12)
             assert np.all(hi.values >= cif.values - 1e-12)
+
+
+# c where the port changes branch: ndtr's erf/erfc switch, erfc's 1 - erf
+# switch, its P/Q to R/S switch and its underflow to 0; each one ulp
+# either side too
+BRANCH_EDGES = [math.nextafter(z / _SQRT1_2, toward)
+                for z in (_SQRT1_2, 1.0, 8.0, math.sqrt(_MAXLOG))
+                for toward in (0.0, z / _SQRT1_2, math.inf)]
+# 2 * ndtr(-c) is subnormal from about c = 37.5 up to the underflow edge
+SUBNORMAL_TAIL = [37.5, 37.55, 37.6, 37.65, 37.67, 38.0, 38.6]
+
+
+def scipy_pvalue(c):
+    return 2.0 * ndtr(-c)
+
+
+def with_examples(values):
+    """One hypothesis ``@example(c=v)`` per value."""
+    def decorate(test):
+        for v in values:
+            test = example(c=v)(test)
+        return test
+    return decorate
+
+
+class TestTwoSidedNormalPvalue:
+    """The cephes port equals 2 * scipy.special.ndtr(-c) bit for bit."""
+
+    @settings(max_examples=2000, deadline=None)
+    @given(c=st.floats(0.0, 40.0) | st.floats(min_value=0.0) | st.just(math.nan))
+    @with_examples(BRANCH_EDGES + SUBNORMAL_TAIL
+                   + [0.0, 5e-324, 2.2250738585072014e-308, math.inf, math.nan])
+    def test_equals_scipy(self, c):
+        got, want = two_sided_normal_pvalue(c), float(scipy_pvalue(c))
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
+    def test_seeded_sweep(self):
+        rng = np.random.default_rng(22)
+        c = np.concatenate([rng.uniform(0.0, 40.0, 50_000),
+                            np.exp(rng.uniform(-745.0, 4.0, 50_000))])
+        got = np.array([two_sided_normal_pvalue(v) for v in c.tolist()])
+        assert np.array_equal(got, scipy_pvalue(c))
+
+    def test_feature_pvalues_match_scipy_formula(self):
+        """The forest's variable test on random nodes, constant and tied
+        columns and one-row nodes included."""
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            n, p = int(rng.integers(1, 60)), int(rng.integers(1, 6))
+            x = rng.integers(0, int(rng.integers(1, 8)), (n, p)).astype(float)
+            x[:, rng.random(p) < 0.3] *= rng.normal(size=n)[:, None]
+            # scores tied to the first column give small p-values too
+            a = rng.normal(size=n) * (rng.random(n) < 0.8) + rng.exponential(2.0) * x[:, 0]
+            assert np.array_equal(_feature_pvalues(x, a),
+                                  oracles.reference_feature_pvalues(x, a))

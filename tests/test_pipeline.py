@@ -365,18 +365,21 @@ class TestSortedLogs:
     def test_skip_matches_lexsort(self, parsed):
         ids, blocks = parsed
         want = self.outcome(oracles.lexsorted_logs, ids, blocks)
+        # ingest's layout: one list of pieces per column, each led by an empty one
+        parts = [list(pieces) for pieces in zip(pipeline._empty_block(), *blocks)]
         with mock.patch.object(pipeline.np, "lexsort", wraps=np.lexsort) as lexsort:
-            got = self.outcome(pipeline._sorted_logs, ids, blocks)
+            got = self.outcome(pipeline._sorted_logs, ids, parts)
         assert got == want
+        assert parts == [[]] * len(parts)  # every column's pieces released
         keys = [key for block in blocks for key in zip(*map(np.ndarray.tolist, block[:2]))]
         assert lexsort.called == (keys != sorted(keys))
 
     @staticmethod
-    def outcome(sort, ids, blocks):
+    def outcome(sort, ids, parsed):
         """Every array of the table with its dtype, or the check's message
         and the player it names."""
         try:
-            table = sort(ids, blocks)
+            table = sort(ids, parsed)
         except LogValidationError as exc:
             return str(exc), exc.player_id
         return table.ids, [(a.dtype, a.tolist())
@@ -629,7 +632,8 @@ class TestInputEdges:
 
     def test_ordered_log_peak_memory(self, tmp_path):
         """A log already in (player, day) order, as ``generate`` writes it,
-        is kept as read: ingest's traced peak stays below 3x the table."""
+        is kept as read, and each column's parsed pieces are released as
+        it is joined: ingest's traced peak stays below 2x the table."""
         logs, _ = generate_synthetic(GeneratorConfig(n_players=4000, seed=3))
         path = tmp_path / "logs.csv"
         write_logs_csv(logs, path)
@@ -640,7 +644,7 @@ class TestInputEdges:
         finally:
             tracemalloc.stop()
         arrays = (table.registration, table.offsets) + table.columns
-        assert peak < 3 * sum(a.nbytes for a in arrays)
+        assert peak < 2 * sum(a.nbytes for a in arrays)
 
     def test_long_player_id_is_kept_whole(self, tmp_path):
         pid = "x" * 100
