@@ -12,6 +12,8 @@ from scipy.special import ndtr
 from convsurv.core import EventStatus
 from convsurv.errors import EmptyInputError, InvalidEventError, WrongEstimatorError
 from convsurv.estimators import (
+    _MAXLOG,
+    _SQRT1_2,
     aalen_johansen,
     all_cause_survival,
     cif_confidence_band,
@@ -21,7 +23,6 @@ from convsurv.estimators import (
     risk_table,
     two_sided_normal_pvalue,
 )
-from convsurv.estimators import _MAXLOG, _SQRT1_2
 from convsurv.forest import _feature_pvalues
 
 import oracles
