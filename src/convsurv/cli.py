@@ -6,7 +6,10 @@ error object is written to stderr.
 
 All commands are deterministic given their flags and seed; training
 parallelism (``--threads``, capped by ``CONVSURV_THREADS``) never changes
-results, only wall time.
+results, only wall time. With more than one thread, ``evaluate`` grows
+all its forests on one fork pool and scores each forest while later ones
+grow; its report and scatter files are byte-identical for any thread
+count.
 """
 
 from __future__ import annotations

@@ -39,6 +39,7 @@ from .forest import (
     predict_forest_incidence,
     predict_forest_survival,
     predict_median_batch as forest_median_batch,
+    queue_forests,
 )
 
 MODEL_KINDS = ("cox", *(kind.value for kind in ForestKind))
@@ -232,40 +233,51 @@ def evaluate_models(train: SurvivalDataset, test: SurvivalDataset,
 
     Per-model failures are isolated: the failing row carries the error
     message and the remaining models still run. Returns the report rows
-    plus per-model outcomes (the scatter-plot source data).
+    plus per-model outcomes (the scatter-plot source data), in ``kinds``
+    order. Forests queued on one pool (forest.queue_forests) are scored
+    last, in queue order, each as soon as its trees are in.
     """
     if train.axis != test.axis or train.feature_names != test.feature_names:
         raise ConfigError("train and test must share axis and features")
     axis = train.axis.value
-    results: list[ModelAxisResult] = []
+    results: dict[str, ModelAxisResult] = {}
     outcomes_by_kind: dict[str, list[PredictionOutcome]] = {}
     n_conv_test = test.n_events(EventStatus.CONVERTED)
     kinds = tuple(kinds)
     check_model_kinds(kinds)
-    for kind in kinds:
-        try:
-            model = fit_model(kind, train, forest_config, ridge=ridge, n_jobs=n_jobs)
-            medians = predict_medians(model, test.covariate_matrix)
-        except Exception as exc:  # isolate per-model failures
-            results.append(ModelAxisResult(
-                model=kind, axis=axis, n_test=len(test),
-                n_converted=n_conv_test, rmsle=None, fn_rate=None,
-                fp_rate=None, fp_churn_rate=None, error=str(exc),
-                exit_code=getattr(exc, "exit_code", 3)))
-            continue
-        outcomes = build_outcomes(test, medians)
-        outcomes_by_kind[kind] = outcomes
-        try:
-            err = rmsle(outcomes)
-        except UndefinedMetricError:
-            err = None
-        fn, fp = confusion_rates(outcomes)
-        fp_churn = (churn_qualified_fp_rate(outcomes)
-                    if test.competing_risks else None)
-        results.append(ModelAxisResult(
-            model=kind, axis=axis, n_test=len(test), n_converted=n_conv_test,
-            rmsle=err, fn_rate=fn, fp_rate=fp, fp_churn_rate=fp_churn))
-    return results, outcomes_by_kind
+    # one dataset object per kind, which fit_model passes on as it is: a
+    # queued forest's fit is matched by it
+    single_risk = train.recode_competing_as_censored()
+    trains = {kind: train if needs_churn_labels(kind) else single_risk for kind in kinds}
+    with queue_forests([(trains[kind], forest_config, ForestKind(kind))
+                        for kind in kinds if kind != "cox"], n_jobs) as order:
+        queued = [kind.value for kind in order]
+        for kind in [kind for kind in kinds if kind not in queued] + queued:
+            try:
+                model = fit_model(kind, trains[kind], forest_config, ridge=ridge,
+                                  n_jobs=n_jobs)
+                medians = predict_medians(model, test.covariate_matrix)
+            except Exception as exc:  # isolate per-model failures
+                results[kind] = ModelAxisResult(
+                    model=kind, axis=axis, n_test=len(test),
+                    n_converted=n_conv_test, rmsle=None, fn_rate=None,
+                    fp_rate=None, fp_churn_rate=None, error=str(exc),
+                    exit_code=getattr(exc, "exit_code", 3))
+                continue
+            outcomes = build_outcomes(test, medians)
+            outcomes_by_kind[kind] = outcomes
+            try:
+                err = rmsle(outcomes)
+            except UndefinedMetricError:
+                err = None
+            fn, fp = confusion_rates(outcomes)
+            fp_churn = (churn_qualified_fp_rate(outcomes)
+                        if test.competing_risks else None)
+            results[kind] = ModelAxisResult(
+                model=kind, axis=axis, n_test=len(test), n_converted=n_conv_test,
+                rmsle=err, fn_rate=fn, fp_rate=fp, fp_churn_rate=fp_churn)
+    return [results[k] for k in kinds], {k: outcomes_by_kind[k] for k in kinds
+                                         if k in outcomes_by_kind}
 
 
 def scatter_pairs(outcomes: list[PredictionOutcome]) -> list[tuple[float, float]]:

@@ -23,11 +23,10 @@ training parallelism. ``CONVSURV_THREADS`` caps worker processes.
 
 from __future__ import annotations
 
-import concurrent.futures
+import contextlib
 import enum
 import functools
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass
 
@@ -37,6 +36,7 @@ from . import core
 from .core import EventStatus, StepFunction, SurvivalDataset, TimeAxis, row_chunks
 from .errors import (
     ConfigError,
+    ConvsurvError,
     DegenerateFitError,
     InvalidEventError,
     InvalidModelError,
@@ -391,13 +391,6 @@ def _grow_indexed(args):
                       status[sample], kind, cfg, mtry, rng, grid)
 
 
-_FORK_PAYLOAD = None
-
-
-def _grow_from_payload(tree_idx: int) -> SurvivalTree:
-    return _grow_indexed(_FORK_PAYLOAD + (tree_idx,))
-
-
 def resolve_jobs(n_jobs: int | None) -> int:
     """Worker count: explicit argument, capped by CONVSURV_THREADS."""
     env = os.environ.get("CONVSURV_THREADS")
@@ -413,10 +406,9 @@ def resolve_jobs(n_jobs: int | None) -> int:
     return max(1, n_jobs)
 
 
-def _fit_forest(data: SurvivalDataset, cfg: ForestConfig, kind: ForestKind,
-                n_jobs: int | None) -> ForestModel:
-    """The fit behind the three kinds' wrappers: only rsf-cr takes competing
-    risks (churn labels), and every kind needs a conversion event."""
+def _check_fit(data: SurvivalDataset, cfg: ForestConfig, kind: ForestKind) -> int:
+    """A fit's checks, returning its mtry: only rsf-cr takes competing risks
+    (churn labels), and every kind needs a conversion event."""
     competing = kind == ForestKind.COMPETING
     if data.competing_risks != competing:
         raise WrongEstimatorError(f"{kind.value} needs a " + (
@@ -424,37 +416,89 @@ def _fit_forest(data: SurvivalDataset, cfg: ForestConfig, kind: ForestKind,
     if data.n_events(EventStatus.CONVERTED) == 0:
         raise DegenerateFitError(
             f"cannot grow {kind.value} trees with zero conversion events")
-    x = np.asarray(data.covariate_matrix, dtype=float)
-    times = data.times
-    status = data.status_codes.astype(np.int8)
-    p = x.shape[1]
+    p = data.covariate_matrix.shape[1]
     mtry = cfg.mtry if cfg.mtry is not None else math.ceil(math.sqrt(p))
     if mtry > p:
         raise ConfigError(f"mtry={mtry} exceeds the feature count {p}")
+    return mtry
 
+
+def _payload(data: SurvivalDataset, cfg: ForestConfig, kind: ForestKind) -> tuple:
+    """What every tree of a fit grows from (see _grow_indexed), after its checks."""
+    mtry = _check_fit(data, cfg, kind)
+    x, times, status = data.covariate_matrix, data.times, data.status_codes
     grid = np.unique(times[status != int(EventStatus.CENSORED)])
-    payload = (x, *_rank_codes(x), times, status, kind, cfg, mtry, grid)
+    return (x, *_rank_codes(x), times, status, kind, cfg, mtry, grid)
+
+
+_QUEUE: dict = {}  # kind -> (data, payload, chunks, pool); fork workers see (data, payload)
+
+
+def _grow_chunk(kind: ForestKind, indices: range) -> list:
+    return [_grow_indexed(_QUEUE[kind][1] + (i,)) for i in indices]
+
+
+@contextlib.contextmanager
+def queue_forests(forests, n_jobs: int | None):
+    """Queue every tree of ``forests``, (data, cfg, kind) triples, in chunks
+    on one fork pool, and yield their kinds in queue order: decreasing
+    events counted by the stop rule, so the largest trees start first. In
+    the block, the fit of one of them on the same data object and config
+    takes its trees. Serial fits and fits that fail a check are not queued.
+    Taking the last forest, or leaving the block, shuts the pool down."""
+    global _QUEUE
     jobs = resolve_jobs(n_jobs)
-    indices = range(cfg.n_trees)
-    if jobs == 1 or cfg.n_trees < 2 * jobs:
-        trees = [_grow_indexed(payload + (i,)) for i in indices]
+    queued = []
+    for data, cfg, kind in forests:
+        if jobs > 1 and cfg.n_trees >= 2 * jobs:
+            with contextlib.suppress(ConvsurvError):  # the fit raises it again
+                queued.append((data, _payload(data, cfg, kind)))
+    if not queued:
+        yield []
+        return
+    import concurrent.futures  # here, so that a predict never imports them
+    import multiprocessing
+    # a payload's items 4, 5 and 6 are status, kind and cfg (see _payload)
+    queued.sort(reverse=True, key=lambda forest: np.count_nonzero(
+        forest[1][4] != int(EventStatus.CENSORED)))
+    pool = concurrent.futures.ProcessPoolExecutor(
+        max_workers=jobs, mp_context=multiprocessing.get_context("fork"))
+    # the workers fork at the first submit and inherit the payloads
+    # copy-on-write; per-tree seeds make each tree independent of scheduling
+    outer, _QUEUE = _QUEUE, {payload[5]: (data, payload) for data, payload in queued}
+    try:
+        for kind, (data, payload) in list(_QUEUE.items()):
+            n, step = payload[6].n_trees, max(1, payload[6].n_trees // (jobs * 4))
+            _QUEUE[kind] = (data, payload, [
+                pool.submit(_grow_chunk, kind, range(start, min(start + step, n)))
+                for start in range(0, n, step)], pool)
+        yield list(_QUEUE)
+    finally:
+        _QUEUE = outer
+        pool.shutdown(cancel_futures=True)
+
+
+def _fit_forest(data: SurvivalDataset, cfg: ForestConfig, kind: ForestKind,
+                n_jobs: int | None) -> ForestModel:
+    """The fit behind the three kinds' wrappers. Once its checks pass, it
+    takes its trees from the open queue_forests block if that queued it,
+    else from a block of its own, or grows them one by one."""
+    _check_fit(data, cfg, kind)
+    held = _QUEUE.get(kind)
+    if held is None or held[0] is not data or held[1][6] != cfg:
+        with queue_forests([(data, cfg, kind)], n_jobs) as queued:
+            if queued:
+                return _fit_forest(data, cfg, kind, n_jobs)  # takes the queued trees
+        payload = _payload(data, cfg, kind)
+        trees = [_grow_indexed(payload + (i,)) for i in range(cfg.n_trees)]
     else:
-        # fork workers inherit the read-only payload; per-tree seeds make
-        # the result independent of scheduling, merged by tree index
-        global _FORK_PAYLOAD
-        _FORK_PAYLOAD = payload
-        try:
-            ctx = multiprocessing.get_context("fork")
-            chunk = max(1, cfg.n_trees // (jobs * 4))
-            with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=jobs, mp_context=ctx) as pool:
-                trees = list(pool.map(_grow_from_payload, indices,
-                                      chunksize=chunk))
-        finally:
-            _FORK_PAYLOAD = None
+        _, payload, chunks, pool = _QUEUE.pop(kind)
+        trees = [tree for chunk in chunks for tree in chunk.result()]
+        if not _QUEUE:
+            pool.shutdown()
     return ForestModel(kind=kind, trees=tuple(trees), config=cfg,
                        feature_names=data.feature_names, axis=data.axis,
-                       grid=grid)
+                       grid=payload[-1])
 
 
 def fit_rsf(data: SurvivalDataset, cfg: ForestConfig,

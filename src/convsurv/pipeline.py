@@ -412,20 +412,22 @@ def _sorted_logs(ids: tuple[str, ...], parts: list[list]) -> PlayerLogs:
     ``parts[k]`` lists column k's pieces, player codes first; each list is
     emptied once its column is joined, so memory holds one copy of the
     table plus one column. Rows already in (player, day) order, as ``generate``
-    writes them, are kept as read. The table's check names the first player
+    writes them, are kept as read; others are gathered one column at a time,
+    each replacing its old column. The table's check names the first player
     in file order with a duplicate day or a decreasing level.
     """
     joined = []
     for pieces in parts:
         joined.append(np.concatenate(pieces))
         pieces.clear()
-    code, *columns = joined
-    day = columns[0]
+    code, day = joined[:2]
     if not np.all((code[:-1] < code[1:])
                   | ((code[:-1] == code[1:]) & (day[:-1] <= day[1:]))):
         order = np.lexsort((day, code))  # stable: the identity on ordered keys
-        code = code[order]
-        columns = [c[order] for c in columns]
+        del code, day
+        for k in range(len(joined)):
+            joined[k] = joined[k][order]
+    code, *columns = joined
     offsets = np.searchsorted(code, np.arange(len(ids) + 1))
     return PlayerLogs(ids, columns[0][offsets[:-1]], offsets, *columns)
 

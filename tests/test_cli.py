@@ -857,16 +857,17 @@ def test_cli_import_leaves_out_scipy_stats_and_optimize(data_dir, tmp_path):
     """Start-up cost: nothing needs scipy.stats or scipy.optimize, and
     scipy.special loads only where a band is computed. A ``generate`` run
     loads none of them; a forest ``predict``, which bisects its grid, loads
-    no scipy.sparse either; a cif fit computes its p-values without
-    scipy.special, serially and in fork workers, which fail to import it
-    once it is blocked in the parent."""
+    no scipy.sparse either, nor the fork pool's multiprocessing and
+    concurrent.futures, which only a parallel fit imports; a cif fit
+    computes its p-values without scipy.special, serially and in fork
+    workers, which fail to import it once it is blocked in the parent."""
     model = tmp_path / "rsf-cr.json"
     assert main(["train", "--data", str(data_dir / "logs.csv"), "--model", "rsf-cr",
                  "--target", "playtime", "--train-frac", "0.9", "--trees", "3",
                  "--seed", "5", "--out", str(model)]) == 0
     script = ("import sys, convsurv.cli as cli\n"
               "heavy = lambda: [m for m in ('scipy.stats', 'scipy.optimize', 'scipy.special',"
-              " 'scipy.sparse') if m in sys.modules]\n"
+              " 'scipy.sparse', 'multiprocessing', 'concurrent.futures') if m in sys.modules]\n"
               "model, logs, out = sys.argv[1:]\n"
               "loaded = heavy()\n"
               "code = cli.main(['generate', '--players', '50', '--seed', '3',"

@@ -1,6 +1,8 @@
 """Split protocol, metric definitions, and the model-comparison harness."""
 
+import concurrent.futures
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from convsurv import evaluation
 from convsurv.core import EventStatus
 from convsurv.errors import (
     ConfigError,
+    DegenerateFitError,
     EmptyInputError,
     StratificationError,
     UndefinedMetricError,
@@ -251,6 +254,106 @@ class TestEvaluateModels:
                              competing=True, axis=TimeAxis.LEVEL)
         with pytest.raises(ConfigError):
             evaluate_models(train, other)
+
+
+def medians_of(outcomes):
+    return np.array([np.nan if o.predicted_median is None else o.predicted_median
+                     for o in outcomes])
+
+
+class TestSharedPool:
+    """With more than one job, evaluate_models grows every forest's trees
+    on one fork pool and scores each forest as its trees come in."""
+
+    @pytest.fixture(autouse=True)
+    def no_thread_cap(self, monkeypatch):
+        monkeypatch.delenv("CONVSURV_THREADS", raising=False)
+
+    def split(self, rng, competing=True):
+        data = training_shaped_dataset(rng, competing=competing)
+        return stratified_split(data, SplitSpec(0.5, seed=3))
+
+    def test_any_job_count_gives_the_same_report(self, rng):
+        train, test = self.split(rng)
+        cfg = ForestConfig(n_trees=12, min_node_events=8, seed=4)
+        runs = [evaluate_models(train, test, forest_config=cfg, n_jobs=jobs)
+                for jobs in (1, 2, 3)]
+        serial_rows, serial_outcomes = runs[0]
+        assert [r.model for r in serial_rows] == ["cox", "rsf", "cif", "rsf-cr"]
+        assert all(r.error is None for r in serial_rows)
+        for rows, outcomes in runs[1:]:
+            assert rows == serial_rows
+            assert list(outcomes) == list(serial_outcomes)
+            for kind, outs in outcomes.items():
+                assert outs == serial_outcomes[kind]
+                assert np.array_equal(medians_of(outs), medians_of(serial_outcomes[kind]),
+                                      equal_nan=True)
+
+    def test_failed_forest_keeps_its_row(self, rng, monkeypatch):
+        """rsf-cr fails its check on a single-risk train set and is not
+        queued; cif is queued but its fit raises. Both keep their error row
+        and exit code, and the other kinds score as in a serial run."""
+        train, test = self.split(rng, competing=False)
+        cfg = ForestConfig(n_trees=8, min_node_events=8, seed=4)
+        serial, _ = evaluate_models(train, test, forest_config=cfg, n_jobs=1)
+
+        def degenerate(*args, **kwargs):
+            raise DegenerateFitError("no cif today")
+
+        monkeypatch.setattr(evaluation, "fit_conditional_ensemble", degenerate)
+        rows, outcomes = evaluate_models(train, test, forest_config=cfg, n_jobs=2)
+        assert [(r.model, r.exit_code) for r in rows] == [
+            ("cox", 0), ("rsf", 0), ("cif", 2), ("rsf-cr", 2)]
+        assert rows[2].error == "no cif today" and "churn" in rows[3].error
+        assert rows[:2] == serial[:2]
+        assert list(outcomes) == ["cox", "rsf"]
+        assert not multiprocessing.active_children()
+
+    def test_no_worker_outlives_the_call(self, rng, monkeypatch):
+        train, test = self.split(rng)
+        cfg = ForestConfig(n_trees=8, min_node_events=8, seed=4)
+        evaluate_models(train, test, forest_config=cfg, n_jobs=2)
+        assert not multiprocessing.active_children()
+        rows, _ = evaluate_models(train.recode_competing_as_censored(), test,
+                                  ("rsf-cr", "rsf"), cfg, n_jobs=2)
+        assert rows[0].error is not None and rows[1].error is None
+        assert not multiprocessing.active_children()
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(evaluation, "forest_median_batch", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            evaluate_models(train, test, forest_config=cfg, n_jobs=2)
+        assert not multiprocessing.active_children()
+
+    def test_one_pool_per_call(self, rng, monkeypatch):
+        """One pool serves all three forests, each reached through its
+        evaluation.fit_* name, which perfbench's spans patch."""
+        train, test = self.split(rng)
+        cfg = ForestConfig(n_trees=8, min_node_events=8, seed=4)
+        pools, fits = [], []
+
+        class CountedPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        def counted(name):
+            fit = getattr(evaluation, name)
+
+            def call(*args, **kwargs):
+                fits.append(name)
+                return fit(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+        for name in ("fit_rsf", "fit_conditional_ensemble", "fit_rsf_competing"):
+            monkeypatch.setattr(evaluation, name, counted(name))
+        rows, _ = evaluate_models(train, test, forest_config=cfg, n_jobs=2)
+        assert all(r.error is None for r in rows)
+        assert len(pools) == 1
+        assert sorted(fits) == ["fit_conditional_ensemble", "fit_rsf", "fit_rsf_competing"]
 
 
 class TestReportRendering:

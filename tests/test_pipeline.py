@@ -646,6 +646,26 @@ class TestInputEdges:
         arrays = (table.registration, table.offsets) + table.columns
         assert peak < 2 * sum(a.nbytes for a in arrays)
 
+    def test_unsorted_log_peak_memory(self, tmp_path):
+        """A log that needs the sort, here day-major, is gathered one column
+        at a time, each replacing its old column: ingest's traced peak stays
+        below 2x the table, as for an ordered log."""
+        logs, _ = generate_synthetic(GeneratorConfig(n_players=4000, seed=3))
+        path = tmp_path / "logs.csv"
+        write_logs_csv(logs, path)
+        header, *rows = path.read_text().splitlines(keepends=True)
+        rows.sort(key=lambda row: int(row.split(",")[1]))  # stable: players keep their order
+        day_major = tmp_path / "day_major.csv"
+        day_major.write_text(header + "".join(rows))
+        tracemalloc.start()
+        try:
+            table = ingest_logs(day_major)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = (table.registration, table.offsets) + table.columns
+        assert peak < 2 * sum(a.nbytes for a in arrays)
+
     def test_long_player_id_is_kept_whole(self, tmp_path):
         pid = "x" * 100
         path = write_csv(tmp_path, f"{pid},0,1.0,1,1,1,0\n{pid},1,1.0,1,1,1,0\n")
