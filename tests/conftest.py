@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from convsurv import forest
 from convsurv.core import EventStatus, SurvivalDataset, TimeAxis
 
 
@@ -35,6 +36,30 @@ def random_dataset(rng, n, competing=False, p=1, tie_prob=0.3):
             [EventStatus.CENSORED, EventStatus.CONVERTED], size=n, p=[0.4, 0.6])
     x = rng.standard_normal((n, p))
     return make_dataset(times, statuses, x, competing=competing)
+
+
+def make_leaves(tables):
+    """A tree's leaves from per-leaf risk tables, in leaf order: (times,
+    at_risk, d_conv, d_churn), plus at_risk_grid for cif."""
+    return [forest.Leaf(np.asarray(times, dtype=float),
+                        *(np.asarray(c, dtype=int) for c in counts))
+            for times, *counts in tables]
+
+
+def make_tree(tables, split=None):
+    """A one-leaf tree, or one whose root ``split`` (feature, threshold)
+    has a leaf on each side, holding the risk tables ``tables`` (see
+    make_leaves)."""
+    if split is None:
+        nodes = ([-1], [np.nan], [-1], [-1], [0])
+    else:
+        nodes = ([split[0], -1, -1], [split[1], np.nan, np.nan], [1, -1, -1],
+                 [2, -1, -1], [-1, 0, 1])
+    feature, threshold, left, right, leaf_index = nodes
+    return forest.SurvivalTree(
+        feature=np.array(feature, dtype=np.int32), threshold=np.array(threshold),
+        left=np.array(left, dtype=np.int32), right=np.array(right, dtype=np.int32),
+        leaf_index=np.array(leaf_index, dtype=np.int32), leaves=make_leaves(tables))
 
 
 @pytest.fixture

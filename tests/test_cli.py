@@ -628,6 +628,12 @@ def corrupt_model(doc, corruption):
         tree["leaf_index"].pop()
     elif corruption == "missing-key":
         del tree["leaves"]
+    elif corruption == "leaf-counts-shifted":
+        # every leaf array keeps its total length, but one at_risk count
+        # moves to the next leaf
+        leaves = tree["leaves"]
+        i = next(k for k, lf in enumerate(leaves[:-1]) if lf["at_risk"])
+        leaves[i + 1]["at_risk"].insert(0, leaves[i]["at_risk"].pop())
     elif corruption == "null-at-risk-grid":
         leaf["at_risk_grid"] = None
     elif corruption == "reversed-grid":
@@ -717,7 +723,7 @@ class TestModelFileCorruption:
     @pytest.mark.parametrize("corruption", [
         "cycle", "child-out-of-range", "bad-leaf-index", "bad-feature",
         "short-node-array", "missing-key", "not-json", "zero-trees", "one-tree-short",
-        "null-threshold", "churn-window-negative",
+        "null-threshold", "churn-window-negative", "leaf-counts-shifted",
     ])
     def test_corrupt_model_file_is_data_error(self, corruption, data_dir, rsf_model,
                                               tmp_path, capsys):

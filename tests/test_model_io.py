@@ -26,6 +26,8 @@ from convsurv.evaluation import (
 )
 from convsurv.forest import (
     ForestConfig,
+    ForestKind,
+    ForestModel,
     fit_conditional_ensemble,
     fit_rsf,
     fit_rsf_competing,
@@ -37,7 +39,7 @@ from convsurv.generator import GeneratorConfig, generate_synthetic, write_logs_c
 from convsurv.model_io import FORMAT_VERSION, load_model, save_model
 from convsurv.pipeline import build_dataset
 
-from conftest import make_dataset, random_dataset
+from conftest import make_dataset, make_tree, random_dataset
 
 CONV = EventStatus.CONVERTED
 CENS = EventStatus.CENSORED
@@ -162,6 +164,76 @@ class TestFormatGuards:
         assert loaded.axis == TimeAxis.PLAYTIME
         assert loaded.feature_spec_hash == "abc123"
         assert loaded.train_config == {"seed": 1}
+
+
+# per kind, the leaf risk tables (times, at_risk, d_conv, d_churn, and
+# at_risk_grid for cif) of a tree split at f1 <= 0.25, whose right leaf has
+# no knots, and of a one-leaf tree, on the grid (1.0, 2.5, 4.0)
+PINNED_TREES = {
+    "rsf": ([([1.0, 4.0], [5, 2], [2, 1], [0, 0]), ([], [], [], [])],
+            [([2.5], [3], [1], [0])]),
+    "cif": ([([1.0, 4.0], [5, 2], [2, 1], [0, 0], [5, 3, 2]), ([], [], [], [], [2, 2, 0])],
+            [([2.5], [3], [1], [0], [3, 3, 1])]),
+    "rsf-cr": ([([1.0, 2.5, 4.0], [6, 4, 2], [1, 0, 1], [1, 1, 0]), ([], [], [], [])],
+               [([4.0], [2], [0], [2])]),
+}
+PINNED_PAYLOADS = {
+    "rsf": (
+        '{"config":{"n_trees":2,"mtry":null,"min_node_events":15,"bootstrap":true,'
+        '"alpha":0.05,"max_depth":null,"seed":3,"max_candidates":64,"aggregate":"pooled"},'
+        '"grid":[1.0,2.5,4.0],"trees":[{"feature":[1,-1,-1],"threshold":[0.25,null,null],'
+        '"left":[1,-1,-1],"right":[2,-1,-1],"leaf_index":[-1,0,1],"leaves":['
+        '{"times":[1.0,4.0],"at_risk":[5,2],"d_conv":[2,1],"d_churn":[0,0],'
+        '"at_risk_grid":null},'
+        '{"times":[],"at_risk":[],"d_conv":[],"d_churn":[],"at_risk_grid":null}]},'
+        '{"feature":[-1],"threshold":[null],"left":[-1],"right":[-1],"leaf_index":[0],'
+        '"leaves":[{"times":[2.5],"at_risk":[3],"d_conv":[1],"d_churn":[0],'
+        '"at_risk_grid":null}]}]}'),
+    "cif": (
+        '{"config":{"n_trees":2,"mtry":null,"min_node_events":15,"bootstrap":true,'
+        '"alpha":0.05,"max_depth":null,"seed":3,"max_candidates":64,"aggregate":"pooled"},'
+        '"grid":[1.0,2.5,4.0],"trees":[{"feature":[1,-1,-1],"threshold":[0.25,null,null],'
+        '"left":[1,-1,-1],"right":[2,-1,-1],"leaf_index":[-1,0,1],"leaves":['
+        '{"times":[1.0,4.0],"at_risk":[5,2],"d_conv":[2,1],"d_churn":[0,0],'
+        '"at_risk_grid":[5,3,2]},'
+        '{"times":[],"at_risk":[],"d_conv":[],"d_churn":[],"at_risk_grid":[2,2,0]}]},'
+        '{"feature":[-1],"threshold":[null],"left":[-1],"right":[-1],"leaf_index":[0],'
+        '"leaves":[{"times":[2.5],"at_risk":[3],"d_conv":[1],"d_churn":[0],'
+        '"at_risk_grid":[3,3,1]}]}]}'),
+    "rsf-cr": (
+        '{"config":{"n_trees":2,"mtry":null,"min_node_events":15,"bootstrap":true,'
+        '"alpha":0.05,"max_depth":null,"seed":3,"max_candidates":64,"aggregate":"pooled"},'
+        '"grid":[1.0,2.5,4.0],"trees":[{"feature":[1,-1,-1],"threshold":[0.25,null,null],'
+        '"left":[1,-1,-1],"right":[2,-1,-1],"leaf_index":[-1,0,1],"leaves":['
+        '{"times":[1.0,2.5,4.0],"at_risk":[6,4,2],"d_conv":[1,0,1],"d_churn":[1,1,0],'
+        '"at_risk_grid":null},'
+        '{"times":[],"at_risk":[],"d_conv":[],"d_churn":[],"at_risk_grid":null}]},'
+        '{"feature":[-1],"threshold":[null],"left":[-1],"right":[-1],"leaf_index":[0],'
+        '"leaves":[{"times":[4.0],"at_risk":[2],"d_conv":[0],"d_churn":[2],'
+        '"at_risk_grid":null}]}]}'),
+}
+
+
+class TestFormatPin:
+    @pytest.mark.parametrize("kind", PINNED_PAYLOADS)
+    def test_forest_payload_text(self, tmp_path, kind):
+        """A handmade two-tree forest of each kind saves to exactly the
+        pinned "model" payload, and loading and saving it again writes the
+        same bytes."""
+        split_tables, stump_tables = PINNED_TREES[kind]
+        model = ForestModel(
+            kind=ForestKind(kind), config=ForestConfig(n_trees=2, seed=3),
+            trees=(make_tree(split_tables, split=(1, 0.25)), make_tree(stump_tables)),
+            feature_names=("f0", "f1"), axis=TimeAxis.LEVEL, grid=np.array([1.0, 2.5, 4.0]))
+        meta = dict(axis=TimeAxis.LEVEL, feature_names=("f0", "f1"),
+                    feature_spec_hash="abc123", train_config={"churn_window": 9})
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_model(first, model, **meta)
+        text = first.read_text()
+        assert text.endswith("}\n")
+        assert text[text.index('"model":') + len('"model":'):-2] == PINNED_PAYLOADS[kind]
+        save_model(second, load_model(first).model, **meta)
+        assert second.read_bytes() == first.read_bytes()
 
 
 @functools.lru_cache(maxsize=None)
