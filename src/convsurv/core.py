@@ -55,6 +55,15 @@ def row_chunks(n: int, width: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, n, step)]
 
 
+def covariate_rows(x, n_features: int) -> np.ndarray:
+    """``x`` as a float matrix, one row per subject, of ``n_features`` columns."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[1] != n_features:
+        raise ShapeMismatchError(
+            f"covariate matrix has {x.shape[1]} columns, expected {n_features}")
+    return x
+
+
 def first_crossing(n_rows: int, n_points: int, crossed_at) -> np.ndarray:
     """Each row's first index in range(n_points) where ``crossed_at`` holds,
     n_points where none does. ``crossed_at`` maps one index per row to one

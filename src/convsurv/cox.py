@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EventStatus, StepFunction, SurvivalDataset, first_crossing
+from .core import EventStatus, StepFunction, SurvivalDataset, covariate_rows, first_crossing
 from .estimators import event_counts
 from .errors import (
     ConfigError,
@@ -249,11 +249,7 @@ def predict_median_batch(fit: CoxFit, x) -> np.ndarray:
     The baseline is non-decreasing, so survival falls along the knots, and
     core.first_crossing bisects them in a few row-length vectors.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != fit.beta.shape[0]:
-        raise ShapeMismatchError(
-            f"covariate matrix has {x.shape[1]} columns, expected {fit.beta.shape[0]}"
-        )
+    x = covariate_rows(x, fit.beta.shape[0])
     h0 = fit.baseline_cum_hazard
     # a huge beta' x overflows to an infinite risk, which times a zero
     # baseline hazard is NaN: that row has not crossed at such a knot
@@ -261,7 +257,4 @@ def predict_median_batch(fit: CoxFit, x) -> np.ndarray:
         risk = np.exp(x @ fit.beta)
         first = first_crossing(x.shape[0], h0.knots.size,
                                lambda k: np.exp(-(risk * h0.values[k])) <= 0.5)
-    out = np.full(x.shape[0], np.nan)
-    found = first < h0.knots.size
-    out[found] = h0.knots[first[found]]
-    return out
+    return np.append(h0.knots, np.nan)[first]  # NaN where no knot crosses

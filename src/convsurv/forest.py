@@ -40,7 +40,6 @@ from .errors import (
     DegenerateFitError,
     InvalidEventError,
     InvalidModelError,
-    ShapeMismatchError,
     WrongEstimatorError,
 )
 from .estimators import (COUNT_CURVES, event_counts, na_values_from_counts,
@@ -98,21 +97,21 @@ class ForestConfig:
 
 
 @dataclass
-class Leaf:
-    """Node-local risk table: counts from the training records routed here.
+class LeafTable:
+    """One tree's leaf risk tables: leaf l owns entries offsets[l] to
+    offsets[l + 1] - 1 of ``times`` (its distinct event times, any type),
+    ``at_risk``, ``d_conv`` and ``d_churn``. In cif, row l of ``at_risk_grid``
+    (None in other kinds) counts its subjects at risk at each grid time."""
 
-    Fields follow the order of ``estimators.event_counts``' result.
-    """
-
-    times: np.ndarray      # distinct event times (any type) in the leaf
+    offsets: np.ndarray
+    times: np.ndarray
     at_risk: np.ndarray
     d_conv: np.ndarray
     d_churn: np.ndarray
-    at_risk_grid: np.ndarray | None = None  # conditional kind: Q on model grid
+    at_risk_grid: np.ndarray | None = None
 
-    @property
-    def d_total(self) -> np.ndarray:
-        return self.d_conv + self.d_churn
+    def __len__(self) -> int:
+        return self.offsets.size - 1
 
 
 @dataclass
@@ -127,7 +126,7 @@ class SurvivalTree:
     left: np.ndarray
     right: np.ndarray
     leaf_index: np.ndarray
-    leaves: list[Leaf]
+    leaves: LeafTable
 
 
 @dataclass(frozen=True)
@@ -321,7 +320,7 @@ def _grow_tree(xs, cs, values, ts, ss, kind: ForestKind, cfg: ForestConfig,
     p = xs.shape[1]
     leaf_grid = grid if kind.grid_at_risk else None
     feature, threshold, left, right, leaf_index = [], [], [], [], []
-    leaves: list[Leaf] = []
+    leaves = []  # each leaf's event_counts result
 
     stack = [(np.arange(xs.shape[0]), 0, -1, False)]
     while stack:
@@ -352,7 +351,7 @@ def _grow_tree(xs, cs, values, ts, ss, kind: ForestKind, cfg: ForestConfig,
                     cfg.min_node_events, cfg.max_candidates)
         if split is None:
             leaf_index[node_id] = len(leaves)
-            leaves.append(Leaf(*event_counts(t_node, s_node, leaf_grid)))
+            leaves.append(event_counts(t_node, s_node, leaf_grid))
             continue
         f, thr = split
         feature[node_id] = f
@@ -361,13 +360,16 @@ def _grow_tree(xs, cs, values, ts, ss, kind: ForestKind, cfg: ForestConfig,
         stack.append((idx[~go_left], depth + 1, node_id, True))
         stack.append((idx[go_left], depth + 1, node_id, False))
 
+    times, at_risk, d_conv, d_churn, at_risk_grid = zip(*leaves)
     return SurvivalTree(
         feature=np.asarray(feature, dtype=np.int32),
         threshold=np.asarray(threshold, dtype=float),
         left=np.asarray(left, dtype=np.int32),
         right=np.asarray(right, dtype=np.int32),
         leaf_index=np.asarray(leaf_index, dtype=np.int32),
-        leaves=leaves,
+        leaves=LeafTable(np.cumsum([0, *map(len, times)]),
+                         *map(np.concatenate, (times, at_risk, d_conv, d_churn)),
+                         None if leaf_grid is None else np.array(at_risk_grid)),
     )
 
 
@@ -524,10 +526,6 @@ def fit_rsf_competing(data: SurvivalDataset, cfg: ForestConfig,
 
 
 # --- prediction ---------------------------------------------------------
-#
-# Medians of the mean-aggregated kinds bisect the grid (_bisect_crossing);
-# pooled survival is a running product, so its medians scan whole curves.
-# Memory is the leaf tables plus one row chunk, whatever the row count.
 
 
 def _curve_width(grid: np.ndarray, curve: str) -> int:
@@ -569,7 +567,7 @@ def _leaf_counts(tree: SurvivalTree, grid: np.ndarray) -> tuple:
     one, which leaves every count kernel's running sum or product as it is.
     """
     leaves = tree.leaves
-    sizes = np.array([leaf.times.size for leaf in leaves])
+    sizes = np.diff(leaves.offsets)
     present = np.arange(sizes.max()) < sizes[:, None]
 
     def rows(values: np.ndarray, fill: int) -> np.ndarray:
@@ -577,11 +575,8 @@ def _leaf_counts(tree: SurvivalTree, grid: np.ndarray) -> tuple:
         out[present] = values
         return out
 
-    ranks = np.searchsorted(grid, np.concatenate([lf.times for lf in leaves]))
-    return (present, rows(ranks, 0),
-            rows(np.concatenate([lf.at_risk for lf in leaves]), 1),
-            rows(np.concatenate([lf.d_conv for lf in leaves]), 0),
-            rows(np.concatenate([lf.d_churn for lf in leaves]), 0))
+    return (present, rows(np.searchsorted(grid, leaves.times), 0),
+            rows(leaves.at_risk, 1), rows(leaves.d_conv, 0), rows(leaves.d_churn, 0))
 
 
 def _leaf_keys(leaf: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -651,18 +646,9 @@ def _leaf_curve_matrix(tree: SurvivalTree, grid: np.ndarray, curve: str) -> np.n
         present, ranks, _, d_conv, d_churn = _leaf_counts(tree, grid)
         rows = np.zeros((present.shape[0], 2 * grid.size))
         rows[np.nonzero(present)[0], ranks[present]] = (d_conv + d_churn)[present]
-        rows[:, grid.size:] = [leaf.at_risk_grid for leaf in tree.leaves]
+        rows[:, grid.size:] = tree.leaves.at_risk_grid
         return rows
     return np.ascontiguousarray(_dense_table(tree, grid, curve)[:, :grid.size])
-
-
-def _check_x_matrix(model: ForestModel, x) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != model.n_features:
-        raise ShapeMismatchError(
-            f"covariate matrix has {x.shape[1]} columns, expected {model.n_features}"
-        )
-    return x
 
 
 def _tree_sum(model: ForestModel, x, curve: str) -> np.ndarray:
@@ -671,7 +657,7 @@ def _tree_sum(model: ForestModel, x, curve: str) -> np.ndarray:
     Leaf tables are gathered one row chunk at a time, so the only
     temporary beside the result is one chunk wide.
     """
-    x = _check_x_matrix(model, x)
+    x = core.covariate_rows(x, model.n_features)
     width = _curve_width(model.grid, curve)
     acc = np.zeros((x.shape[0], width))
     for tree in model.trees:
@@ -789,19 +775,16 @@ def _bisect_crossing(model: ForestModel, x: np.ndarray, curve: str,
 def predict_median_batch(model: ForestModel, x) -> np.ndarray:
     """Vectorized medians; NaN where the curve never crosses 0.5.
 
-    Mean-aggregated kinds bisect the grid one row chunk at a time, against
-    every tree's dense table while all of them fit CHUNK_BYTES and its knot
-    table past that (see _bisect_crossing). Pooled survival is a running
-    product over the grid, so it cannot be read at one grid index: its
-    curve is computed and scanned per row chunk, one tree's dense table at
-    a time. Memory is those tables plus one row chunk, whatever the row
-    count.
+    Mean-aggregated kinds bisect the grid (see _bisect_crossing). Pooled
+    survival is a running product over the grid, so it cannot be read at
+    one grid index: its curve is computed and scanned per row chunk, one
+    tree's dense table at a time. Memory is the leaf tables plus one row
+    chunk, whatever the row count.
     """
-    x = _check_x_matrix(model, x)
-    out = np.full(x.shape[0], np.nan)
+    x = core.covariate_rows(x, model.n_features)
     n_grid = model.grid.size
     if not n_grid:
-        return out
+        return np.full(x.shape[0], np.nan)
     curve, crossed = _median_terms(model)
     if curve != "pooled":
         first = _bisect_crossing(model, x, curve, crossed)
@@ -810,6 +793,4 @@ def predict_median_batch(model: ForestModel, x) -> np.ndarray:
         for rows in row_chunks(x.shape[0], _curve_width(model.grid, curve)):
             hit = crossed(_tree_sum(model, x[rows], curve))
             first[rows] = np.where(hit.any(axis=1), np.argmax(hit, axis=1), n_grid)
-    found = first < n_grid
-    out[found] = model.grid[first[found]]
-    return out
+    return np.append(model.grid, np.nan)[first]  # NaN where no grid point crosses

@@ -18,7 +18,8 @@ Forest payload: {"config": {...}, "grid": [...], "trees": [...]} with
 config["n_trees"] trees. Each tree holds the flat node arrays named in
 ``_NODE_FIELDS`` (threshold null at leaves, finite at splits) plus
 "leaves", one risk table per leaf with the arrays named in
-``_LEAF_FIELDS`` (at_risk_grid null outside conditional ensembles).
+``_LEAF_FIELDS`` (at_risk_grid null outside conditional ensembles); the
+file keeps these per-leaf arrays, while memory holds one LeafTable per tree.
 Integer arrays hold JSON integers only and float arrays JSON numbers
 only. Leaf curves are recomputed from the counts on load, so a save/load
 round trip reproduces predictions bit-identically (JSON floats use
@@ -28,6 +29,7 @@ shortest round-trip representation).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -37,12 +39,12 @@ from .core import TimeAxis
 from .cox import ConvergenceInfo, CoxFit, StepFunction
 from .errors import CompatibilityError, ConfigError
 from .evaluation import model_kind, needs_churn_labels
-from .forest import ForestConfig, ForestKind, ForestModel, Leaf, SurvivalTree
+from .forest import ForestConfig, ForestKind, ForestModel, LeafTable, SurvivalTree
 
 FORMAT_VERSION = 1
 
 # (name, dtype) of a tree's node arrays and of a leaf's risk-table arrays,
-# in file order: the writer, the reader and the leaf check all walk these
+# in file order: the writer and the reader walk these
 _NODE_FIELDS = (("feature", np.int32), ("threshold", float), ("left", np.int32),
                 ("right", np.int32), ("leaf_index", np.int32))
 _LEAF_FIELDS = (("times", float), ("at_risk", int), ("d_conv", int), ("d_churn", int),
@@ -78,6 +80,12 @@ def _array(values, dtype, what: str) -> np.ndarray:
         raise CompatibilityError(
             f"{what} is not an array of JSON {'numbers' if floats else 'integers'}")
     return np.array(values, dtype=dtype)
+
+
+def _chained(parts: list, dtype, what: str) -> np.ndarray:
+    """JSON arrays ``parts``, chained, as one array (see _array)."""
+    return _array(list(itertools.chain.from_iterable(parts))
+                  if set(map(type, parts)) <= {list} else None, dtype, what)
 
 
 def _cox_payload(fit: CoxFit) -> dict:
@@ -134,23 +142,40 @@ def _tree_payload(tree: SurvivalTree) -> dict:
     # thresholds are null at leaves, finite at splits
     payload["threshold"] = [None if f < 0 else t for f, t in
                             zip(payload["feature"], payload["threshold"])]
-    payload["leaves"] = [{name: _numbers(getattr(leaf, name), dtype)
-                          for name, dtype in _LEAF_FIELDS} for leaf in tree.leaves]
+    # one object per leaf: its count slices, then its at_risk_grid row or null
+    bounds = tree.leaves.offsets.tolist()
+    *counts, grid_rows = (_numbers(getattr(tree.leaves, name), dtype)
+                          for name, dtype in _LEAF_FIELDS)
+    payload["leaves"] = [
+        {**{name: c[a:b] for (name, _), c in zip(_LEAF_FIELDS, counts)}, "at_risk_grid": q}
+        for a, b, q in zip(bounds, bounds[1:], grid_rows or [None] * len(tree.leaves))]
     return payload
 
 
-def _tree_from_payload(payload: dict, n_features: int) -> SurvivalTree:
+def _tree_from_payload(payload: dict, n_features: int, grid: np.ndarray,
+                       grid_at_risk: bool) -> SurvivalTree:
+    """A tree whose leaves' arrays of each field are chained into one and
+    type-checked as one. A leaf's counts must be as long as its times, and
+    its at_risk_grid, null exactly outside cif, as the grid."""
+    parts = {name: [leaf[name] for leaf in payload["leaves"]] for name, _ in _LEAF_FIELDS}
+    if any((q is not None) != grid_at_risk for q in parts["at_risk_grid"]):
+        raise CompatibilityError("at_risk_grid must be present exactly in cif leaves")
+    columns = {name: _chained(parts[name], dtype, f"leaf {name}")
+               for name, dtype in _LEAF_FIELDS if grid_at_risk or name != "at_risk_grid"}
+    sizes = [len(times) for times in parts["times"]]
+    if any([len(c) for c in parts[name]] != sizes for name in ("at_risk", "d_conv", "d_churn")):
+        raise CompatibilityError("leaf count arrays differ in length")
+    if grid_at_risk:
+        if any(len(q) != grid.size for q in parts["at_risk_grid"]):
+            raise CompatibilityError("leaf at_risk_grid does not match the grid")
+        columns["at_risk_grid"] = columns["at_risk_grid"].reshape(len(sizes), grid.size)
+    leaves = LeafTable(np.cumsum([0, *sizes]), **columns)
     nodes = {name: payload[name] for name, _ in _NODE_FIELDS}
     nodes["threshold"] = [np.nan if t is None else t for t in nodes["threshold"]]
-    # at_risk_grid is null outside conditional ensembles; _check_leaves
-    # checks which
-    leaves = [Leaf(**{name: None if name == "at_risk_grid" and lf[name] is None
-                      else _array(lf[name], dtype, f"leaf {name}")
-                      for name, dtype in _LEAF_FIELDS})
-              for lf in payload["leaves"]]
     tree = SurvivalTree(**{name: _array(nodes[name], dtype, f"tree {name}")
                            for name, dtype in _NODE_FIELDS}, leaves=leaves)
     _check_tree(tree, n_features)
+    _check_leaves(leaves, grid)
     return tree
 
 
@@ -177,30 +202,20 @@ def _check_tree(tree: SurvivalTree, n_features: int) -> None:
         raise CompatibilityError("tree leaf_index lies outside its leaf list")
 
 
-def _check_leaves(leaves: list[Leaf], grid: np.ndarray, grid_at_risk: bool) -> None:
-    """Reject leaf risk tables that are not counts of a risk set on ``grid``;
-    ``leaves`` are all of a forest's leaves, checked in one pass.
+def _check_leaves(leaves: LeafTable, grid: np.ndarray) -> None:
+    """Reject a tree's leaf risk tables that are not risk-set counts on ``grid``.
 
     Valid counts give monotone leaf curves, which median prediction
     relies on when it bisects the grid; leaf knots are grid points, which
     its knot tables rely on.
     """
-    times, at_risk, d_conv, d_churn, at_risk_grid = (
-        [getattr(leaf, name) for leaf in leaves] for name, _ in _LEAF_FIELDS)
-    sizes = [a.size for a in times]
-    if any([a.size for a in counts] != sizes for counts in (at_risk, d_conv, d_churn)):
-        raise CompatibilityError("leaf count arrays differ in length")
-    if any((q is not None) != grid_at_risk for q in at_risk_grid):
-        raise CompatibilityError("at_risk_grid must be present exactly in cif leaves")
-    if grid_at_risk and any(q.shape != grid.shape for q in at_risk_grid):
-        raise CompatibilityError("leaf at_risk_grid does not match the grid")
-    times, at_risk, d_conv, d_churn = map(np.concatenate, (times, at_risk, d_conv, d_churn))
-    owner = np.repeat(np.arange(len(leaves)), sizes)
+    times, at_risk, d_conv, d_churn = leaves.times, leaves.at_risk, leaves.d_conv, leaves.d_churn
+    owner = np.repeat(np.arange(len(leaves)), np.diff(leaves.offsets))
     same_leaf = owner[1:] == owner[:-1]
     if (not np.all(np.isfinite(times))
             or np.any(same_leaf & ~(np.diff(times) > 0))):
         raise CompatibilityError("leaf times are not strictly increasing")
-    if not np.all(np.isin(times, grid)):
+    if not np.all(np.append(grid, np.nan)[np.searchsorted(grid, times)] == times):
         raise CompatibilityError("leaf times are not points of the model grid")
     if np.any(at_risk <= 0) or np.any(same_leaf & (np.diff(at_risk) > 0)):
         raise CompatibilityError("leaf at_risk is not positive and non-increasing")
@@ -230,8 +245,8 @@ def _forest_from_payload(payload: dict, kind: str, feature_names, axis) -> Fores
             f"forest has {len(payload['trees'])} trees but its config "
             f"names {config.n_trees}")
     kind = ForestKind(kind)
-    trees = tuple(_tree_from_payload(t, len(feature_names)) for t in payload["trees"])
-    _check_leaves([leaf for tree in trees for leaf in tree.leaves], grid, kind.grid_at_risk)
+    trees = tuple(_tree_from_payload(t, len(feature_names), grid, kind.grid_at_risk)
+                  for t in payload["trees"])
     return ForestModel(kind=kind, trees=trees, config=config,
                        feature_names=tuple(feature_names), axis=axis, grid=grid)
 

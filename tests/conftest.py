@@ -39,11 +39,14 @@ def random_dataset(rng, n, competing=False, p=1, tie_prob=0.3):
 
 
 def make_leaves(tables):
-    """A tree's leaves from per-leaf risk tables, in leaf order: (times,
+    """A tree's LeafTable from per-leaf risk tables, in leaf order: (times,
     at_risk, d_conv, d_churn), plus at_risk_grid for cif."""
-    return [forest.Leaf(np.asarray(times, dtype=float),
-                        *(np.asarray(c, dtype=int) for c in counts))
-            for times, *counts in tables]
+    times, at_risk, d_conv, d_churn, *grid = zip(*tables)
+    return forest.LeafTable(
+        np.cumsum([0, *map(len, times)]),
+        *(np.concatenate([np.asarray(part, dtype=dtype) for part in field])
+          for field, dtype in ((times, float), (at_risk, int), (d_conv, int), (d_churn, int))),
+        np.array(grid[0], dtype=int) if grid else None)
 
 
 def make_tree(tables, split=None):

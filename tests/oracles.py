@@ -12,14 +12,16 @@ per-feature tree-growth code that the per-node hoist replaced, on float
 columns as before rank codes; it shares the forest's bin-count and
 score-moment helpers, and takes its p-values from scipy's ``ndtr`` as the
 forest did before its own normal tail. The routing reference is the level
-walk the child-table route replaced. The leaf-curve reference
-is the knot-table expansion that the forward-filled dense tables replaced;
-it shares the forest's knot tables. The block-sort reference is the
+walk the child-table route replaced. The leaf-count reference pads each
+leaf's slice of the tree's leaf table on its own, in a Python loop. The
+leaf-curve reference is the knot-table expansion that the
+forward-filled dense tables replaced; it shares the forest's knot tables. The block-sort reference is the
 unconditional ``np.lexsort`` that the ordered-log skip bypasses. The
 generator reference at the end is the per-player simulation that the
 array pass replaced.
 """
 
+import bisect
 import csv
 import math
 from collections import namedtuple
@@ -653,6 +655,29 @@ def reference_route(tree, x):
 
 # ---------------------------------------------------------------------------
 # Leaf-curve reference: one knot-table search per leaf and grid index.
+
+def reference_leaf_counts(tree, grid):
+    """(present, ranks, at_risk, d_conv, d_churn) rows of every leaf, each
+    leaf's own slice of the table padded on its own: present False, rank 0,
+    an eventless risk set of one."""
+    table = tree.leaves
+    spans = [range(a, b) for a, b in zip(table.offsets[:-1], table.offsets[1:])]
+    shape = (len(spans), max(len(span) for span in spans))
+    present = np.zeros(shape, dtype=bool)
+    ranks = np.zeros(shape, dtype=np.intp)
+    at_risk = np.ones(shape, dtype=table.at_risk.dtype)
+    d_conv = np.zeros(shape, dtype=table.d_conv.dtype)
+    d_churn = np.zeros(shape, dtype=table.d_churn.dtype)
+    points = grid.tolist()
+    for leaf, span in enumerate(spans):
+        for k, i in enumerate(span):
+            present[leaf, k] = True
+            ranks[leaf, k] = bisect.bisect_left(points, table.times[i])
+            at_risk[leaf, k] = table.at_risk[i]
+            d_conv[leaf, k] = table.d_conv[i]
+            d_churn[leaf, k] = table.d_churn[i]
+    return present, ranks, at_risk, d_conv, d_churn
+
 
 def reference_leaf_curve_matrix(tree, grid, curve):
     """(n_leaves, len(grid)) values of one named mean curve of every leaf."""

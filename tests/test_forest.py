@@ -24,8 +24,8 @@ from convsurv.forest import (
     ForestConfig,
     ForestKind,
     ForestModel,
-    Leaf,
     SurvivalTree,
+    _leaf_counts,
     _leaf_curve_matrix,
     _route,
     fit_conditional_ensemble,
@@ -40,7 +40,7 @@ from convsurv.forest import (
 )
 
 import oracles
-from conftest import make_dataset
+from conftest import make_dataset, make_leaves, make_tree
 
 CONV = EventStatus.CONVERTED
 CENS = EventStatus.CENSORED
@@ -162,8 +162,9 @@ class TestRsf:
         for tree in m.trees:
             if tree.feature[0] < 0:
                 continue  # unsplittable root
-            for leaf in tree.leaves:
-                assert leaf.d_total.sum() >= 12
+            leaves = tree.leaves
+            events = np.cumsum([0, *(leaves.d_conv + leaves.d_churn)])
+            assert np.all(np.diff(events[leaves.offsets]) >= 12)
 
     def test_single_risk_required(self, rng):
         with pytest.raises(WrongEstimatorError):
@@ -276,11 +277,12 @@ class TestCompetingForest:
         for t1, t2 in zip(m_rsf.trees, m_cr.trees):
             assert np.array_equal(t1.feature, t2.feature)
             assert np.array_equal(t1.threshold, t2.threshold, equal_nan=True)
-            for l1, l2 in zip(t1.leaves, t2.leaves):
-                assert np.array_equal(l1.times, l2.times)
-                assert np.array_equal(l1.at_risk, l2.at_risk)
-                assert np.array_equal(l1.d_total, l2.d_total)
-                assert l2.d_churn.sum() == 0
+            l1, l2 = t1.leaves, t2.leaves
+            assert np.array_equal(l1.offsets, l2.offsets)
+            assert np.array_equal(l1.times, l2.times)
+            assert np.array_equal(l1.at_risk, l2.at_risk)
+            assert np.array_equal(l1.d_conv + l1.d_churn, l2.d_conv + l2.d_churn)
+            assert l2.d_churn.sum() == 0
         # with no churn the conversion incidence is exactly the complement
         # of the all-cause survival
         x = rng.standard_normal((10, 3))
@@ -320,7 +322,6 @@ class TestPrediction:
         m = fit_rsf(d, stump_config(100))
         s = predict_forest_survival(m, np.zeros(3))
         tree = m.trees[0]
-        leaf = tree.leaves[0]
         expect = np.exp(-_leaf_curve_matrix(tree, m.grid, "cumhaz")[0])
         assert_allclose(s.values, expect, rtol=0, atol=0)
         assert len(tree.leaves) == 1
@@ -392,18 +393,7 @@ class TestPrediction:
 def handmade_stump(at_risk, d_conv, d_churn=(0, 0)):
     """One-leaf tree whose leaf has events at times 1 and 2, the grid of
     ``handmade_model``, so its at-risk counts on the grid are ``at_risk``."""
-    leaf = Leaf(times=np.array([1.0, 2.0]),
-                at_risk=np.array(at_risk),
-                d_conv=np.array(d_conv),
-                d_churn=np.array(d_churn),
-                at_risk_grid=np.array(at_risk))
-    return SurvivalTree(
-        feature=np.array([-1], dtype=np.int32),
-        threshold=np.array([np.nan]),
-        left=np.array([-1], dtype=np.int32),
-        right=np.array([-1], dtype=np.int32),
-        leaf_index=np.array([0], dtype=np.int32),
-        leaves=[leaf])
+    return make_tree([([1.0, 2.0], at_risk, d_conv, d_churn, at_risk)])
 
 
 def handmade_model(kind, *trees, aggregate="pooled"):
@@ -454,8 +444,8 @@ def knot_tree(n_grid, leaves):
         ranks = np.array(sorted(kept), dtype=int)
         conv, churn, cens = np.array([kept[r] for r in ranks], dtype=int).reshape(-1, 3).T
         at_risk = 1 + np.cumsum((conv + churn + cens)[::-1])[::-1]
-        built.append(Leaf(times=grid[ranks], at_risk=at_risk, d_conv=conv, d_churn=churn))
-    return dataclasses.replace(handmade_stump([1, 1], [0, 0]), leaves=built), grid
+        built.append((grid[ranks], at_risk, conv, churn))
+    return dataclasses.replace(handmade_stump([1, 1], [0, 0]), leaves=make_leaves(built)), grid
 
 
 class TestDenseTables:
@@ -477,6 +467,22 @@ class TestDenseTables:
         want = oracles.reference_leaf_curve_matrix(tree, grid, curve)
         assert got.shape == (len(leaves), n_grid)
         assert np.array_equal(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_grid=st.integers(1, 40), leaves=st.lists(LEAF_KNOTS, min_size=1, max_size=6))
+    @example(n_grid=3, leaves=[[]])
+    @example(n_grid=4, leaves=[[(2, 1, 0, 0), (0, 0, 1, 1)]])
+    @example(n_grid=5, leaves=[[], [(4, 1, 1, 0)], [], [(0, 2, 0, 1), (1, 0, 1, 0)]])
+    def test_leaf_counts_match_leaf_by_leaf_padding(self, n_grid, leaves):
+        """The padded count rows read from the leaf table's offsets equal
+        each leaf's own slice padded on its own, in value and dtype: one-leaf
+        trees, leaves without knots, and empty leaves between full ones."""
+        tree, grid = knot_tree(n_grid, leaves)
+        got = _leaf_counts(tree, grid)
+        want = oracles.reference_leaf_counts(tree, grid)
+        assert len(got) == len(want) == 5
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def scan_medians(model, x):
@@ -837,18 +843,17 @@ class TestRoute:
 
 
 def assert_same_trees(m1, m2):
-    """Node arrays and leaf counts equal in value and dtype, tree by tree."""
+    """Node arrays and leaf tables equal in value and dtype, tree by tree."""
     assert len(m1.trees) == len(m2.trees)
     for t1, t2 in zip(m1.trees, m2.trees):
         pairs = [(getattr(t1, f), getattr(t2, f))
                  for f in ("feature", "threshold", "left", "right", "leaf_index")]
-        assert len(t1.leaves) == len(t2.leaves)
-        for l1, l2 in zip(t1.leaves, t2.leaves):
-            pairs += [(getattr(l1, f), getattr(l2, f))
-                      for f in ("times", "at_risk", "d_conv", "d_churn")]
-            assert (l1.at_risk_grid is None) == (l2.at_risk_grid is None)
-            if l1.at_risk_grid is not None:
-                pairs.append((l1.at_risk_grid, l2.at_risk_grid))
+        l1, l2 = t1.leaves, t2.leaves
+        pairs += [(getattr(l1, f), getattr(l2, f))
+                  for f in ("offsets", "times", "at_risk", "d_conv", "d_churn")]
+        assert (l1.at_risk_grid is None) == (l2.at_risk_grid is None)
+        if l1.at_risk_grid is not None:
+            pairs.append((l1.at_risk_grid, l2.at_risk_grid))
         for a, b in pairs:
             assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
 
