@@ -85,6 +85,22 @@ class TestTrain:
         summary = json.loads((tmp_path / "rsf.json.summary.json").read_text())
         assert summary["diagnostics"]["n_trees"] == 30
 
+    def test_train_config_echoes_every_training_flag(self, data_dir, tmp_path):
+        """The model file and the summary hold the same parsed flags, set and
+        defaulted alike, in this key order."""
+        model = tmp_path / "cif.json"
+        assert main(["train", "--data", str(data_dir / "logs.csv"), "--model", "cif",
+                     "--target", "level", "--trees", "4", "--seed", "9",
+                     "--alpha", "0.1", "--max-depth", "6", "--aggregate", "mean",
+                     "--ridge", "0.5", "--out", str(model)]) == 0
+        want = [("model", "cif"), ("target", "level"), ("seed", 9), ("trees", 4),
+                ("train_frac", 0.3), ("churn_window", 9), ("alpha", 0.1), ("mtry", None),
+                ("min_node_events", 15), ("max_depth", 6), ("aggregate", "mean"),
+                ("ridge", 0.5)]
+        summary = json.loads((tmp_path / "cif.json.summary.json").read_text())
+        assert list(json.loads(model.read_text())["train_config"].items()) == want
+        assert list(summary["config"].items()) == want
+
     def test_tree_count_flag_respected(self, data_dir, tmp_path):
         model = tmp_path / "cif.json"
         rc = main(["train", "--data", str(data_dir / "logs.csv"),
