@@ -37,6 +37,7 @@ from .evaluation import (
     EvaluationReport,
     SplitSpec,
     check_model_kinds,
+    check_names,
     evaluate_models,
     fit_diagnostics,
     fit_model,
@@ -70,6 +71,9 @@ from .forest import (  # noqa: F401
 )
 
 _AXES = tuple(a.value for a in TimeAxis)
+# the parsed flags a model file and its train summary echo, in this order
+_TRAIN_CONFIG = ("model", "target", "seed", "trees", "train_frac", "churn_window", "alpha",
+                 "mtry", "min_node_events", "max_depth", "aggregate", "ridge")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -206,20 +210,7 @@ def cmd_train(args) -> int:
     spec = FeatureSpec()
     fitted = fit_model(args.model, train, cfg, ridge=args.ridge,
                        n_jobs=args.threads)
-    train_config = {
-        "model": args.model,
-        "target": args.target,
-        "seed": args.seed,
-        "trees": args.trees,
-        "train_frac": args.train_frac,
-        "churn_window": args.churn_window,
-        "alpha": args.alpha,
-        "mtry": args.mtry,
-        "min_node_events": args.min_node_events,
-        "max_depth": args.max_depth,
-        "aggregate": args.aggregate,
-        "ridge": args.ridge,
-    }
+    train_config = {name: getattr(args, name) for name in _TRAIN_CONFIG}
     model_io.save_model(args.out, fitted, axis=TimeAxis(args.target),
                         feature_names=spec.features,
                         feature_spec_hash=spec.spec_hash(),
@@ -270,11 +261,7 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     models = MODEL_KINDS if args.models == "all" else tuple(args.models.split(","))
     targets = _AXES if args.targets == "all" else tuple(args.targets.split(","))
-    for i, t in enumerate(targets):
-        if t not in _AXES:
-            raise ConfigError(f"unknown target {t!r}")
-        if t in targets[:i]:
-            raise ConfigError(f"target {t!r} given twice")
+    check_names(targets, _AXES, "target")
     cfg = _training_config(args, models)
     logs = _load_filtered(args.data)
     out = Path(args.out)
@@ -331,14 +318,16 @@ def cmd_curves(args) -> int:
                              churn_window=args.churn_window)
     if data.competing_risks:
         estimate = aalen_johansen(data, EventStatus.CONVERTED)
-        lower, upper = cif_confidence_band(data, EventStatus.CONVERTED, args.level)
+        lower, upper = (b.values for b in
+                        cif_confidence_band(data, EventStatus.CONVERTED, args.level))
     else:
         estimate = complement(kaplan_meier(data))
+        # a pointwise band need not be monotone, so it skips complement's check
         lo_s, hi_s = km_confidence_band(data, args.level)
-        lower, upper = complement(hi_s), complement(lo_s)
+        lower, upper = 1.0 - hi_s.values, 1.0 - lo_s.values
     _write_csv(args.out, ["time", "estimate", "lower", "upper"],
                ([_fmt(t), _fmt(e), _fmt(lo), _fmt(hi)] for t, e, lo, hi in
-                zip(estimate.knots, estimate.values, lower.values, upper.values)))
+                zip(estimate.knots, estimate.values, lower, upper)))
     print(f"wrote {estimate.knots.size} incidence knots to {args.out}")
     return 0
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EventStatus, StepFunction, SurvivalDataset, require_nonempty
-from .errors import EmptyInputError, InvalidEventError, WrongEstimatorError
+from .errors import InvalidEventError, WrongEstimatorError
 
 
 @dataclass(frozen=True)
@@ -143,21 +143,33 @@ COUNT_CURVES = {
 
 # --- estimators --------------------------------------------------------
 
-def _count_curve(data: SurvivalDataset, curve: str) -> StepFunction:
-    """One ``COUNT_CURVES`` curve of the whole dataset's risk table."""
-    table = risk_table(data)
+def _count_curve(table: RiskTable, curve: str) -> StepFunction:
+    """One ``COUNT_CURVES`` curve of a risk table."""
     values_at_knots, left_value = COUNT_CURVES[curve]
     return StepFunction(table.event_times, values_at_knots(
         table.at_risk, table.events_converted, table.events_churned), left_value)
 
 
-def _single_risk_curve(data: SurvivalDataset, curve: str, estimator: str) -> StepFunction:
-    """``curve`` of a single-risk dataset; the error names ``estimator``."""
+def _single_risk_table(data: SurvivalDataset, estimator: str) -> RiskTable:
+    """The risk table of a single-risk dataset; the error names ``estimator``."""
     require_nonempty(data)
     if data.competing_risks:
         raise WrongEstimatorError(
             f"{estimator} requires a single-risk dataset; recode churn first")
-    return _count_curve(data, curve)
+    return risk_table(data)
+
+
+def _incidence_table(data: SurvivalDataset, event: EventStatus) -> tuple[RiskTable, str]:
+    """The risk table of a competing-risks dataset and the ``COUNT_CURVES``
+    name of ``event``'s cumulative incidence."""
+    require_nonempty(data)
+    event = EventStatus(event)
+    if event == EventStatus.CENSORED:
+        raise InvalidEventError("cumulative incidence is defined for event types only")
+    if not data.competing_risks:
+        raise WrongEstimatorError("aalen_johansen requires a competing-risks dataset")
+    return risk_table(data), ("cif_conv" if event == EventStatus.CONVERTED
+                              else "cif_churn")
 
 
 def kaplan_meier(data: SurvivalDataset) -> StepFunction:
@@ -165,12 +177,12 @@ def kaplan_meier(data: SurvivalDataset) -> StepFunction:
 
     With no censoring this equals the empirical survival function exactly.
     """
-    return _single_risk_curve(data, "survival", "kaplan_meier")
+    return _count_curve(_single_risk_table(data, "kaplan_meier"), "survival")
 
 
 def nelson_aalen(data: SurvivalDataset) -> StepFunction:
     """Nonparametric estimate of the cumulative hazard H(t)."""
-    return _single_risk_curve(data, "cumhaz", "nelson_aalen")
+    return _count_curve(_single_risk_table(data, "nelson_aalen"), "cumhaz")
 
 
 def all_cause_survival(data: SurvivalDataset) -> StepFunction:
@@ -179,8 +191,7 @@ def all_cause_survival(data: SurvivalDataset) -> StepFunction:
     This is the survival that pairs with the cumulative incidences:
     all_cause_survival + sum of aalen_johansen over event types = 1.
     """
-    require_nonempty(data)
-    return _count_curve(data, "survival")
+    return _count_curve(risk_table(data), "survival")
 
 
 def aalen_johansen(data: SurvivalDataset, event: EventStatus) -> StepFunction:
@@ -190,16 +201,7 @@ def aalen_johansen(data: SurvivalDataset, event: EventStatus) -> StepFunction:
     all-cause survival the incidences conserve total probability:
     S(t) + CIF_converted(t) + CIF_churned(t) = 1 at every knot.
     """
-    require_nonempty(data)
-    event = EventStatus(event)
-    if event == EventStatus.CENSORED:
-        raise InvalidEventError("cumulative incidence is defined for event types only")
-    if not data.competing_risks:
-        raise WrongEstimatorError(
-            "aalen_johansen requires a competing-risks dataset"
-        )
-    return _count_curve(data, "cif_conv" if event == EventStatus.CONVERTED
-                        else "cif_churn")
+    return _count_curve(*_incidence_table(data, event))
 
 
 def km_confidence_band(data: SurvivalDataset, level: float = 0.95
@@ -210,22 +212,14 @@ def km_confidence_band(data: SurvivalDataset, level: float = 0.95
     log S, clipped to [0, 1]. Where the estimate reaches exactly 0 the
     variance degenerates and both limits are reported as 0.
     """
-    # imported here so that importing the package does not load scipy.special
-    from scipy.special import ndtri
-
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level!r}")
-    if len(data) == 0:
-        raise EmptyInputError("dataset is empty")
-    surv = kaplan_meier(data)  # raises on competing-risks input
-    table = risk_table(data)
-    s = surv.values
+    z = _critical_value(level)
+    table = _single_risk_table(data, "kaplan_meier")
+    s = km_values_from_counts(table.at_risk, table.events)
     q = table.at_risk.astype(float)
     d = table.events.astype(float)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(q > d, d / (q * (q - d)), np.inf)
         se_log = np.sqrt(np.cumsum(terms))
-    z = ndtri(0.5 + level / 2.0)
     with np.errstate(invalid="ignore", over="ignore"):
         lower = s * np.exp(-z * se_log)
         upper = s * np.exp(z * se_log)
@@ -250,20 +244,14 @@ def cif_confidence_band(data: SurvivalDataset, event: EventStatus,
     band for population incidence plots; the point estimate always lies
     inside the band.
     """
-    # imported here so that importing the package does not load scipy.special
-    from scipy.special import ndtri
-
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level!r}")
-    require_nonempty(data)
-    cif = aalen_johansen(data, event)
-    table = risk_table(data)
-    d_cause = (table.events_converted if EventStatus(event) == EventStatus.CONVERTED
+    z = _critical_value(level)
+    table, curve = _incidence_table(data, event)
+    cif = _count_curve(table, curve)
+    d_cause = (table.events_converted if curve == "cif_conv"
                else table.events_churned).astype(float)
     q = table.at_risk.astype(float)
     surv_lag = np.concatenate(([1.0], km_values_from_counts(q, table.events)[:-1]))
     var = np.cumsum(surv_lag**2 * d_cause * np.maximum(q - d_cause, 0.0) / q**3)
-    z = ndtri(0.5 + level / 2.0)
     half = z * np.sqrt(var)
     lower = np.clip(cif.values - half, 0.0, 1.0)
     upper = np.clip(cif.values + half, 0.0, 1.0)
@@ -329,3 +317,16 @@ def two_sided_normal_pvalue(c: float) -> float:
     if z < _SQRT1_2:
         return 2.0 * (0.5 + 0.5 * -_erf(z))
     return 2.0 * (0.5 * _erfc(z))
+
+
+def _critical_value(level: float) -> float:
+    """z with P(|Z| <= z) = ``level`` for a standard normal Z.
+
+    The lower tail (1 - level) / 2 is exact for level >= 0.5, where the
+    upper 0.5 + level / 2 rounds to 1 at the largest level below 1.
+    """
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie in (0, 1), got {level!r}")
+    # imported here so that only the bands load the statistics module
+    from statistics import NormalDist
+    return -NormalDist().inv_cdf((1.0 - level) / 2.0)

@@ -149,13 +149,19 @@ def needs_churn_labels(kind: str) -> bool:
     return kind == ForestKind.COMPETING.value
 
 
+def check_names(names, known, what: str) -> None:
+    """Reject a name outside ``known`` or one given twice; ``what`` says
+    what the names are."""
+    for i, name in enumerate(names):
+        if name not in known:
+            raise ConfigError(f"unknown {what} {name!r}")
+        if name in names[:i]:
+            raise ConfigError(f"{what} {name!r} given twice")
+
+
 def check_model_kinds(kinds, churn_window: int | None = None) -> None:
     """Reject an unknown or repeated kind, and rsf-cr when ``churn_window`` is off."""
-    for i, kind in enumerate(kinds):
-        if kind not in MODEL_KINDS:
-            raise ConfigError(f"unknown model kind {kind!r}")
-        if kind in kinds[:i]:
-            raise ConfigError(f"model kind {kind!r} given twice")
+    check_names(kinds, MODEL_KINDS, "model kind")
     if (churn_window is not None and churn_window <= 0
             and any(map(needs_churn_labels, kinds))):
         raise ConfigError("rsf-cr needs churn labels: set --churn-window > 0")

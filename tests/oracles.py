@@ -14,8 +14,9 @@ score-moment helpers, and takes its p-values from scipy's ``ndtr`` as the
 forest did before its own normal tail. The routing reference is the level
 walk the child-table route replaced. The leaf-count reference pads each
 leaf's slice of the tree's leaf table on its own, in a Python loop. The
-leaf-curve reference is the knot-table expansion that the
-forward-filled dense tables replaced; it shares the forest's knot tables. The block-sort reference is the
+leaf-curve reference runs each leaf's curve recurrence over that slice in
+a Python loop, in the count kernels' order, so it is bit-equal to them
+without sharing their code. The block-sort reference is the
 unconditional ``np.lexsort`` that the ordered-log skip bypasses. The
 generator reference at the end is the per-player simulation that the
 array pass replaced.
@@ -40,13 +41,7 @@ from convsurv.errors import (
     ShapeMismatchError,
     StratificationError,
 )
-from convsurv.forest import (
-    _bin_matrix,
-    _knot_lookup,
-    _knot_table,
-    _leaf_keys,
-    _score_moments,
-)
+from convsurv.forest import _bin_matrix, _score_moments
 from convsurv.pipeline import PlayerLog, PlayerLogs, PlayerRow, _check_row
 
 
@@ -654,7 +649,7 @@ def reference_route(tree, x):
 
 
 # ---------------------------------------------------------------------------
-# Leaf-curve reference: one knot-table search per leaf and grid index.
+# Leaf-curve references: each leaf's own slice of the table, knot by knot.
 
 def reference_leaf_counts(tree, grid):
     """(present, ranks, at_risk, d_conv, d_churn) rows of every leaf, each
@@ -680,10 +675,29 @@ def reference_leaf_counts(tree, grid):
 
 
 def reference_leaf_curve_matrix(tree, grid, curve):
-    """(n_leaves, len(grid)) values of one named mean curve of every leaf."""
-    queries = (_leaf_keys(np.arange(len(tree.leaves)), grid)[:, None]
-               + np.arange(grid.size))
-    return _knot_lookup(_knot_table(tree, grid, curve), queries)
+    """(n_leaves, len(grid)) values of one named mean curve of every leaf.
+
+    Each leaf runs its curve's recurrence over its own knots in the count
+    kernels' order (h += d/q, s *= 1 - d/q, c += s_prev * d_cause/q), and
+    each value holds from its knot's grid rank to the next knot's."""
+    table = tree.leaves
+    points = grid.tolist()
+    out = np.empty((len(table), len(points)))
+    for leaf, (a, b) in enumerate(zip(table.offsets[:-1], table.offsets[1:])):
+        h, s, c = 0.0, 1.0, 0.0
+        value = s if curve == "survival" else 0.0
+        since = 0
+        for i in range(a, b):
+            rank = bisect.bisect_left(points, table.times[i])
+            out[leaf, since:rank] = value
+            q, conv, churn = int(table.at_risk[i]), int(table.d_conv[i]), int(table.d_churn[i])
+            c += s * (conv if curve == "cif_conv" else churn) / q
+            h += (conv + churn) / q
+            s *= 1.0 - (conv + churn) / q
+            value = {"cumhaz": h, "survival": s}.get(curve, c)
+            since = rank
+        out[leaf, since:] = value
+    return out
 
 
 # ---------------------------------------------------------------------------

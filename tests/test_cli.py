@@ -351,6 +351,30 @@ class TestCurves:
         rows = read_rows(out)
         assert float(rows[-1]["estimate"]) == 1.0
 
+    @pytest.mark.parametrize("level", ["0.99", "0.999"])
+    @pytest.mark.parametrize("axis", ["lifetime", "level", "playtime"])
+    def test_converters_band_at_high_levels(self, data_dir, tmp_path, axis, level):
+        """The log-transformed survival band is pointwise and need not be
+        monotone; its incidence limits are still written, around the estimate."""
+        out = tmp_path / "conv.csv"
+        assert main(["curves", "--data", str(data_dir / "logs.csv"), "--axis", axis,
+                     "--population", "converters", "--level", level,
+                     "--out", str(out)]) == 0
+        for r in read_rows(out):
+            assert float(r["lower"]) <= float(r["estimate"]) <= float(r["upper"])
+
+    @pytest.mark.parametrize("population", ["all", "converters"])
+    def test_largest_level_below_one_gives_a_finite_band(self, data_dir, tmp_path,
+                                                        population):
+        out = tmp_path / "c.csv"
+        assert main(["curves", "--data", str(data_dir / "logs.csv"), "--axis", "level",
+                     "--population", population, "--level", "0.9999999999999999",
+                     "--out", str(out)]) == 0
+        rows = read_rows(out)
+        for r in rows:
+            assert float(r["lower"]) <= float(r["estimate"]) <= float(r["upper"])
+        assert any(float(r["upper"]) < 1.0 for r in rows)
+
     def test_population_all_final_incidence_tracks_pu_rate(self, data_dir, tmp_path):
         """The competing-risks incidence converges to the realized
         converter fraction among multi-day players."""
@@ -913,3 +937,32 @@ def test_cli_import_leaves_out_scipy_stats_and_optimize(data_dir, tmp_path):
     tagged = [line for line in out.stdout.splitlines()
               if line.split(" ", 1)[0] in ("generate", "predict", "train", "evaluate")]
     assert tagged == ["generate 0 [] []", "predict 0 []", "train 0 []", "evaluate 0"]
+
+
+def test_every_command_runs_without_scipy(data_dir, tmp_path):
+    """scipy is a test dependency only: with it blocked before the CLI is
+    imported, every command exits 0, fork workers and bands included."""
+    logs, out = str(data_dir / "logs.csv"), str(tmp_path)
+    script = ("import sys\n"
+              "sys.modules['scipy'] = None\n"
+              "import convsurv.cli as cli\n"
+              "logs, out = sys.argv[1:]\n"
+              "runs = [\n"
+              " ['generate', '--players', '300', '--seed', '3', '--out', out + '/g'],\n"
+              " ['train', '--data', logs, '--model', 'rsf-cr', '--target', 'playtime',\n"
+              "  '--trees', '3', '--seed', '5', '--out', out + '/m.json'],\n"
+              " ['predict', '--model', out + '/m.json', '--data', logs,\n"
+              "  '--out', out + '/pred.csv'],\n"
+              " ['evaluate', '--data', logs, '--targets', 'lifetime', '--trees', '4',\n"
+              "  '--threads', '2', '--seed', '5', '--out', out + '/ev'],\n"
+              " ['curves', '--data', logs, '--axis', 'lifetime', '--out', out + '/all.csv'],\n"
+              " ['curves', '--data', logs, '--axis', 'lifetime', '--population',\n"
+              "  'converters', '--out', out + '/conv.csv']]\n"
+              "for argv in runs:\n"
+              "    print('exit', argv[0], cli.main(argv))\n")
+    done = subprocess.run([sys.executable, "-c", script, logs, out], env=src_env(),
+                          capture_output=True, text=True, timeout=300)
+    exits = [line for line in done.stdout.splitlines() if line.startswith("exit ")]
+    assert exits == [f"exit {c} 0" for c in
+                     ("generate", "train", "predict", "evaluate", "curves", "curves")], \
+        done.stderr

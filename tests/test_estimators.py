@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from convsurv.core import EventStatus
 from convsurv.errors import EmptyInputError, InvalidEventError, WrongEstimatorError
 from convsurv.estimators import (
     _MAXLOG,
     _SQRT1_2,
+    _critical_value,
     aalen_johansen,
     all_cause_survival,
     cif_confidence_band,
@@ -324,3 +325,20 @@ class TestTwoSidedNormalPvalue:
             a = rng.normal(size=n) * (rng.random(n) < 0.8) + rng.exponential(2.0) * x[:, 0]
             assert np.array_equal(_feature_pvalues(x, a),
                                   oracles.reference_feature_pvalues(x, a))
+
+
+class TestCriticalValue:
+    """The bands' z from the standard library against scipy's ndtri."""
+
+    @settings(max_examples=2000, deadline=None)
+    @given(level=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @example(level=1e-300)
+    @example(level=0.5)
+    @example(level=0.95)
+    @example(level=0.9999999999999999)
+    def test_matches_scipy_ndtri(self, level):
+        z = _critical_value(level)
+        assert math.isclose(z, -float(ndtri((1 - level) / 2)), rel_tol=4e-15)
+
+    def test_largest_level_below_one_is_finite(self):
+        assert 8.2 < _critical_value(math.nextafter(1.0, 0.0)) < 8.3

@@ -25,8 +25,11 @@ from convsurv.forest import (
     ForestKind,
     ForestModel,
     SurvivalTree,
+    _knot_lookup,
+    _knot_table,
     _leaf_counts,
     _leaf_curve_matrix,
+    _leaf_keys,
     _route,
     fit_conditional_ensemble,
     fit_rsf,
@@ -459,14 +462,16 @@ class TestDenseTables:
              curve="cumhaz")
     @example(n_grid=1, leaves=[[(0, 1, 2, 0)], []], curve="cif_churn")
     def test_forward_fill_matches_knot_lookup(self, n_grid, leaves, curve):
-        """Every leaf's dense curve equals its knot-table lookup at every
-        grid index: one-leaf trees, leaves without knots, knots on the
-        grid's first and last points."""
+        """Every leaf's dense curve and its knot-table lookup both equal the
+        leaf-by-leaf recurrence at every grid index: one-leaf trees, leaves
+        without knots, knots on the grid's first and last points."""
         tree, grid = knot_tree(n_grid, leaves)
-        got = _leaf_curve_matrix(tree, grid, curve)
         want = oracles.reference_leaf_curve_matrix(tree, grid, curve)
-        assert got.shape == (len(leaves), n_grid)
-        assert np.array_equal(got, want)
+        queries = _leaf_keys(np.arange(len(leaves)), grid)[:, None] + np.arange(n_grid)
+        looked_up = _knot_lookup(_knot_table(tree, grid, curve), queries)
+        dense = _leaf_curve_matrix(tree, grid, curve)
+        assert want.shape == (len(leaves), n_grid)
+        assert np.array_equal(dense, want) and np.array_equal(looked_up, want)
 
     @settings(max_examples=200, deadline=None)
     @given(n_grid=st.integers(1, 40), leaves=st.lists(LEAF_KNOTS, min_size=1, max_size=6))
