@@ -14,7 +14,6 @@ from .core import (
     TimeAxis,
     complement,
     evaluate_step,
-    median_crossing,
     survival_to_incidence,
 )
 from .cox import CoxFit, fit_cox, predict_cox_median, predict_cox_survival
@@ -64,8 +63,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EventStatus", "StepFunction", "SurvivalDataset", "SurvivalRecord",
-    "TimeAxis", "complement", "evaluate_step", "median_crossing",
-    "survival_to_incidence",
+    "TimeAxis", "complement", "evaluate_step", "survival_to_incidence",
     "CoxFit", "fit_cox", "predict_cox_median", "predict_cox_survival",
     "RiskTable", "aalen_johansen", "all_cause_survival", "kaplan_meier",
     "km_confidence_band",

@@ -57,7 +57,6 @@ from .pipeline import (
     DEFAULT_CHURN_WINDOW,
     FeatureSpec,
     build_dataset,
-    filter_newcomers,
     ingest_logs,
 )
 
@@ -98,7 +97,7 @@ def _exit_code(exc: Exception) -> int:
 
 
 def _load_filtered(path) -> list:
-    logs = filter_newcomers(ingest_logs(path))
+    logs = ingest_logs(path, drop_newcomers=True)
     if not logs:
         raise EmptyInputError(
             "no players with >= 2 active days after the newcomer filter")

@@ -146,29 +146,6 @@ def _direction(f: StepFunction) -> int:
     return 0
 
 
-def median_crossing(f: StepFunction, threshold: float) -> float | None:
-    """First knot where a monotone curve crosses ``threshold``.
-
-    For non-increasing curves (survival) this is the smallest knot with
-    value <= threshold; for non-decreasing curves (incidence, hazards) the
-    smallest knot with value >= threshold. Returns None when the curve
-    never crosses.
-    """
-    if not 0.0 < threshold < 1.0:
-        raise InvalidCurveError("threshold must lie in (0, 1)")
-    direction = _direction(f)
-    if f.knots.size == 0:
-        return None
-    if direction == 1:
-        hits = np.nonzero(f.values >= threshold)[0]
-    else:
-        # constant curves are treated like survival curves
-        hits = np.nonzero(f.values <= threshold)[0]
-    if hits.size == 0:
-        return None
-    return float(f.knots[hits[0]])
-
-
 def complement(f: StepFunction) -> StepFunction:
     """Pointwise ``1 - f``: survival curve to cumulative incidence and back.
 

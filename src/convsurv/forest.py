@@ -394,7 +394,9 @@ def _grow_indexed(args):
 
 
 def resolve_jobs(n_jobs: int | None) -> int:
-    """Worker count: explicit argument, capped by CONVSURV_THREADS."""
+    """Worker count: explicit argument, capped by CONVSURV_THREADS, then
+    clamped to 4 x the cores this process may run on, as a fork pool starts
+    every worker at once."""
     env = os.environ.get("CONVSURV_THREADS")
     try:
         cap = int(env) if env else None
@@ -405,7 +407,9 @@ def resolve_jobs(n_jobs: int | None) -> int:
         n_jobs = cap if cap is not None else 1
     if cap is not None:
         n_jobs = min(n_jobs, cap)
-    return max(1, n_jobs)
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    return max(1, min(n_jobs, 4 * cores))
 
 
 def _check_fit(data: SurvivalDataset, cfg: ForestConfig, kind: ForestKind) -> int:

@@ -30,7 +30,7 @@ import re
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
 from typing import NamedTuple, NoReturn
 
 import numpy as np
@@ -75,8 +75,9 @@ DEFAULT_CHURN_WINDOW = 9
 # Lines read per chunk: ingest holds one chunk of strings at a time. On a
 # 357k-row cohort (2-core Xeon) ingest took 0.129 s at 1024 lines and 0.118 s
 # at each of 4096, 8192 and 16384; predict took 0.429, 0.413, 0.413 and
-# 0.410 s and peaked at 96.9, 87.8, 88.3 and 87.7 MB, and evaluate peaked
-# at 82.7, 84.4 and 87.5 MB from 4096 lines up.
+# 0.410 s. With the columns grown in place, predict's resident peak at the
+# end of ingest is 63.0, 64.7 and 68.6 MB from 4096 lines up, and its
+# command peak, set later, 71.0, 72.7 and 73.6 MB (evaluate: 74.1-74.3 MB).
 _BLOCK_ROWS = 1 << 13
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # Integers below 2**53 convert to float64 exactly, so numpy's float division
@@ -365,22 +366,25 @@ def _raise_first_error(records, line: int) -> NoReturn:
     raise AssertionError("np.loadtxt declined records that hold no fault")
 
 
-def ingest_logs(path) -> PlayerLogs:
+def ingest_logs(path, *, drop_newcomers: bool = False) -> PlayerLogs:
     """Parse and validate a player-log CSV.
 
     Malformed rows raise LogParseError with the 1-based line number;
     structural violations (decreasing level, duplicate days) raise
     LogValidationError naming the player. A header-only file yields an
-    empty table.
+    empty table. With ``drop_newcomers`` the table holds only players
+    active on at least two days, as ``filter_newcomers`` would return; a
+    one-row player trips no table check, so the errors are the same.
 
     After the header check, ``np.loadtxt`` reads the records in one pass,
-    ``_BLOCK_ROWS`` lines at a time, so memory holds one chunk of strings
-    plus the typed columns. numpy declines a chunk only if a record in it,
-    or one running on from it, is bad (see ``_loadtxt_block``): from that
-    chunk's first line, csv reads records and the row checks raise the
-    first bad one's error. A record holding a byte that is not UTF-8 fails
-    as ``line N: file is not UTF-8 text``. Line numbers count csv records,
-    blank ones included.
+    ``_BLOCK_ROWS`` lines at a time, and each column grows in place to the
+    rows read so far, so memory holds one chunk of strings plus the typed
+    columns. numpy declines a chunk only if a record in it, or one running
+    on from it, is bad (see ``_loadtxt_block``): from that chunk's first
+    line, csv reads records and the row checks raise the first bad one's
+    error. A record holding a byte that is not UTF-8 fails as ``line N:
+    file is not UTF-8 text``. Line numbers count csv records, blank ones
+    included.
     """
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         try:
@@ -394,41 +398,50 @@ def ingest_logs(path) -> PlayerLogs:
                        else f"expected header {','.join(EXPECTED_HEADER)}")
             raise LogParseError(f"line 1: {message}", 1)
         index: dict[str, int] = {}
-        parts = [[empty] for empty in _empty_block()]
-        line = 2
+        columns = list(_empty_block())
+        rows, line = 0, 2
         while lines := list(islice(fh, _BLOCK_ROWS)):
             block = _loadtxt_block(lines, index)
             if block is None:
                 _raise_first_error(csv.reader(chain(lines, fh)), line)
-            for pieces, part in zip(parts, block):
-                pieces.append(part)
+            # each column grows to the exact row count, as spare capacity
+            # would count as memory; realloc moves a large block by
+            # remapping it, not copying, and no view of a column exists here
+            for column, part in zip(columns, block):
+                column.resize(rows + len(part), refcheck=False)
+                column[rows:] = part
+            rows += len(block[0])
             line += len(lines)
-    return _sorted_logs(tuple(index), parts)
+    return _sorted_logs(tuple(index), columns, drop_newcomers)
 
 
-def _sorted_logs(ids: tuple[str, ...], parts: list[list]) -> PlayerLogs:
-    """The table of parsed blocks, each player's rows sorted by day.
+def _sorted_logs(ids: tuple[str, ...], columns: list,
+                 drop_newcomers: bool) -> PlayerLogs:
+    """The table of parsed columns, player codes first, each player's rows
+    sorted by day, without the players of one row if ``drop_newcomers``.
 
-    ``parts[k]`` lists column k's pieces, player codes first; each list is
-    emptied once its column is joined, so memory holds one copy of the
-    table plus one column. Rows already in (player, day) order, as ``generate``
-    writes them, are kept as read; others are gathered one column at a time,
-    each replacing its old column. The table's check names the first player
-    in file order with a duplicate day or a decreasing level.
+    Rows already in (player, day) order, as ``generate`` writes them, are
+    kept as read; others, or the rows of kept players, are gathered one
+    column at a time, each replacing its old column in ``columns``, so
+    memory holds one table plus one column. The table's check names the
+    first player in file order with a duplicate day or a decreasing level.
     """
-    joined = []
-    for pieces in parts:
-        joined.append(np.concatenate(pieces))
-        pieces.clear()
-    code, day = joined[:2]
+    code, day = columns[:2]
+    counts = np.bincount(code, minlength=len(ids))
+    rows = None
     if not np.all((code[:-1] < code[1:])
                   | ((code[:-1] == code[1:]) & (day[:-1] <= day[1:]))):
-        order = np.lexsort((day, code))  # stable: the identity on ordered keys
-        del code, day
-        for k in range(len(joined)):
-            joined[k] = joined[k][order]
-    code, *columns = joined
-    offsets = np.searchsorted(code, np.arange(len(ids) + 1))
+        rows = np.lexsort((day, code))  # stable: the identity on ordered keys
+    del code, day, columns[0]
+    if drop_newcomers:
+        kept = counts >= 2
+        keep = np.repeat(kept, counts)
+        rows = keep if rows is None else rows[keep]
+        ids, counts = tuple(compress(ids, kept)), counts[kept]
+    if rows is not None:
+        for k in range(len(columns)):
+            columns[k] = columns[k][rows]
+    offsets = np.concatenate(([0], np.cumsum(counts)))
     return PlayerLogs(ids, columns[0][offsets[:-1]], offsets, *columns)
 
 
@@ -500,7 +513,7 @@ def _window_features(logs: PlayerLogs, cutoff: np.ndarray) -> tuple[dict, np.nda
     # instead lets build_dataset name the player
     deviation[np.abs(deviation) >= 2.0 ** 512] = np.inf
     squares = np.zeros(playtime.size)
-    squares[in_window] = np.fromiter(map(math.pow, deviation.tolist(), repeat(2.0)),
+    squares[in_window] = np.fromiter(map(math.pow, memoryview(deviation), repeat(2.0)),
                                      np.float64, deviation.size)
     sessions = window_total(logs.sessions)
     elapsed = exact(cutoff) - registration

@@ -18,6 +18,8 @@ leaf-curve reference runs each leaf's curve recurrence over that slice in
 a Python loop, in the count kernels' order, so it is bit-equal to them
 without sharing their code. The block-sort reference is the
 unconditional ``np.lexsort`` that the ordered-log skip bypasses. The
+median-crossing reference is the scalar rule, knot by knot, that the
+batch medians replaced. The
 generator reference at the end is the per-player simulation that the
 array pass replaced.
 """
@@ -632,6 +634,19 @@ def reference_best_split_conditional(x_node, t_node, s_node, candidates,
 
 # ---------------------------------------------------------------------------
 # Routing reference: the level walk over the rows still at inner nodes.
+
+def median_crossing(f, threshold):
+    """The first knot where the monotone step curve ``f`` reaches
+    ``threshold``: upward if it rises from its left value (incidence),
+    downward otherwise (survival; a flat curve reads as one). None if it
+    never does."""
+    values = f.values.tolist()
+    rising = any(v > f.left_value for v in values)
+    for knot, v in zip(f.knots.tolist(), values):
+        if v >= threshold if rising else v <= threshold:
+            return knot
+    return None
+
 
 def reference_route(tree, x):
     """Leaf index (into tree.leaves) for every row of ``x``."""

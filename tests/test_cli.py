@@ -427,6 +427,37 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.count("CONVSURV_THREADS") == 2
 
+    @pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
+    def test_one_day_players_only_is_empty_input(self, rsf_model, tmp_path, capsys,
+                                                 command):
+        """The newcomer filter inside ingest leaves no player: exit 2."""
+        path = tmp_path / "logs.csv"
+        path.write_text(",".join(pipeline.EXPECTED_HEADER) + "\n"
+                        + "".join(f"p{i},{i},1.0,1,1,1,{i % 2}\n" for i in range(5)))
+        args = {"train": ["--model", "rsf", "--target", "lifetime"],
+                "predict": ["--model", str(rsf_model)],
+                "evaluate": ["--targets", "lifetime"]}[command]
+        rc = main(["--json-errors", command, "--data", str(path), *args,
+                   *(["--seed", "1"] if command != "predict" else []),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "EmptyInputError"
+        assert "after the newcomer filter" in payload["message"]
+
+    def test_one_day_player_before_a_faulty_player(self, tmp_path, capsys):
+        """The newcomer filter inside ingest leaves the table check's error
+        as it was: the faulty player is named, not the dropped one."""
+        path = tmp_path / "logs.csv"
+        path.write_text(",".join(pipeline.EXPECTED_HEADER) + "\n"
+                        "new,0,1.0,1,1,1,0\nbob,0,1.0,5,1,1,0\nbob,1,1.0,4,1,1,0\n")
+        rc = main(["--json-errors", "evaluate", "--data", str(path),
+                   "--targets", "lifetime", "--seed", "1", "--out", str(tmp_path / "ev")])
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "LogValidationError"
+        assert payload["message"] == "player 'bob' has a decreasing level"
+
     def test_every_error_type_exits_with_its_readme_code(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         table = readme.split("| Exit | Error types |", 1)[1].split("\n\n", 1)[0]
@@ -900,9 +931,10 @@ class TestLogFileEdges:
 
 
 def test_cli_import_leaves_out_scipy_stats_and_optimize(data_dir, tmp_path):
-    """Start-up cost: nothing needs scipy.stats or scipy.optimize, and
-    scipy.special loads only where a band is computed. A ``generate`` run
-    loads none of them; a forest ``predict``, which bisects its grid, loads
+    """Start-up cost: no module of the package imports scipy (the bands
+    take their normal quantile from the standard library, as
+    test_every_command_runs_without_scipy checks). A ``generate`` run
+    loads none of these modules; a forest ``predict``, which bisects its grid, loads
     no scipy.sparse either, nor the fork pool's multiprocessing and
     concurrent.futures, which only a parallel fit imports; a cif fit
     computes its p-values without scipy.special, serially and in fork

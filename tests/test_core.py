@@ -14,7 +14,6 @@ from convsurv.core import (
     complement,
     evaluate_step,
     first_crossing,
-    median_crossing,
     survival_to_incidence,
 )
 from convsurv.errors import InvalidCurveError, ShapeMismatchError
@@ -67,42 +66,6 @@ class TestStepFunction:
             g = StepFunction(np.array(new_k), np.array(new_v), 1.0)
             ts = rng.random(40) * 60
             assert_allclose(g(ts), f(ts), rtol=0, atol=0)
-
-
-class TestMedianCrossing:
-    def test_survival_first_knot_at_or_below(self):
-        f = StepFunction(np.array([3.0, 7.0]), np.array([0.6, 0.4]), 1.0)
-        assert median_crossing(f, 0.5) == 7.0
-
-    def test_survival_never_crosses(self):
-        f = StepFunction(np.array([3.0, 7.0]), np.array([0.9, 0.8]), 1.0)
-        assert median_crossing(f, 0.5) is None
-
-    def test_incidence_upward_crossing(self):
-        f = StepFunction(np.array([2.0, 5.0]), np.array([0.3, 0.55]), 0.0)
-        assert median_crossing(f, 0.5) == 5.0
-
-    def test_result_is_a_knot(self, rng):
-        for _ in range(30):
-            k = np.sort(rng.choice(np.arange(1, 100), size=8, replace=False)).astype(float)
-            v = np.sort(rng.random(8))[::-1]
-            f = StepFunction(k, v, 1.0)
-            m = median_crossing(f, 0.5)
-            if m is not None:
-                assert m in k
-
-    def test_non_monotone_rejected(self):
-        f = StepFunction(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.7, 0.4]), 1.0)
-        with pytest.raises(InvalidCurveError, match="monotone"):
-            median_crossing(f, 0.5)
-
-    def test_threshold_domain(self):
-        with pytest.raises(InvalidCurveError, match="threshold"):
-            median_crossing(survival_f(), 1.5)
-
-    def test_constant_survival_never_crosses(self):
-        f = StepFunction(np.zeros(0), np.zeros(0), 1.0)
-        assert median_crossing(f, 0.5) is None
 
 
 # 0 and 1 points, and point counts on either side of a power of two, where

@@ -1,7 +1,9 @@
 """Tree ensembles: splitting behavior, aggregation identities, determinism."""
 
+import concurrent.futures
 import dataclasses
 import functools
+import os
 import tracemalloc
 from unittest import mock
 
@@ -40,6 +42,7 @@ from convsurv.forest import (
     predict_incidence_matrix,
     predict_median_batch,
     predict_survival_matrix,
+    resolve_jobs,
 )
 
 import oracles
@@ -358,12 +361,12 @@ class TestPrediction:
         assert predict_forest_median(m, np.zeros(2)) is None
 
     def test_stump_median_matches_estimator_crossing(self, rng):
-        from convsurv.core import median_crossing, StepFunction
+        from convsurv.core import StepFunction
         d = generic_dataset(rng, 120)
         m = fit_rsf(d, stump_config(120))
         h = nelson_aalen(d)
         pooled = StepFunction(h.knots, np.exp(-h.values), 1.0)
-        assert predict_forest_median(m, np.zeros(3)) == median_crossing(pooled, 0.5)
+        assert predict_forest_median(m, np.zeros(3)) == oracles.median_crossing(pooled, 0.5)
 
     def test_median_batch_matches_scalar(self, rng):
         d = competing_dataset(rng, 200)
@@ -881,10 +884,43 @@ class TestParallelism:
                               predict_survival_matrix(m2, x))
 
     def test_env_caps_jobs(self, monkeypatch):
-        from convsurv.forest import resolve_jobs
         monkeypatch.setenv("CONVSURV_THREADS", "2")
         assert resolve_jobs(8) == 2
         assert resolve_jobs(None) == 2
         monkeypatch.delenv("CONVSURV_THREADS")
         assert resolve_jobs(None) == 1
         assert resolve_jobs(4) == 4
+
+    def test_pool_never_exceeds_four_workers_per_core(self, rng, monkeypatch):
+        """--threads 400 and CONVSURV_THREADS=400 open a pool of 4 workers per
+        usable core, recorded on an in-process stand-in, so no worker forks;
+        the trees are those of a serial fit."""
+        workers = []
+
+        class InlinePool:
+            def __init__(self, max_workers, mp_context):
+                workers.append(max_workers)
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        monkeypatch.setenv("CONVSURV_THREADS", "400")
+        assert (resolve_jobs(400), resolve_jobs(None), resolve_jobs(5)) == (8, 8, 5)
+        d = generic_dataset(rng, 150)
+        cfg = ForestConfig(n_trees=16, min_node_events=10, seed=12)
+        serial = fit_rsf(d, cfg, n_jobs=1)
+        assert_same_trees(fit_rsf(d, cfg, n_jobs=400), serial)
+        assert workers == [8]
+        monkeypatch.delenv("CONVSURV_THREADS")
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert resolve_jobs(400) == 12
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert resolve_jobs(400) == 4

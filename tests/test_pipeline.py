@@ -1,5 +1,8 @@
 """Log ingestion, the two-day filter, features, and dataset labeling."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from unittest import mock
@@ -10,6 +13,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import oracles
+from test_cli import src_env
 from test_model_io import EDGE_FIELDS
 from convsurv import pipeline
 from convsurv.core import EventStatus, TimeAxis
@@ -356,34 +360,46 @@ def parsed_blocks(draw):
 
 
 class TestSortedLogs:
-    """The ordered-log skip against the unconditional lexsort."""
+    """The ordered-log skip, and the newcomer drop, against the
+    unconditional lexsort and ``filter_newcomers``."""
 
     @settings(max_examples=300, deadline=None)
-    @given(parsed=parsed_blocks())
-    @example(parsed=((), []))  # an empty table
-    @example(parsed=(("p0",), [tuple(np.array([v]) for v in (0, 3, 0.0, 1, 1, 1, 1))]))
-    def test_skip_matches_lexsort(self, parsed):
+    @given(parsed=parsed_blocks(), drop_newcomers=st.booleans())
+    @example(parsed=((), []), drop_newcomers=True)  # an empty table
+    @example(parsed=(("p0",), [tuple(np.array([v]) for v in (0, 3, 0.0, 1, 1, 1, 1))]),
+             drop_newcomers=False)
+    def test_skip_matches_lexsort(self, parsed, drop_newcomers):
         ids, blocks = parsed
-        want = self.outcome(oracles.lexsorted_logs, ids, blocks)
-        # ingest's layout: one list of pieces per column, each led by an empty one
-        parts = [list(pieces) for pieces in zip(pipeline._empty_block(), *blocks)]
+        want, _ = self.outcome(lambda: oracles.lexsorted_logs(ids, blocks),
+                               drop_newcomers)
+        # ingest's layout: one array per column, player codes first
+        columns = [np.concatenate(pieces) for pieces in zip(pipeline._empty_block(), *blocks)]
         with mock.patch.object(pipeline.np, "lexsort", wraps=np.lexsort) as lexsort:
-            got = self.outcome(pipeline._sorted_logs, ids, parts)
+            got, table = self.outcome(
+                lambda: pipeline._sorted_logs(ids, columns, drop_newcomers), False)
         assert got == want
-        assert parts == [[]] * len(parts)  # every column's pieces released
+        if table is not None:  # the codes are dropped, each parsed column replaced
+            assert len(columns) == len(table.columns)
+            assert all(c is t for c, t in zip(columns, table.columns))
         keys = [key for block in blocks for key in zip(*map(np.ndarray.tolist, block[:2]))]
         assert lexsort.called == (keys != sorted(keys))
 
     @staticmethod
-    def outcome(sort, ids, parsed):
-        """Every array of the table with its dtype, or the check's message
-        and the player it names."""
+    def outcome(build, drop_newcomers):
+        """The arrays of ``build()``'s table, filtered if ``drop_newcomers``,
+        and the table; or the check's message and the player it names."""
         try:
-            table = sort(ids, parsed)
+            table = build()
         except LogValidationError as exc:
-            return str(exc), exc.player_id
-        return table.ids, [(a.dtype, a.tolist())
-                           for a in (table.registration, table.offsets) + table.columns]
+            return (str(exc), exc.player_id), None
+        table = filter_newcomers(table) if drop_newcomers else table
+        return table_arrays(table), table
+
+
+def table_arrays(table):
+    """The ids and every array of a ``PlayerLogs`` table with its dtype."""
+    return table.ids, [(a.dtype, a.tolist())
+                       for a in (table.registration, table.offsets) + table.columns]
 
 
 @st.composite
@@ -732,6 +748,98 @@ def edge_csv(draw):
     ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = "".join(record + ending for record in [HEADER.rstrip("\n")] + records)
     return text.removesuffix(ending) if records and draw(st.booleans()) else text
+
+
+class TestFilteredIngest:
+    """``ingest_logs(path, drop_newcomers=True)``, the CLI's read path,
+    against ``filter_newcomers`` of the whole table."""
+
+    @staticmethod
+    def cohort(tmp_path, layout):
+        logs, _ = generate_synthetic(GeneratorConfig(n_players=4000, seed=3))
+        path = tmp_path / "logs.csv"
+        write_logs_csv(logs, path)
+        if layout == "day-major":
+            header, *rows = path.read_text().splitlines(keepends=True)
+            rows.sort(key=lambda row: int(row.split(",")[1]))  # stable
+            path.write_text(header + "".join(rows))
+        return path
+
+    @pytest.mark.parametrize("layout", ["ordered", "day-major"])
+    @pytest.mark.parametrize("block_rows", [1000, 8192])
+    def test_matches_filter_newcomers(self, tmp_path, layout, block_rows):
+        path = self.cohort(tmp_path, layout)
+        with mock.patch.object(pipeline, "_BLOCK_ROWS", block_rows):
+            got = ingest_logs(path, drop_newcomers=True)
+            want = filter_newcomers(ingest_logs(path))
+        assert 0 < len(want) < len(ingest_logs(path))
+        assert table_arrays(got) == table_arrays(want)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cohort=cohort_csv(), block_rows=st.sampled_from([1, 3, 8192]))
+    def test_random_logs_match_filter_newcomers(self, tmp_path, cohort, block_rows):
+        path = write_csv(tmp_path, cohort[0])
+        with mock.patch.object(pipeline, "_BLOCK_ROWS", block_rows):
+            got = ingest_logs(path, drop_newcomers=True)
+            want = filter_newcomers(ingest_logs(path))
+        assert table_arrays(got) == table_arrays(want)
+
+    @pytest.mark.parametrize("body", [
+        "new,3,1.0,1,1,1,0\nbob,0,1.0,5,1,1,0\nbob,1,1.0,4,1,1,0\n",
+        "bob,0,1.0,5,1,1,0\nnew,0,1.0,1,1,1,0\nbob,1,1.0,4,1,1,0\n",
+        "new,0,1.0,1,1,1,0\nbob,1,1.0,1,1,1,0\nbob,1,1.0,1,1,1,0\n",
+        "new,9,1.0,1,1,1,0\nbob,5,1.0,1,1,1,0\nbob,2,1.0,3,1,1,0\n"
+        "ann,0,1.0,1,1,1,0\nann,0,1.0,1,1,1,0\n",
+    ])
+    def test_one_day_player_leaves_the_error_unchanged(self, tmp_path, body):
+        """A one-day player before, or among the rows of, a faulty player
+        changes neither the error nor the player it names."""
+        path = write_csv(tmp_path, body)
+        want = error_outcome(ingest_logs, path)
+        assert want is not None and want[3] == "bob"
+        assert error_outcome(lambda p: ingest_logs(p, drop_newcomers=True), path) == want
+
+    def test_peak_memory(self, tmp_path):
+        """Ingest plus the newcomer filter stays below 2x the filtered table
+        traced (1.86x); joining chunk pieces, then filter_newcomers on the
+        whole table, peaked at 2.52x."""
+        path = self.cohort(tmp_path, "ordered")
+        tracemalloc.start()
+        try:
+            table = ingest_logs(path, drop_newcomers=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = (table.registration, table.offsets) + table.columns
+        assert peak < 2 * sum(a.nbytes for a in arrays)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads VmHWM from /proc (Linux)")
+    def test_resident_peak(self, tmp_path):
+        """The process's resident peak rises by less than 2.5x the filtered
+        table during ingest, freed heap included, which tracemalloc does not
+        see. VmHWM starts afresh at exec, so a new interpreter measures it.
+        On this 8000-player cohort the rise is 2.06x; joining chunk pieces,
+        then filter_newcomers on the whole table, rose 2.86-3.01x."""
+        logs, _ = generate_synthetic(GeneratorConfig(n_players=8000, seed=3))
+        path = tmp_path / "logs.csv"
+        write_logs_csv(logs, path)
+        code = (
+            "import sys\n"
+            "from convsurv.pipeline import ingest_logs\n"
+            "def hwm():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(line.split()[1]) for line in fh\n"
+            "                    if line.startswith('VmHWM:')) * 1024\n"
+            "before = hwm()\n"
+            "table = ingest_logs(sys.argv[1], drop_newcomers=True)\n"
+            "arrays = (table.registration, table.offsets) + table.columns\n"
+            "print(hwm() - before, sum(a.nbytes for a in arrays))\n")
+        out = subprocess.run([sys.executable, "-c", code, str(path)], env=src_env(),
+                             capture_output=True, text=True, check=True).stdout
+        rise, nbytes = map(int, out.split())
+        assert rise < 2.5 * nbytes
 
 
 class TestLoadtxtPass:
