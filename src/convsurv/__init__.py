@@ -6,17 +6,8 @@ Cox regression, random survival forests, conditional-inference survival
 ensembles, and a competing-risks forest treating churn as a rival event.
 """
 
-from .core import (
-    EventStatus,
-    StepFunction,
-    SurvivalDataset,
-    SurvivalRecord,
-    TimeAxis,
-    complement,
-    evaluate_step,
-    survival_to_incidence,
-)
-from .cox import CoxFit, fit_cox, predict_cox_median, predict_cox_survival
+from .core import EventStatus, StepFunction, SurvivalDataset, TimeAxis, complement
+from .cox import CoxFit, fit_cox, predict_cox_survival
 from .estimators import (
     RiskTable,
     aalen_johansen,
@@ -44,7 +35,6 @@ from .forest import (
     fit_rsf,
     fit_rsf_competing,
     predict_forest_incidence,
-    predict_forest_median,
     predict_forest_survival,
 )
 from .generator import GeneratorConfig, GroundTruth, generate_synthetic
@@ -54,7 +44,6 @@ from .pipeline import (
     PlayerLogs,
     PlayerRow,
     build_dataset,
-    engineer_features,
     filter_newcomers,
     ingest_logs,
 )
@@ -62,18 +51,15 @@ from .pipeline import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EventStatus", "StepFunction", "SurvivalDataset", "SurvivalRecord",
-    "TimeAxis", "complement", "evaluate_step", "survival_to_incidence",
-    "CoxFit", "fit_cox", "predict_cox_median", "predict_cox_survival",
+    "EventStatus", "StepFunction", "SurvivalDataset", "TimeAxis", "complement",
+    "CoxFit", "fit_cox", "predict_cox_survival",
     "RiskTable", "aalen_johansen", "all_cause_survival", "kaplan_meier",
-    "km_confidence_band",
-    "nelson_aalen", "risk_table",
+    "km_confidence_band", "nelson_aalen", "risk_table",
     "EvaluationReport", "ModelAxisResult", "PredictionOutcome", "SplitSpec",
     "confusion_rates", "evaluate_models", "rmsle", "stratified_split",
     "ForestConfig", "ForestKind", "ForestModel", "fit_conditional_ensemble",
-    "fit_rsf", "fit_rsf_competing", "predict_forest_incidence",
-    "predict_forest_median", "predict_forest_survival",
+    "fit_rsf", "fit_rsf_competing", "predict_forest_incidence", "predict_forest_survival",
     "GeneratorConfig", "GroundTruth", "generate_synthetic",
     "FeatureSpec", "PlayerLog", "PlayerLogs", "PlayerRow", "build_dataset",
-    "engineer_features", "filter_newcomers", "ingest_logs",
+    "filter_newcomers", "ingest_logs",
 ]

@@ -7,9 +7,7 @@ across workers; the operations are pure functions.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -122,11 +120,6 @@ class StepFunction:
         return out
 
 
-def evaluate_step(f: StepFunction, t) -> float:
-    """Value of the right-continuous step function at ``t``."""
-    return f(t)
-
-
 def _direction(f: StepFunction) -> int:
     """+1 for non-decreasing, -1 for non-increasing, 0 if constant.
 
@@ -157,36 +150,6 @@ def complement(f: StepFunction) -> StepFunction:
     if vals.size and (np.min(vals) < 0.0 or np.max(vals) > 1.0):
         raise InvalidCurveError("curve values must lie in [0, 1]")
     return StepFunction(f.knots, 1.0 - f.values, 1.0 - f.left_value)
-
-
-# Alias under the spec-level operation name: converting a survival curve to
-# the cumulative incidence of its event is exactly the complement.
-survival_to_incidence = complement
-
-
-@dataclass(frozen=True)
-class SurvivalRecord:
-    """One subject's observation: (time, status, covariates).
-
-    ``time`` is non-negative and finite on the dataset's axis; covariates
-    are a fixed-length numeric vector with no missing entries.
-    """
-
-    subject_id: str
-    time: float
-    status: EventStatus
-    covariates: tuple[float, ...]
-
-    def __post_init__(self):
-        time = float(self.time)
-        if not math.isfinite(time) or time < 0:
-            raise ValueError(f"time must be finite and >= 0, got {self.time!r}")
-        cov = tuple(map(float, self.covariates))
-        if not all(map(math.isfinite, cov)):
-            raise ValueError(f"covariates contain non-finite entries: {self.subject_id}")
-        object.__setattr__(self, "time", time)
-        object.__setattr__(self, "status", EventStatus(self.status))
-        object.__setattr__(self, "covariates", cov)
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,12 +212,6 @@ class SurvivalDataset:
     @property
     def n_features(self) -> int:
         return len(self.feature_names)
-
-    @cached_property
-    def records(self) -> tuple[SurvivalRecord, ...]:
-        """The rows as ``SurvivalRecord``s, built on first access."""
-        return tuple(map(SurvivalRecord, self.subject_ids, self.times.tolist(),
-                         self.status_codes.tolist(), self.covariate_matrix.tolist()))
 
     def n_events(self, status: EventStatus = EventStatus.CONVERTED) -> int:
         return int(np.sum(self.status_codes == int(status)))

@@ -237,12 +237,6 @@ def predict_cox_survival(fit: CoxFit, x) -> StepFunction:
         return StepFunction(h0.knots, np.exp(-h0.values * np.exp(fit.beta @ x)), 1.0)
 
 
-def predict_cox_median(fit: CoxFit, x) -> float | None:
-    """Median conversion time: first knot where survival drops to 0.5."""
-    median = predict_median_batch(fit, x)[0]
-    return None if np.isnan(median) else float(median)
-
-
 def predict_median_batch(fit: CoxFit, x) -> np.ndarray:
     """Vectorized medians for a covariate matrix; NaN where never crossed.
 

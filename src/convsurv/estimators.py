@@ -29,8 +29,6 @@ class RiskTable:
 
     ``event_times`` are the distinct times with at least one event (of any
     type). ``at_risk[k]`` counts subjects with observed time >= t_k.
-    ``censored`` has length K+1: slot 0 counts censorings strictly before
-    the first event time, slot k censorings in [t_k, t_{k+1}).
     """
 
     event_times: np.ndarray
@@ -38,11 +36,10 @@ class RiskTable:
     events: np.ndarray
     events_converted: np.ndarray
     events_churned: np.ndarray
-    censored: np.ndarray
 
     def __post_init__(self):
         for name in ("event_times", "at_risk", "events", "events_converted",
-                     "events_churned", "censored"):
+                     "events_churned"):
             arr = np.asarray(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -76,24 +73,11 @@ def event_counts(times: np.ndarray, status: np.ndarray, grid=None) -> tuple:
 
 
 def risk_table(data: SurvivalDataset) -> RiskTable:
-    """Count events, censorings and subjects at risk per distinct event time."""
+    """Count events and subjects at risk per distinct event time."""
     require_nonempty(data)
-    times = data.times
-    status = data.status_codes
-    event_times, at_risk, d_conv, d_churn, _ = event_counts(times, status)
-
-    cens_times = times[status == int(EventStatus.CENSORED)]
-    cens_idx = np.searchsorted(event_times, cens_times, side="right")
-    censored = np.bincount(cens_idx, minlength=event_times.size + 1)
-
-    return RiskTable(
-        event_times=event_times,
-        at_risk=at_risk,
-        events=d_conv + d_churn,
-        events_converted=d_conv,
-        events_churned=d_churn,
-        censored=censored,
-    )
+    event_times, at_risk, d_conv, d_churn, _ = event_counts(data.times, data.status_codes)
+    return RiskTable(event_times=event_times, at_risk=at_risk, events=d_conv + d_churn,
+                     events_converted=d_conv, events_churned=d_churn)
 
 
 # --- count kernels -----------------------------------------------------

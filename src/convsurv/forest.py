@@ -720,12 +720,6 @@ def predict_forest_incidence(model: ForestModel, x, event: EventStatus) -> StepF
     return StepFunction(model.grid, values, 0.0)
 
 
-def predict_forest_median(model: ForestModel, x) -> float | None:
-    """Median conversion time of one subject; None where it never crosses."""
-    median = predict_median_batch(model, x)[0]
-    return None if np.isnan(median) else float(median)
-
-
 def _median_terms(model: ForestModel) -> tuple:
     """(leaf curve, test on its tree sum that the median is reached)."""
     if model.kind == ForestKind.COMPETING:

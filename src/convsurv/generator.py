@@ -274,19 +274,3 @@ def write_ground_truth_csv(truths: list[GroundTruth], path) -> None:
                 "" if t.true_conversion_day is None else t.true_conversion_day,
                 "" if t.true_churn_day is None else t.true_churn_day,
             ])
-
-
-def read_ground_truth_csv(path) -> list[GroundTruth]:
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            out.append(GroundTruth(
-                player_id=row["player_id"],
-                true_converter=row["true_converter"] == "1",
-                true_conversion_day=(int(row["true_conversion_day"])
-                                     if row["true_conversion_day"] else None),
-                true_churn_day=(int(row["true_churn_day"])
-                                if row["true_churn_day"] else None),
-            ))
-    return out

@@ -281,7 +281,8 @@ def load_model(path) -> ModelFile:
             return _model_file(json.load(fh))
     except CompatibilityError as exc:
         raise CompatibilityError(f"model file {path}: {exc}") from None
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, RecursionError, TypeError,
+            ValueError) as exc:
         raise CompatibilityError(
             f"model file {path} is malformed: {type(exc).__name__}: {exc}") from exc
 

@@ -508,21 +508,21 @@ def _window_features(logs: PlayerLogs, cutoff: np.ndarray) -> tuple[dict, np.nda
     play_max = _fold_rows(playtime, starts, n,
                           lambda acc, v: np.where(v > acc, v, acc), -np.inf)
     mean = _ratio(play_sum, n)
-    deviation = (playtime - mean[owner])[in_window]
+    deviation = playtime[in_window] - mean[owner[in_window]]
     # pow raises OverflowError past the float maximum; an infinite square
     # instead lets build_dataset name the player
     deviation[np.abs(deviation) >= 2.0 ** 512] = np.inf
-    squares = np.zeros(playtime.size)
-    squares[in_window] = np.fromiter(map(math.pow, memoryview(deviation), repeat(2.0)),
-                                     np.float64, deviation.size)
+    squares = np.fromiter(map(math.pow, memoryview(deviation), repeat(2.0)),
+                          np.float64, deviation.size)
+    # days are sorted, so the window is each player's first n rows: in the
+    # window-only squares a player's rows start at cumsum(n) - n
+    square_sum = _fold_rows(squares, np.cumsum(n) - n, n, np.add, 0.0)
     sessions = window_total(logs.sessions)
     elapsed = exact(cutoff) - registration
     values = {
         "mean_daily_playtime": mean,
         "max_daily_playtime": np.where(seen, play_max, 0.0),
-        "std_daily_playtime": np.where(
-            n >= 2, np.sqrt(_ratio(_fold_rows(squares, starts, n, np.add, 0.0), n)),
-            0.0),
+        "std_daily_playtime": np.where(n >= 2, np.sqrt(_ratio(square_sum, n)), 0.0),
         "total_sessions": sessions.astype(float),
         "mean_actions_per_session": _ratio(window_total(logs.actions), sessions),
         "active_day_ratio": _ratio(n_exact, np.where(seen, elapsed, 0)),
@@ -532,19 +532,6 @@ def _window_features(logs: PlayerLogs, cutoff: np.ndarray) -> tuple[dict, np.nda
             seen, day[last] - registration, 0).astype(float),
     }
     return values, play_sum
-
-
-def engineer_features(log: PlayerLog, cutoff: int,
-                      spec: FeatureSpec = FeatureSpec(features=FEATURE_NAMES)
-                      ) -> np.ndarray:
-    """Static covariates from rows strictly before day ``cutoff``.
-
-    Defaults to the full aggregation set; pass a FeatureSpec to select.
-    With no pre-cutoff activity the vector defaults to zeros with level 1.
-    Std features use the n < 2 convention of 0.
-    """
-    values, _ = _window_features(PlayerLogs.from_logs([log]), np.array([cutoff]))
-    return np.array([values[f][0] for f in spec.features], dtype=float)
 
 
 def build_dataset(logs, axis: TimeAxis, competing: bool = False,

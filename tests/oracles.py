@@ -3,11 +3,13 @@
 Everything here evaluates the defining formulas directly with fresh counts
 per time point (no risk tables, no cumulative tricks, no code shared with
 the library), deliberately O(n^2), so library bugs cannot cancel out. The
-record-based dataset reference shares ``SurvivalRecord`` and the exception
-types; the log-pipeline reference shares only the exception types and
-states the input rule itself. The record-by-record ingest reference
-shares the row checks and the table types: it judges the np.loadtxt
-pass, not the input rule. The split-rule reference is the
+record-based dataset reference keeps its own ``SurvivalRecord`` and shares
+the exception types; ``records`` views a library dataset as such records.
+The log-pipeline reference shares only the exception types and states the
+input rule itself; ``window_features`` runs the library's feature pass on
+one log, the way the per-log entry point once did. The record-by-record
+ingest reference shares the row checks and the table types: it judges the
+np.loadtxt pass, not the input rule. The split-rule reference is the
 per-feature tree-growth code that the per-node hoist replaced, on float
 columns as before rank codes; it shares the forest's bin-count and
 score-moment helpers, and takes its p-values from scipy's ``ndtr`` as the
@@ -21,7 +23,7 @@ unconditional ``np.lexsort`` that the ordered-log skip bypasses. The
 median-crossing reference is the scalar rule, knot by knot, that the
 batch medians replaced. The
 generator reference at the end is the per-player simulation that the
-array pass replaced.
+array pass replaced, with a reader for the ground-truth file it writes.
 """
 
 import bisect
@@ -34,7 +36,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from convsurv import generator as gen
-from convsurv.core import EventStatus, SurvivalRecord, TimeAxis
+from convsurv.core import EventStatus, TimeAxis
 from convsurv.errors import (
     ConfigError,
     EmptyInputError,
@@ -44,7 +46,14 @@ from convsurv.errors import (
     StratificationError,
 )
 from convsurv.forest import _bin_matrix, _score_moments
-from convsurv.pipeline import PlayerLog, PlayerLogs, PlayerRow, _check_row
+from convsurv.pipeline import (
+    FEATURE_NAMES,
+    PlayerLog,
+    PlayerLogs,
+    PlayerRow,
+    _check_row,
+    _window_features,
+)
 
 
 def _distinct_event_times(times, event_mask):
@@ -138,7 +147,37 @@ def grid_partial_loglik(grid, times, event_mask, x_col):
 # ---------------------------------------------------------------------------
 # Record-based reference for the dataset container: the SurvivalDataset and
 # stratified split that the columnar dataset replaced, kept as they were
-# written. Records are the library's SurvivalRecord, which keeps its checks.
+# written, on the per-subject record the library once exported.
+
+@dataclass(frozen=True)
+class SurvivalRecord:
+    """One subject's observation: (time, status, covariates).
+
+    ``time`` is non-negative and finite on the dataset's axis; covariates
+    are a fixed-length numeric vector with no missing entries.
+    """
+
+    subject_id: str
+    time: float
+    status: EventStatus
+    covariates: tuple
+
+    def __post_init__(self):
+        time = float(self.time)
+        if not math.isfinite(time) or time < 0:
+            raise ValueError(f"time must be finite and >= 0, got {self.time!r}")
+        cov = tuple(map(float, self.covariates))
+        if not all(map(math.isfinite, cov)):
+            raise ValueError(f"covariates contain non-finite entries: {self.subject_id}")
+        object.__setattr__(self, "time", time)
+        object.__setattr__(self, "status", EventStatus(self.status))
+        object.__setattr__(self, "covariates", cov)
+
+
+def records(data):
+    """The rows of a library ``SurvivalDataset`` as ``SurvivalRecord``s."""
+    return tuple(map(SurvivalRecord, data.subject_ids, data.times.tolist(),
+                     data.status_codes.tolist(), data.covariate_matrix.tolist()))
 
 @dataclass(frozen=True)
 class ReferenceDataset:
@@ -440,6 +479,14 @@ def reference_features(rows, registration_day, cutoff):
         values["days_since_registration"] = float(
             rows[-1].day_index - registration_day)
     return [values[f] for f in REFERENCE_FEATURES]
+
+
+def window_features(log, cutoff):
+    """The library's nine features, in FEATURE_NAMES order, of one
+    ``PlayerLog``'s rows strictly before day ``cutoff``. The log passes
+    ``PlayerLogs``' checks first."""
+    values, _ = _window_features(PlayerLogs.from_logs([log]), np.array([cutoff]))
+    return np.array([values[f][0] for f in FEATURE_NAMES], dtype=float)
 
 
 def reference_dataset(logs, axis, competing, features, churn_window, data_end=None):
@@ -822,3 +869,15 @@ def reference_generate(cfg):
     day, *columns = (np.concatenate(c) for c in zip(*players))
     offsets = np.cumsum([0] + [p[0].size for p in players])
     return PlayerLogs(ids, day[offsets[:-1]], offsets, day, *columns), list(truths)
+
+
+def read_ground_truth_csv(path):
+    """The generator's ground-truth file as ``GroundTruth``s, in file order."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [gen.GroundTruth(
+            player_id=row["player_id"],
+            true_converter=row["true_converter"] == "1",
+            true_conversion_day=(int(row["true_conversion_day"])
+                                 if row["true_conversion_day"] else None),
+            true_churn_day=int(row["true_churn_day"]) if row["true_churn_day"] else None,
+        ) for row in csv.DictReader(fh)]

@@ -773,10 +773,22 @@ def rsfcr_playtime_model(data_dir, tmp_path_factory):
     return path
 
 
+# deeper than the JSON decoder recurses; written as text, because
+# json.dumps of such a value would itself recurse
+DEEP_JSON = "[" * 200000 + "]" * 200000
+
+
 def assert_predict_rejects(model_path, corruption, data_dir, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     if corruption == "not-json":
         bad.write_text(model_path.read_text()[:200])
+    elif corruption == "deep-nesting":
+        bad.write_text(DEEP_JSON)
+    elif corruption == "deep-train-config":
+        doc = json.loads(model_path.read_text())
+        doc["train_config"] = None
+        bad.write_text(json.dumps(doc).replace('"train_config": null',
+                                               f'"train_config": {DEEP_JSON}'))
     else:
         doc = json.loads(model_path.read_text())
         corrupt_model(doc, corruption)
@@ -795,6 +807,7 @@ class TestModelFileCorruption:
         "cycle", "child-out-of-range", "bad-leaf-index", "bad-feature",
         "short-node-array", "missing-key", "not-json", "zero-trees", "one-tree-short",
         "null-threshold", "churn-window-negative", "leaf-counts-shifted",
+        "deep-nesting", "deep-train-config",
     ])
     def test_corrupt_model_file_is_data_error(self, corruption, data_dir, rsf_model,
                                               tmp_path, capsys):

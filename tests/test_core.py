@@ -9,18 +9,15 @@ from convsurv.core import (
     EventStatus,
     StepFunction,
     SurvivalDataset,
-    SurvivalRecord,
     TimeAxis,
     complement,
-    evaluate_step,
     first_crossing,
-    survival_to_incidence,
 )
 from convsurv.errors import InvalidCurveError, ShapeMismatchError
 from convsurv.evaluation import SplitSpec, stratified_split
 
 from conftest import make_dataset
-from oracles import ReferenceDataset, reference_split
+from oracles import ReferenceDataset, SurvivalRecord, records, reference_split
 
 
 def survival_f():
@@ -29,13 +26,13 @@ def survival_f():
 
 class TestStepFunction:
     def test_below_first_knot(self):
-        assert evaluate_step(survival_f(), 0.5) == 1.0
+        assert survival_f()(0.5) == 1.0
 
     def test_right_continuous_at_knot(self):
-        assert evaluate_step(survival_f(), 1) == 0.5
+        assert survival_f()(1) == 0.5
 
     def test_beyond_last_knot_holds_last_value(self):
-        assert evaluate_step(survival_f(), 10) == 0.25
+        assert survival_f()(10) == 0.25
 
     def test_array_evaluation(self):
         out = survival_f()(np.array([0.0, 1.0, 1.5, 2.0, 3.0]))
@@ -100,7 +97,7 @@ class TestFirstCrossing:
 class TestComplement:
     def test_pointwise_complement(self):
         s = StepFunction(np.array([1.0, 2.0]), np.array([0.75, 0.5]), 1.0)
-        inc = survival_to_incidence(s)
+        inc = complement(s)
         assert_allclose(inc.values, [0.25, 0.5])
         assert inc.left_value == 0.0
 
@@ -140,11 +137,11 @@ class TestComplement:
 class TestRecordsAndDataset:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            SurvivalRecord("a", -1.0, EventStatus.CENSORED, (0.0,))
+            make_dataset([-1.0], [EventStatus.CENSORED])
 
     def test_non_finite_covariates_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            SurvivalRecord("a", 1.0, EventStatus.CENSORED, (float("nan"),))
+            make_dataset([1.0], [EventStatus.CENSORED], x=[(float("nan"),)])
 
     def test_churned_requires_competing_flag(self):
         with pytest.raises(ValueError, match="CHURNED"):
@@ -166,7 +163,7 @@ class TestRecordsAndDataset:
                           EventStatus.CENSORED], competing=True)
         single = d.recode_competing_as_censored()
         assert not single.competing_risks
-        assert [r.status for r in single.records] == [
+        assert [r.status for r in records(single)] == [
             EventStatus.CONVERTED, EventStatus.CENSORED, EventStatus.CENSORED]
         assert_allclose(single.times, d.times)
 
@@ -251,7 +248,7 @@ def assert_same(col, ref):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
         assert not got.flags.writeable
-    assert col.records == ref.records
+    assert records(col) == ref.records
     assert len(col) == len(ref) and col.competing_risks == ref.competing_risks
     assert all(col.n_events(s) == ref.n_events(s) for s in EventStatus)
 

@@ -14,7 +14,6 @@ from convsurv.cox import (
     CoxFit,
     fit_cox,
     partial_loglik_grad_hess,
-    predict_cox_median,
     predict_cox_survival,
     predict_median_batch,
 )
@@ -163,22 +162,24 @@ class TestInvariances:
         """The partial likelihood sees only the order of times."""
         data = ph_dataset(rng, 120, [0.7, -0.3])
         fit1 = fit_cox(data)
+        rows = oracles.records(data)
         scaled = make_dataset(
-            [r.time * 37.5 for r in data.records],
-            [r.status for r in data.records],
-            [r.covariates for r in data.records])
+            [r.time * 37.5 for r in rows],
+            [r.status for r in rows],
+            [r.covariates for r in rows])
         fit2 = fit_cox(scaled)
         assert_allclose(fit1.beta, fit2.beta, atol=1e-10)
 
     def test_covariate_translation_absorbed_by_baseline(self, rng):
         data = ph_dataset(rng, 150, [0.6])
         fit1 = fit_cox(data)
+        rows = oracles.records(data)
         shifted = make_dataset(
-            [r.time for r in data.records],
-            [r.status for r in data.records],
-            [(r.covariates[0] + 5.0,) for r in data.records])
+            [r.time for r in rows],
+            [r.status for r in rows],
+            [(r.covariates[0] + 5.0,) for r in rows])
         fit2 = fit_cox(shifted)
-        for r in data.records[:20]:
+        for r in rows[:20]:
             s1 = predict_cox_survival(fit1, np.array(r.covariates))
             s2 = predict_cox_survival(fit2, np.array(r.covariates) + 5.0)
             assert_allclose(s1.values, s2.values, atol=1e-8)
@@ -230,7 +231,7 @@ class TestMedian:
             feature_names=("f0",),
             convergence=ConvergenceInfo(0, 0.0, 0.0),
         )
-        assert predict_cox_median(fit, np.zeros(1)) == 10.0
+        assert predict_median_batch(fit, np.zeros(1))[0] == 10.0
 
     def test_never_crossing_is_absent(self, rng):
         # heavy censoring keeps the curve above 0.5 for low-risk subjects
@@ -241,7 +242,7 @@ class TestMedian:
             feature_names=("f0",),
             convergence=ConvergenceInfo(0, 0.0, 0.0),
         )
-        assert predict_cox_median(fit, np.array([0.0])) is None
+        assert np.isnan(predict_median_batch(fit, np.array([0.0]))[0])
 
     def test_median_monotone_in_risk(self, rng):
         fit = fit_cox(ph_dataset(rng, 400, [1.0]))
@@ -258,11 +259,8 @@ class TestMedian:
         x = data.covariate_matrix[:25]
         batch = predict_median_batch(fit, x)
         for i in range(25):
-            scalar = predict_cox_median(fit, x[i])
-            if scalar is None:
-                assert np.isnan(batch[i])
-            else:
-                assert batch[i] == scalar
+            row = predict_median_batch(fit, x[i:i + 1])
+            assert np.array_equal(batch[i:i + 1], row, equal_nan=True)
 
     @staticmethod
     def many_knot_fit(n_knots=1500):

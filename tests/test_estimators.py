@@ -69,7 +69,7 @@ class TestRiskTable:
     def test_all_censored_no_event_times(self):
         t = risk_table(make_dataset([1, 2, 3], [CENS, CENS, CENS]))
         assert t.event_times.size == 0
-        assert t.censored.sum() == 3
+        assert t.events.sum() == 0
 
     def test_tied_events(self):
         t = risk_table(make_dataset([2, 2, 2], [CONV, CONV, CONV]))
@@ -81,7 +81,7 @@ class TestRiskTable:
         for _ in range(20):
             d = random_dataset(rng, int(rng.integers(1, 20)), competing=True)
             t = risk_table(d)
-            assert t.events.sum() + t.censored.sum() == len(d)
+            assert t.events.sum() + d.n_events(CENS) == len(d)
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyInputError):

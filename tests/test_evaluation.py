@@ -31,6 +31,7 @@ from convsurv.evaluation import (
 )
 from convsurv.forest import ForestConfig
 
+import oracles
 from conftest import make_dataset
 
 CONV = EventStatus.CONVERTED
@@ -60,15 +61,15 @@ class TestStratifiedSplit:
     def test_disjoint_and_exhaustive(self, rng):
         data = hundred_with_ten_converters(rng)
         train, test = stratified_split(data, SplitSpec(0.3, seed=5))
-        ids = sorted(r.subject_id for r in train.records + test.records)
-        assert ids == sorted(r.subject_id for r in data.records)
+        ids = sorted(r.subject_id for r in oracles.records(train) + oracles.records(test))
+        assert ids == sorted(r.subject_id for r in oracles.records(data))
 
     def test_deterministic(self, rng):
         data = hundred_with_ten_converters(rng)
         a1 = stratified_split(data, SplitSpec(0.3, seed=9))
         a2 = stratified_split(data, SplitSpec(0.3, seed=9))
-        assert [r.subject_id for r in a1[0].records] == \
-            [r.subject_id for r in a2[0].records]
+        assert [r.subject_id for r in oracles.records(a1[0])] == \
+            [r.subject_id for r in oracles.records(a2[0])]
 
     def test_single_class_rejected(self, rng):
         statuses = [CENS] * 10
@@ -82,8 +83,8 @@ class TestStratifiedSplit:
         train_30, _ = stratified_split(data, SplitSpec(0.3, seed=2))
         train_70, _ = stratified_split(data, SplitSpec(0.7, seed=2))
         assert len(train_30) == 100 - len(train_70)
-        ids_30 = {r.subject_id for r in train_30.records}
-        ids_70 = {r.subject_id for r in train_70.records}
+        ids_30 = {r.subject_id for r in oracles.records(train_30)}
+        ids_70 = {r.subject_id for r in oracles.records(train_70)}
         assert ids_30 <= ids_70
 
     def test_fraction_validated(self):
@@ -248,9 +249,9 @@ class TestEvaluateModels:
         from convsurv.core import TimeAxis
         data = training_shaped_dataset(rng)
         train, test = stratified_split(data, SplitSpec(0.5, seed=3))
-        other = make_dataset([r.time for r in test.records],
-                             [r.status for r in test.records],
-                             [r.covariates for r in test.records],
+        rows = oracles.records(test)
+        other = make_dataset([r.time for r in rows], [r.status for r in rows],
+                             [r.covariates for r in rows],
                              competing=True, axis=TimeAxis.LEVEL)
         with pytest.raises(ConfigError):
             evaluate_models(train, other)

@@ -37,7 +37,6 @@ from convsurv.forest import (
     fit_rsf,
     fit_rsf_competing,
     predict_forest_incidence,
-    predict_forest_median,
     predict_forest_survival,
     predict_incidence_matrix,
     predict_median_batch,
@@ -137,10 +136,11 @@ class TestRsf:
         relabels splits but leaves every prediction bit-identical."""
         d = generic_dataset(rng, 150, p=3)
         perm = [2, 0, 1]
+        rows = oracles.records(d)
         d_perm = make_dataset(
-            [r.time for r in d.records],
-            [r.status for r in d.records],
-            [tuple(r.covariates[j] for j in perm) for r in d.records])
+            [r.time for r in rows],
+            [r.status for r in rows],
+            [tuple(r.covariates[j] for j in perm) for r in rows])
         cfg = ForestConfig(n_trees=12, mtry=3, min_node_events=8, seed=5)
         m1 = fit_rsf(d, cfg)
         m2 = fit_rsf(d_perm, cfg)
@@ -226,10 +226,11 @@ class TestConditionalEnsemble:
     def test_duplicated_feature_column_is_noise_level(self, rng):
         """Adding a copy of an existing column moves curves < 0.02."""
         d = generic_dataset(rng, 300, p=2)
+        rows = oracles.records(d)
         dup = make_dataset(
-            [r.time for r in d.records],
-            [r.status for r in d.records],
-            [r.covariates + (r.covariates[0],) for r in d.records])
+            [r.time for r in rows],
+            [r.status for r in rows],
+            [r.covariates + (r.covariates[0],) for r in rows])
         cfg = ForestConfig(n_trees=900, min_node_events=10, seed=31)
         m1 = fit_conditional_ensemble(d, cfg)
         m2 = fit_conditional_ensemble(dup, cfg)
@@ -274,9 +275,9 @@ class TestCompetingForest:
         """Without churn rows the competing forest grows the same trees as
         the single-risk forest under the same seeds."""
         d = generic_dataset(rng, 200)
-        d_cr = make_dataset([r.time for r in d.records],
-                            [r.status for r in d.records],
-                            [r.covariates for r in d.records], competing=True)
+        rows = oracles.records(d)
+        d_cr = make_dataset([r.time for r in rows], [r.status for r in rows],
+                            [r.covariates for r in rows], competing=True)
         cfg = ForestConfig(n_trees=10, min_node_events=8, seed=77)
         m_rsf = fit_rsf(d, cfg)
         m_cr = fit_rsf_competing(d_cr, cfg)
@@ -358,7 +359,7 @@ class TestPrediction:
         statuses = [CONV if i < 5 else CENS for i in range(n)]  # rare events
         d = make_dataset(times, statuses, x=rng.standard_normal((n, 2)))
         m = fit_rsf(d, stump_config(n))
-        assert predict_forest_median(m, np.zeros(2)) is None
+        assert np.isnan(predict_median_batch(m, np.zeros((1, 2)))[0])
 
     def test_stump_median_matches_estimator_crossing(self, rng):
         from convsurv.core import StepFunction
@@ -366,7 +367,8 @@ class TestPrediction:
         m = fit_rsf(d, stump_config(120))
         h = nelson_aalen(d)
         pooled = StepFunction(h.knots, np.exp(-h.values), 1.0)
-        assert predict_forest_median(m, np.zeros(3)) == oracles.median_crossing(pooled, 0.5)
+        assert predict_median_batch(m, np.zeros((1, 3)))[0] == \
+            oracles.median_crossing(pooled, 0.5)
 
     def test_median_batch_matches_scalar(self, rng):
         d = competing_dataset(rng, 200)
@@ -374,11 +376,8 @@ class TestPrediction:
         x = rng.standard_normal((30, 3))
         batch = predict_median_batch(m, x)
         for i in range(30):
-            scalar = predict_forest_median(m, x[i])
-            if scalar is None:
-                assert np.isnan(batch[i])
-            else:
-                assert batch[i] == scalar
+            row = predict_median_batch(m, x[i:i + 1])
+            assert np.array_equal(batch[i:i + 1], row, equal_nan=True)
 
     def test_monotone_response_to_accelerating_feature(self, rng):
         """Increasing the conversion-accelerating feature never raises the
@@ -422,12 +421,11 @@ class TestHandmadeEnsemble:
 
     def test_competing_median_absent_without_conversions(self):
         """A leaf with churn but no conversion events has a flat zero
-        conversion incidence: no median, in the scalar and the batch."""
+        conversion incidence: no median."""
         model = handmade_model(ForestKind.COMPETING,
                                handmade_stump([10, 5], [0, 0], [2, 1]))
         assert np.all(predict_incidence_matrix(model, np.zeros((1, 1)), CONV) == 0.0)
         assert np.isnan(predict_median_batch(model, np.zeros((1, 1)))[0])
-        assert predict_forest_median(model, np.zeros(1)) is None
 
 
 MEAN_CURVES = ("cumhaz", "survival", "cif_conv", "cif_churn")

@@ -13,13 +13,12 @@ from convsurv.generator import (
     GeneratorConfig,
     _observe,
     generate_synthetic,
-    read_ground_truth_csv,
     write_ground_truth_csv,
     write_logs_csv,
 )
 from convsurv.pipeline import build_dataset, filter_newcomers, ingest_logs
 
-from oracles import reference_generate
+from oracles import read_ground_truth_csv, records, reference_generate
 
 TABLE_FIELDS = ("registration", "offsets", "day_index", "playtime_hours", "level",
                 "sessions", "actions", "purchases")
@@ -202,7 +201,7 @@ class TestLabelConsistency:
         data = build_dataset(
             filter_newcomers(logs), TimeAxis.LIFETIME, competing=True,
             churn_window=9, data_end=cfg.observation_window_days - 1)
-        for rec in data.records:
+        for rec in records(data):
             truth = truth_by_id[rec.subject_id]
             if rec.status == EventStatus.CONVERTED:
                 assert truth.true_converter

@@ -27,7 +27,6 @@ from convsurv.pipeline import (
     PlayerLogs,
     PlayerRow,
     build_dataset,
-    engineer_features,
     filter_newcomers,
     ingest_logs,
 )
@@ -110,7 +109,7 @@ class TestEngineerFeatures:
         log = PlayerLog("a", 0, tuple(row(d, playtime=1.0, sessions=2,
                                           actions=10, level=1 + d)
                                       for d in range(5)))
-        f = dict(zip(FEATURE_NAMES, engineer_features(log, cutoff=5)))
+        f = dict(zip(FEATURE_NAMES, oracles.window_features(log, 5)))
         assert f["mean_daily_playtime"] == 1.0
         assert f["std_daily_playtime"] == 0.0
         assert f["active_day_ratio"] == 1.0
@@ -120,13 +119,13 @@ class TestEngineerFeatures:
 
     def test_single_pre_cutoff_day_has_zero_std(self):
         log = PlayerLog("a", 0, (row(0, playtime=2.0), row(3, level=2)))
-        f = dict(zip(FEATURE_NAMES, engineer_features(log, cutoff=1)))
+        f = dict(zip(FEATURE_NAMES, oracles.window_features(log, 1)))
         assert f["std_daily_playtime"] == 0.0
         assert f["mean_daily_playtime"] == 2.0
 
     def test_zero_activity_window_defaults(self):
         log = PlayerLog("a", 0, (row(0), row(1, level=2)))
-        f = dict(zip(FEATURE_NAMES, engineer_features(log, cutoff=0)))
+        f = dict(zip(FEATURE_NAMES, oracles.window_features(log, 0)))
         assert f["current_level"] == 1.0
         assert f["mean_daily_playtime"] == 0.0
         assert f["active_day_ratio"] == 0.0
@@ -136,7 +135,7 @@ class TestEngineerFeatures:
         from ``x * x``; these playtimes are one such case."""
         log = PlayerLog("a", 0, (row(0, playtime=4.41), row(1, playtime=0.18),
                                  row(2, playtime=4.0, level=2)))
-        f = dict(zip(FEATURE_NAMES, engineer_features(log, cutoff=3)))
+        f = dict(zip(FEATURE_NAMES, oracles.window_features(log, 3)))
         assert f["std_daily_playtime"] == 1.9047717856886572
         assert list(f.values()) == oracles.reference_features(log.rows, 0, 3)
 
@@ -144,8 +143,8 @@ class TestEngineerFeatures:
         """The leakage guard: rows at or after the cutoff are invisible."""
         base = (row(0, playtime=1.0), row(1, playtime=2.0, level=2))
         extended = base + (row(7, playtime=50.0, level=9, purchases=1),)
-        a = engineer_features(PlayerLog("a", 0, base), cutoff=7)
-        b = engineer_features(PlayerLog("a", 0, extended), cutoff=7)
+        a = oracles.window_features(PlayerLog("a", 0, base), cutoff=7)
+        b = oracles.window_features(PlayerLog("a", 0, extended), cutoff=7)
         assert np.array_equal(a, b)
 
 
@@ -166,7 +165,7 @@ class TestBuildDataset:
                   TimeAxis.PLAYTIME: 4.5}
         for axis, value in expect.items():
             d = build_dataset(logs, axis)
-            rec = d.records[0]
+            rec = oracles.records(d)[0]
             assert rec.status == EventStatus.CONVERTED
             assert rec.time == value
 
@@ -174,7 +173,7 @@ class TestBuildDataset:
         logs = [self.purchase_log(),
                 PlayerLog("active", 2, (row(2), row(11, playtime=2.5, level=4)))]
         d = build_dataset(logs, TimeAxis.LIFETIME, data_end=12)
-        rec = d.records[1]
+        rec = oracles.records(d)[1]
         assert rec.status == EventStatus.CENSORED
         assert rec.time == 9.0
 
@@ -183,19 +182,19 @@ class TestBuildDataset:
                 PlayerLog("gone", 0, (row(0), row(2, playtime=3.0, level=4)))]
         d = build_dataset(logs, TimeAxis.LIFETIME, competing=True,
                           churn_window=9, data_end=30)
-        rec = d.records[1]
+        rec = oracles.records(d)[1]
         assert rec.status == EventStatus.CHURNED
         assert rec.time == 2.0
         level_d = build_dataset(logs, TimeAxis.LEVEL, competing=True,
                                 churn_window=9, data_end=30)
-        assert level_d.records[1].time == 4.0
+        assert oracles.records(level_d)[1].time == 4.0
 
     def test_not_churned_within_window(self):
         logs = [self.purchase_log(),
                 PlayerLog("gone", 0, (row(0), row(2)))]
         d = build_dataset(logs, TimeAxis.LIFETIME, competing=True,
                           churn_window=9, data_end=10)
-        assert d.records[1].status == EventStatus.CENSORED
+        assert oracles.records(d)[1].status == EventStatus.CENSORED
 
     def test_status_identical_across_axes(self):
         logs = [self.purchase_log(),
@@ -203,13 +202,13 @@ class TestBuildDataset:
                 PlayerLog("b", 1, (row(1), row(19, level=2)))]
         per_axis = [build_dataset(logs, ax, competing=True, data_end=20)
                     for ax in TimeAxis]
-        statuses = [[r.status for r in d.records] for d in per_axis]
+        statuses = [[r.status for r in oracles.records(d)] for d in per_axis]
         assert statuses[0] == statuses[1] == statuses[2]
 
     def test_level_at_event_matches_event_day_row(self):
         logs = [self.purchase_log()]
         d = build_dataset(logs, TimeAxis.LEVEL)
-        assert d.records[0].time == 12.0  # the level field on the event day
+        assert oracles.records(d)[0].time == 12.0  # the level field on the event day
 
     def test_recode_matches_single_risk_build(self):
         """Recoding a competing dataset equals building single-risk."""
@@ -220,8 +219,8 @@ class TestBuildDataset:
         single = build_dataset(logs, TimeAxis.LIFETIME, competing=False,
                                churn_window=5, data_end=30)
         rec = cr.recode_competing_as_censored()
-        assert [r.status for r in rec.records] == \
-            [r.status for r in single.records]
+        assert [r.status for r in oracles.records(rec)] == \
+            [r.status for r in oracles.records(single)]
         assert_allclose(rec.times, single.times)
         assert np.array_equal(rec.covariate_matrix, single.covariate_matrix)
 
@@ -310,7 +309,7 @@ class TestTableCheck:
         assert error_outcome(filter_newcomers, logs) == want
         assert error_outcome(lambda l: build_dataset(l, TimeAxis.LIFETIME), logs) == want
         for log in logs:
-            assert error_outcome(lambda l: engineer_features(l, 10), log) == \
+            assert error_outcome(lambda l: oracles.window_features(l, 10), log) == \
                 error_outcome(oracles.reference_log_check,
                               [(log.player_id, log.registration_day, log.rows)])
         if want is None:
@@ -482,14 +481,14 @@ class TestColumnarEquivalence:
                     ids, times, status, covariates = oracles.reference_dataset(
                         reference, axis.value, competing, features, churn_window,
                         data_end)
-                    assert [r.subject_id for r in d.records] == ids
+                    assert [r.subject_id for r in oracles.records(d)] == ids
                     assert np.array_equal(d.times, np.array(times, dtype=float))
                     assert np.array_equal(d.status_codes, np.array(status, dtype=np.int8))
                     assert np.array_equal(
                         d.covariate_matrix,
                         np.array(covariates, dtype=float).reshape(len(ids), len(features)))
         for pid, registration, rows in reference:
-            got = engineer_features(PlayerLog(pid, registration, rows), cutoff * scale)
+            got = oracles.window_features(PlayerLog(pid, registration, rows), cutoff * scale)
             want = oracles.reference_features(rows, registration, cutoff * scale)
             assert np.array_equal(got, np.array(want))
 
