@@ -85,6 +85,12 @@ class TestTrain:
         summary = json.loads((tmp_path / "rsf.json.summary.json").read_text())
         assert summary["diagnostics"]["n_trees"] == 30
 
+    def test_model_file_records_the_frozen_feature_hash(self, rsf_model):
+        """The hash of the six model features and the pre-event cutoff, which
+        every model file written so far holds."""
+        assert json.loads(rsf_model.read_text())["feature_spec_hash"] == \
+            "de9e10b5a823f201"
+
     def test_train_config_echoes_every_training_flag(self, data_dir, tmp_path):
         """The model file and the summary hold the same parsed flags, set and
         defaulted alike, in this key order."""
