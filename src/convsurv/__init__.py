@@ -6,7 +6,7 @@ Cox regression, random survival forests, conditional-inference survival
 ensembles, and a competing-risks forest treating churn as a rival event.
 """
 
-from .core import EventStatus, StepFunction, SurvivalDataset, TimeAxis, complement
+from .core import EventStatus, StepFunction, SurvivalDataset, TimeAxis
 from .cox import CoxFit, fit_cox, predict_cox_survival
 from .estimators import (
     RiskTable,
@@ -39,7 +39,6 @@ from .forest import (
 )
 from .generator import GeneratorConfig, GroundTruth, generate_synthetic
 from .pipeline import (
-    FeatureSpec,
     PlayerLog,
     PlayerLogs,
     PlayerRow,
@@ -51,7 +50,7 @@ from .pipeline import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EventStatus", "StepFunction", "SurvivalDataset", "TimeAxis", "complement",
+    "EventStatus", "StepFunction", "SurvivalDataset", "TimeAxis",
     "CoxFit", "fit_cox", "predict_cox_survival",
     "RiskTable", "aalen_johansen", "all_cause_survival", "kaplan_meier",
     "km_confidence_band", "nelson_aalen", "risk_table",
@@ -60,6 +59,6 @@ __all__ = [
     "ForestConfig", "ForestKind", "ForestModel", "fit_conditional_ensemble",
     "fit_rsf", "fit_rsf_competing", "predict_forest_incidence", "predict_forest_survival",
     "GeneratorConfig", "GroundTruth", "generate_synthetic",
-    "FeatureSpec", "PlayerLog", "PlayerLogs", "PlayerRow", "build_dataset",
-    "filter_newcomers", "ingest_logs",
+    "PlayerLog", "PlayerLogs", "PlayerRow", "build_dataset", "filter_newcomers",
+    "ingest_logs",
 ]

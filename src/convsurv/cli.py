@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import model_io
-from .core import EventStatus, TimeAxis, complement
+from .core import EventStatus, StepFunction, TimeAxis
 from .errors import CompatibilityError, ConfigError, EmptyInputError
 from .estimators import (
     aalen_johansen,
@@ -55,7 +55,8 @@ from .generator import (
 )
 from .pipeline import (
     DEFAULT_CHURN_WINDOW,
-    FeatureSpec,
+    FEATURE_SPEC_HASH,
+    MODEL_FEATURES,
     build_dataset,
     ingest_logs,
 )
@@ -139,10 +140,9 @@ def _training_config(args, models) -> ForestConfig:
     """The training flags of ``models``, checked before any input is read."""
     check_model_kinds(models, args.churn_window)
     resolve_jobs(args.threads)  # a malformed CONVSURV_THREADS fails here
-    n_features = len(FeatureSpec().features)
-    if args.mtry is not None and args.mtry > n_features:
+    if args.mtry is not None and args.mtry > len(MODEL_FEATURES):
         raise ConfigError(
-            f"--mtry {args.mtry} exceeds the {n_features} model features")
+            f"--mtry {args.mtry} exceeds the {len(MODEL_FEATURES)} model features")
     return ForestConfig(
         n_trees=args.trees,
         mtry=args.mtry,
@@ -206,13 +206,12 @@ def cmd_train(args) -> int:
                          churn_window=args.churn_window)
     train, _test = stratified_split(
         data, SplitSpec(train_fraction=args.train_frac, seed=args.seed))
-    spec = FeatureSpec()
     fitted = fit_model(args.model, train, cfg, ridge=args.ridge,
                        n_jobs=args.threads)
     train_config = {name: getattr(args, name) for name in _TRAIN_CONFIG}
     model_io.save_model(args.out, fitted, axis=TimeAxis(args.target),
-                        feature_names=spec.features,
-                        feature_spec_hash=spec.spec_hash(),
+                        feature_names=MODEL_FEATURES,
+                        feature_spec_hash=FEATURE_SPEC_HASH,
                         train_config=train_config)
     summary = {
         "config": train_config,
@@ -230,8 +229,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model_file = model_io.load_model(args.model)
-    spec = FeatureSpec()
-    if spec.spec_hash() != model_file.feature_spec_hash:
+    if model_file.feature_spec_hash != FEATURE_SPEC_HASH:
         raise CompatibilityError(
             "feature spec hash mismatch between the model file and this build")
     # covariates only: prediction reads no labels
@@ -320,8 +318,8 @@ def cmd_curves(args) -> int:
         lower, upper = (b.values for b in
                         cif_confidence_band(data, EventStatus.CONVERTED, args.level))
     else:
-        estimate = complement(kaplan_meier(data))
-        # a pointwise band need not be monotone, so it skips complement's check
+        survival = kaplan_meier(data)
+        estimate = StepFunction(survival.knots, 1.0 - survival.values, 0.0)
         lo_s, hi_s = km_confidence_band(data, args.level)
         lower, upper = 1.0 - hi_s.values, 1.0 - lo_s.values
     _write_csv(args.out, ["time", "estimate", "lower", "upper"],

@@ -120,38 +120,6 @@ class StepFunction:
         return out
 
 
-def _direction(f: StepFunction) -> int:
-    """+1 for non-decreasing, -1 for non-increasing, 0 if constant.
-
-    The left value participates in the scan, so a curve that jumps once at
-    its first knot is still directional. Raises on non-monotone input.
-    """
-    seq = np.concatenate(([f.left_value], f.values))
-    diffs = np.diff(seq)
-    up = bool(np.any(diffs > 0))
-    down = bool(np.any(diffs < 0))
-    if up and down:
-        raise InvalidCurveError("curve is not monotone")
-    if up:
-        return 1
-    if down:
-        return -1
-    return 0
-
-
-def complement(f: StepFunction) -> StepFunction:
-    """Pointwise ``1 - f``: survival curve to cumulative incidence and back.
-
-    The input must be a valid monotone curve with all values (and the left
-    value) inside [0, 1]; applying the complement twice is the identity.
-    """
-    _direction(f)  # raises on non-monotone input
-    vals = np.concatenate(([f.left_value], f.values))
-    if vals.size and (np.min(vals) < 0.0 or np.max(vals) > 1.0):
-        raise InvalidCurveError("curve values must lie in [0, 1]")
-    return StepFunction(f.knots, 1.0 - f.values, 1.0 - f.left_value)
-
-
 @dataclass(frozen=True, eq=False)
 class SurvivalDataset:
     """Immutable columnar dataset: one row per subject, one time axis.

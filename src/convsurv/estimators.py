@@ -87,15 +87,11 @@ def risk_table(data: SurvivalDataset) -> RiskTable:
 
 def km_values_from_counts(at_risk: np.ndarray, events: np.ndarray) -> np.ndarray:
     """Product-limit survival values S(t_k) = prod(1 - d/Q)."""
-    if len(at_risk) == 0:
-        return np.zeros(0)
     return np.cumprod(1.0 - events / at_risk, axis=-1)
 
 
 def na_values_from_counts(at_risk: np.ndarray, events: np.ndarray) -> np.ndarray:
     """Cumulative-hazard values H(t_k) = sum(d/Q)."""
-    if len(at_risk) == 0:
-        return np.zeros(0)
     return np.cumsum(events / at_risk, axis=-1)
 
 
@@ -106,8 +102,6 @@ def cif_values_from_counts(at_risk: np.ndarray, events_total: np.ndarray,
     ``S`` is the all-cause product-limit survival evaluated just before each
     event time; with that choice S(t) + sum_j CIF_j(t) = 1 at every knot.
     """
-    if len(at_risk) == 0:
-        return np.zeros(0)
     surv = km_values_from_counts(at_risk, events_total)
     surv_lag = np.ones_like(surv)
     surv_lag[..., 1:] = surv[..., :-1]

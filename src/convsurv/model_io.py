@@ -134,7 +134,7 @@ def _check_train_config(config, kind: str) -> None:
     lowest = 1 if needs_churn_labels(kind) else 0
     if window < lowest:
         raise CompatibilityError(
-            f"train_config churn_window {window} must be >= {lowest} for an {kind} model")
+            f"train_config churn_window {window} must be >= {lowest} for model kind {kind!r}")
 
 
 def _tree_payload(tree: SurvivalTree) -> dict:

@@ -10,10 +10,11 @@ player; day indices are unique per player. Numbers are ASCII without
 ``_``, as ``int()`` (fitting int64) and ``float()`` then read them. No
 field may hold a ``"``, a line break or ``\x1c``-``\x1f`` once unquoted.
 
-Feature engineering uses a growing window that ends strictly before the
-subject's event (or censoring) day, so no feature can read activity at or
-after the event: recomputing features after deleting post-event rows is a
-bitwise no-op.
+Feature engineering computes the six rate-like ``MODEL_FEATURES`` over a
+growing window that ends strictly before the subject's event (or
+censoring) day, so no feature can read activity at or after the event:
+recomputing features after deleting post-event rows is a bitwise no-op.
+Totals that grow with the window itself are left out.
 
 A cohort is held as columns (``PlayerLogs``): ingest streams the CSV into
 arrays through ``np.loadtxt`` one chunk of lines at a time, and labels and
@@ -41,26 +42,12 @@ from .errors import LogParseError, LogValidationError
 EXPECTED_HEADER = ["player_id", "day_index", "playtime_hours", "level",
                    "sessions", "actions", "purchases"]
 
-# Every engineered aggregation. Computed over the rows strictly before the
-# per-player cutoff day; a player with no pre-cutoff activity gets the
-# all-default vector (zeros, level 1).
-FEATURE_NAMES = (
-    "mean_daily_playtime",
-    "max_daily_playtime",
-    "std_daily_playtime",
-    "total_sessions",
-    "mean_actions_per_session",
-    "active_day_ratio",
-    "current_level",
-    "level_velocity",
-    "days_since_registration",
-)
-
-# The frozen default modeling set, shared by all three time axes: the
-# rate-like features. Accumulation features (total sessions, current level,
-# days since registration) grow with the observation span itself, so a
-# model fed them largely reads back where each subject's window ended; they
-# stay available for explicit selection but are excluded by default.
+# The modeling features, shared by all three time axes, each computed over
+# the rows strictly before the per-player cutoff day; a player with no
+# pre-cutoff activity gets zeros. They are rate-like: accumulation totals
+# (sessions, current level, days since registration) grow with the
+# observation span itself, so a model fed them largely reads back where each
+# subject's window ended, and none is computed.
 MODEL_FEATURES = (
     "mean_daily_playtime",
     "max_daily_playtime",
@@ -69,6 +56,12 @@ MODEL_FEATURES = (
     "active_day_ratio",
     "level_velocity",
 )
+# The hash a model file records of the features and the cutoff policy (the
+# subject's own event or censoring day); predict refuses a file holding
+# another.
+FEATURE_SPEC_HASH = hashlib.sha256(json.dumps(
+    {"features": list(MODEL_FEATURES), "cutoff": "pre-event"},
+    sort_keys=True).encode()).hexdigest()[:16]
 
 DEFAULT_CHURN_WINDOW = 9
 
@@ -229,28 +222,6 @@ class PlayerLogs(Sequence):
         return PlayerLogs(tuple(self.ids[i] for i in players.tolist()),
                           self.registration[players], offsets,
                           *(c[rows] for c in self.columns))
-
-
-@dataclass(frozen=True)
-class FeatureSpec:
-    """Names of the engineered features plus the cutoff policy.
-
-    The cutoff is always the subject's own event/censoring day (growing
-    window); ``features`` selects and orders the engineered columns.
-    """
-
-    features: tuple[str, ...] = MODEL_FEATURES
-
-    def __post_init__(self):
-        object.__setattr__(self, "features", tuple(self.features))
-        unknown = [f for f in self.features if f not in FEATURE_NAMES]
-        if unknown:
-            raise ValueError(f"unknown features: {unknown}")
-
-    def spec_hash(self) -> str:
-        payload = json.dumps({"features": list(self.features),
-                              "cutoff": "pre-event"}, sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def _undecodable(cells) -> bool:
@@ -474,7 +445,7 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def _window_features(logs: PlayerLogs, cutoff: np.ndarray) -> tuple[dict, np.ndarray]:
-    """Every feature of each player's rows strictly before its ``cutoff``.
+    """The model features of each player's rows strictly before its ``cutoff``.
 
     Returns ({feature name: per-player values}, per-player window playtime
     sums). Equal bit for bit to the row-wise definition: float sums run
@@ -496,8 +467,8 @@ def _window_features(logs: PlayerLogs, cutoff: np.ndarray) -> tuple[dict, np.nda
         """``a`` as Python ints where int64 totals could overflow or round."""
         return a.astype(object) if wide and a.dtype.kind == "i" else a
 
-    day, level, registration, n_exact = (
-        exact(a) for a in (logs.day_index, logs.level, logs.registration, n))
+    level, registration, n_exact = (
+        exact(a) for a in (logs.level, logs.registration, n))
 
     def window_total(column: np.ndarray) -> np.ndarray:
         total = np.concatenate(([0], np.cumsum(exact(column))))
@@ -517,25 +488,20 @@ def _window_features(logs: PlayerLogs, cutoff: np.ndarray) -> tuple[dict, np.nda
     # days are sorted, so the window is each player's first n rows: in the
     # window-only squares a player's rows start at cumsum(n) - n
     square_sum = _fold_rows(squares, np.cumsum(n) - n, n, np.add, 0.0)
-    sessions = window_total(logs.sessions)
     elapsed = exact(cutoff) - registration
     values = {
         "mean_daily_playtime": mean,
         "max_daily_playtime": np.where(seen, play_max, 0.0),
         "std_daily_playtime": np.where(n >= 2, np.sqrt(_ratio(square_sum, n)), 0.0),
-        "total_sessions": sessions.astype(float),
-        "mean_actions_per_session": _ratio(window_total(logs.actions), sessions),
+        "mean_actions_per_session": _ratio(window_total(logs.actions),
+                                           window_total(logs.sessions)),
         "active_day_ratio": _ratio(n_exact, np.where(seen, elapsed, 0)),
-        "current_level": np.where(seen, level[last], 1).astype(float),
         "level_velocity": _ratio(level[last] - level[first], n_exact),
-        "days_since_registration": np.where(
-            seen, day[last] - registration, 0).astype(float),
     }
     return values, play_sum
 
 
-def build_dataset(logs, axis: TimeAxis, competing: bool = False,
-                  spec: FeatureSpec | None = None, *,
+def build_dataset(logs, axis: TimeAxis, competing: bool = False, *,
                   churn_window: int = DEFAULT_CHURN_WINDOW,
                   data_end: int | None = None) -> SurvivalDataset:
     """Label each player and engineer covariates on the chosen axis.
@@ -549,8 +515,6 @@ def build_dataset(logs, axis: TimeAxis, competing: bool = False,
     of ``PlayerLog``.
     """
     axis = TimeAxis(axis)
-    if spec is None:
-        spec = FeatureSpec()
     logs = PlayerLogs.from_logs(logs)
     day = logs.day_index
     last_row = logs.offsets[1:] - 1
@@ -573,13 +537,12 @@ def build_dataset(logs, axis: TimeAxis, competing: bool = False,
     else:
         with np.errstate(over="ignore"):
             times = play_sum + logs.playtime_hours[event_row]
-    covariates = np.column_stack(
-        [values[f] for f in spec.features] or [np.empty((len(logs), 0))])
+    covariates = np.column_stack([values[f] for f in MODEL_FEATURES])
     overflow = ~(np.isfinite(times) & np.isfinite(covariates).all(axis=1))
     if overflow.any():
         pid = logs.ids[int(np.argmax(overflow))]
         raise LogValidationError(
             f"player {pid!r}: playtime_hours sum or square overflows the float range",
             pid)
-    return SurvivalDataset(logs.ids, times, status, covariates, spec.features,
+    return SurvivalDataset(logs.ids, times, status, covariates, MODEL_FEATURES,
                            axis, competing)

@@ -47,7 +47,7 @@ from convsurv.errors import (
 )
 from convsurv.forest import _bin_matrix, _score_moments
 from convsurv.pipeline import (
-    FEATURE_NAMES,
+    MODEL_FEATURES,
     PlayerLog,
     PlayerLogs,
     PlayerRow,
@@ -286,12 +286,9 @@ REFERENCE_FEATURES = (
     "mean_daily_playtime",
     "max_daily_playtime",
     "std_daily_playtime",
-    "total_sessions",
     "mean_actions_per_session",
     "active_day_ratio",
-    "current_level",
     "level_velocity",
-    "days_since_registration",
 )
 
 Row = namedtuple("Row", "day_index playtime_hours level sessions actions purchases")
@@ -454,10 +451,9 @@ def reference_log_check(logs):
 
 
 def reference_features(rows, registration_day, cutoff):
-    """All nine features, in REFERENCE_FEATURES order."""
+    """All six features, in REFERENCE_FEATURES order."""
     rows = [r for r in rows if r.day_index < cutoff]
     values = dict.fromkeys(REFERENCE_FEATURES, 0.0)
-    values["current_level"] = 1.0
     if rows:
         playtimes = [r.playtime_hours for r in rows]
         n = len(rows)
@@ -468,28 +464,24 @@ def reference_features(rows, registration_day, cutoff):
             values["std_daily_playtime"] = math.sqrt(
                 sum((p - mean_play) ** 2 for p in playtimes) / n)
         total_sessions = sum(r.sessions for r in rows)
-        values["total_sessions"] = float(total_sessions)
         if total_sessions > 0:
             values["mean_actions_per_session"] = (
                 sum(r.actions for r in rows) / total_sessions)
         elapsed = cutoff - registration_day
         values["active_day_ratio"] = n / elapsed if elapsed > 0 else 0.0
-        values["current_level"] = float(rows[-1].level)
         values["level_velocity"] = (rows[-1].level - rows[0].level) / n
-        values["days_since_registration"] = float(
-            rows[-1].day_index - registration_day)
     return [values[f] for f in REFERENCE_FEATURES]
 
 
 def window_features(log, cutoff):
-    """The library's nine features, in FEATURE_NAMES order, of one
+    """The library's six features, in MODEL_FEATURES order, of one
     ``PlayerLog``'s rows strictly before day ``cutoff``. The log passes
     ``PlayerLogs``' checks first."""
     values, _ = _window_features(PlayerLogs.from_logs([log]), np.array([cutoff]))
-    return np.array([values[f][0] for f in FEATURE_NAMES], dtype=float)
+    return np.array([values[f][0] for f in MODEL_FEATURES], dtype=float)
 
 
-def reference_dataset(logs, axis, competing, features, churn_window, data_end=None):
+def reference_dataset(logs, axis, competing, churn_window, data_end=None):
     """Label and featurize (player_id, registration_day, rows) logs.
 
     ``axis`` is "lifetime", "level" or "playtime"; status codes are
@@ -513,12 +505,10 @@ def reference_dataset(logs, axis, competing, features, churn_window, data_end=No
             "playtime": sum(r.playtime_hours for r in rows
                             if r.day_index <= event_row.day_index),
         }[axis]
-        values = dict(zip(REFERENCE_FEATURES, reference_features(
-            rows, registration_day, event_row.day_index)))
         ids.append(pid)
         times.append(float(time))
         status.append(code)
-        covariates.append([values[f] for f in features])
+        covariates.append(reference_features(rows, registration_day, event_row.day_index))
     return ids, times, status, covariates
 
 

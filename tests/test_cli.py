@@ -15,8 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from convsurv import errors, pipeline
 from convsurv.cli import _exit_code, main
+from convsurv.core import EventStatus
 
 
 @pytest.fixture(scope="module")
@@ -380,6 +382,28 @@ class TestCurves:
         for r in rows:
             assert float(r["lower"]) <= float(r["estimate"]) <= float(r["upper"])
         assert any(float(r["upper"]) < 1.0 for r in rows)
+
+    @pytest.mark.parametrize("population", ["all", "converters"])
+    def test_single_risk_estimate_is_one_minus_kaplan_meier(self, data_dir, tmp_path,
+                                                           population):
+        """Without churn labels the estimate is the product-limit incidence at
+        every knot, with the converters alone or every multi-day player at risk."""
+        out = tmp_path / "c.csv"
+        assert main(["curves", "--data", str(data_dir / "logs.csv"), "--axis", "lifetime",
+                     "--population", population, "--churn-window", "0",
+                     "--out", str(out)]) == 0
+        data = pipeline.build_dataset(
+            pipeline.ingest_logs(data_dir / "logs.csv", drop_newcomers=True),
+            "lifetime")
+        converted = data.status_codes == EventStatus.CONVERTED
+        times = data.times[converted] if population == "converters" else data.times
+        events = converted[converted] if population == "converters" else converted
+        rows = read_rows(out)
+        assert rows
+        for r in rows:
+            want = 1.0 - oracles.km_survival_at(times.tolist(), events.tolist(),
+                                                float(r["time"]))
+            assert float(r["estimate"]) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_population_all_final_incidence_tracks_pu_rate(self, data_dir, tmp_path):
         """The competing-risks incidence converges to the realized
@@ -860,6 +884,13 @@ class TestModelFileCorruption:
         err = assert_predict_rejects(request.getfixturevalue(model), corruption, data_dir,
                                      tmp_path, capsys)
         assert "is not an array of JSON" in err
+
+    @pytest.mark.parametrize("model, kind", [("cox_model", "cox"), ("cif_model", "cif")])
+    def test_negative_churn_window_message_names_the_kind(self, model, kind, request,
+                                                          data_dir, tmp_path, capsys):
+        err = assert_predict_rejects(request.getfixturevalue(model),
+                                     "churn-window-negative", data_dir, tmp_path, capsys)
+        assert f"train_config churn_window -4 must be >= 0 for model kind '{kind}'" in err
 
     @pytest.mark.parametrize("corruption", ["churn-window-zero", "churn-window-negative"])
     def test_rsf_cr_file_without_churn_window_is_data_error(

@@ -10,7 +10,6 @@ from convsurv.core import (
     StepFunction,
     SurvivalDataset,
     TimeAxis,
-    complement,
     first_crossing,
 )
 from convsurv.errors import InvalidCurveError, ShapeMismatchError
@@ -92,46 +91,6 @@ class TestFirstCrossing:
         assert np.array_equal(got, expect)
         assert len(probed) == n_points.bit_length()
         assert all(np.all((0 <= index) & (index < n_points)) for index in probed)
-
-
-class TestComplement:
-    def test_pointwise_complement(self):
-        s = StepFunction(np.array([1.0, 2.0]), np.array([0.75, 0.5]), 1.0)
-        inc = complement(s)
-        assert_allclose(inc.values, [0.25, 0.5])
-        assert inc.left_value == 0.0
-
-    def test_no_events(self):
-        s = StepFunction(np.zeros(0), np.zeros(0), 1.0)
-        inc = complement(s)
-        assert inc.left_value == 0.0
-        assert inc(123.0) == 0.0
-
-    def test_certain_event(self):
-        s = StepFunction(np.array([1.0]), np.array([0.0]), 1.0)
-        inc = complement(s)
-        assert inc(1.0) == 1.0
-        assert inc(0.5) == 0.0
-
-    def test_involution(self, rng):
-        """complement(complement(f)) == f on valid survival curves."""
-        for _ in range(20):
-            k = np.sort(rng.choice(np.arange(1, 40), size=6, replace=False)).astype(float)
-            v = np.sort(rng.random(6))[::-1]
-            f = StepFunction(k, v, 1.0)
-            g = complement(complement(f))
-            assert_allclose(g.values, f.values, rtol=0, atol=0)
-            assert g.left_value == f.left_value
-
-    def test_rejects_values_outside_unit_interval(self):
-        f = StepFunction(np.array([1.0]), np.array([1.5]), 0.0)
-        with pytest.raises(InvalidCurveError, match=r"\[0, 1\]"):
-            complement(f)
-
-    def test_rejects_non_monotone(self):
-        f = StepFunction(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.7, 0.4]), 1.0)
-        with pytest.raises(InvalidCurveError, match="monotone"):
-            complement(f)
 
 
 class TestRecordsAndDataset:

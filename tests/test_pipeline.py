@@ -20,9 +20,7 @@ from convsurv.core import EventStatus, TimeAxis
 from convsurv.errors import LogParseError, LogValidationError
 from convsurv.generator import GeneratorConfig, generate_synthetic, write_logs_csv
 from convsurv.pipeline import (
-    FEATURE_NAMES,
     MODEL_FEATURES,
-    FeatureSpec,
     PlayerLog,
     PlayerLogs,
     PlayerRow,
@@ -109,24 +107,21 @@ class TestEngineerFeatures:
         log = PlayerLog("a", 0, tuple(row(d, playtime=1.0, sessions=2,
                                           actions=10, level=1 + d)
                                       for d in range(5)))
-        f = dict(zip(FEATURE_NAMES, oracles.window_features(log, 5)))
+        f = dict(zip(MODEL_FEATURES, oracles.window_features(log, 5)))
         assert f["mean_daily_playtime"] == 1.0
         assert f["std_daily_playtime"] == 0.0
         assert f["active_day_ratio"] == 1.0
-        assert f["total_sessions"] == 10.0
         assert f["mean_actions_per_session"] == 5.0
-        assert f["current_level"] == 5.0
 
     def test_single_pre_cutoff_day_has_zero_std(self):
         log = PlayerLog("a", 0, (row(0, playtime=2.0), row(3, level=2)))
-        f = dict(zip(FEATURE_NAMES, oracles.window_features(log, 1)))
+        f = dict(zip(MODEL_FEATURES, oracles.window_features(log, 1)))
         assert f["std_daily_playtime"] == 0.0
         assert f["mean_daily_playtime"] == 2.0
 
     def test_zero_activity_window_defaults(self):
         log = PlayerLog("a", 0, (row(0), row(1, level=2)))
-        f = dict(zip(FEATURE_NAMES, oracles.window_features(log, 0)))
-        assert f["current_level"] == 1.0
+        f = dict(zip(MODEL_FEATURES, oracles.window_features(log, 0)))
         assert f["mean_daily_playtime"] == 0.0
         assert f["active_day_ratio"] == 0.0
 
@@ -135,7 +130,7 @@ class TestEngineerFeatures:
         from ``x * x``; these playtimes are one such case."""
         log = PlayerLog("a", 0, (row(0, playtime=4.41), row(1, playtime=0.18),
                                  row(2, playtime=4.0, level=2)))
-        f = dict(zip(FEATURE_NAMES, oracles.window_features(log, 3)))
+        f = dict(zip(MODEL_FEATURES, oracles.window_features(log, 3)))
         assert f["std_daily_playtime"] == 1.9047717856886572
         assert list(f.values()) == oracles.reference_features(log.rows, 0, 3)
 
@@ -223,18 +218,6 @@ class TestBuildDataset:
             [r.status for r in oracles.records(single)]
         assert_allclose(rec.times, single.times)
         assert np.array_equal(rec.covariate_matrix, single.covariate_matrix)
-
-
-class TestFeatureSpec:
-    def test_hash_stable_and_sensitive(self):
-        a = FeatureSpec()
-        b = FeatureSpec(features=FEATURE_NAMES[:5])
-        assert a.spec_hash() == FeatureSpec().spec_hash()
-        assert a.spec_hash() != b.spec_hash()
-
-    def test_unknown_feature_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            FeatureSpec(features=("not_a_feature",))
 
 
 class TestPlayerLogs:
@@ -475,18 +458,16 @@ class TestColumnarEquivalence:
             data_end = last + data_end_shift * scale
         for axis in TimeAxis:
             for competing in (False, True):
-                for features in (MODEL_FEATURES, FEATURE_NAMES):
-                    d = build_dataset(logs, axis, competing, FeatureSpec(features),
-                                      churn_window=churn_window, data_end=data_end)
-                    ids, times, status, covariates = oracles.reference_dataset(
-                        reference, axis.value, competing, features, churn_window,
-                        data_end)
-                    assert [r.subject_id for r in oracles.records(d)] == ids
-                    assert np.array_equal(d.times, np.array(times, dtype=float))
-                    assert np.array_equal(d.status_codes, np.array(status, dtype=np.int8))
-                    assert np.array_equal(
-                        d.covariate_matrix,
-                        np.array(covariates, dtype=float).reshape(len(ids), len(features)))
+                d = build_dataset(logs, axis, competing,
+                                  churn_window=churn_window, data_end=data_end)
+                ids, times, status, covariates = oracles.reference_dataset(
+                    reference, axis.value, competing, churn_window, data_end)
+                assert [r.subject_id for r in oracles.records(d)] == ids
+                assert np.array_equal(d.times, np.array(times, dtype=float))
+                assert np.array_equal(d.status_codes, np.array(status, dtype=np.int8))
+                assert np.array_equal(
+                    d.covariate_matrix,
+                    np.array(covariates, dtype=float).reshape(len(ids), len(MODEL_FEATURES)))
         for pid, registration, rows in reference:
             got = oracles.window_features(PlayerLog(pid, registration, rows), cutoff * scale)
             want = oracles.reference_features(rows, registration, cutoff * scale)
@@ -500,9 +481,9 @@ class TestColumnarEquivalence:
         table = filter_newcomers(ingest_logs(path))
         reference = [log for log in oracles.reference_ingest(path) if len(log[2]) >= 2]
         for axis in TimeAxis:
-            d = build_dataset(table, axis, True, FeatureSpec(FEATURE_NAMES))
+            d = build_dataset(table, axis, True)
             _, times, status, covariates = oracles.reference_dataset(
-                reference, axis.value, True, FEATURE_NAMES, 9)
+                reference, axis.value, True, 9)
             assert np.array_equal(d.times, times)
             assert np.array_equal(d.status_codes, status)
             assert np.array_equal(d.covariate_matrix, covariates)

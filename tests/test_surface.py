@@ -1,5 +1,6 @@
 """The package surface: ``__all__`` against ``__init__``'s imports, and no
-unused module-level import anywhere else in ``src/convsurv``."""
+unused module-level import anywhere else in ``src/convsurv`` or in the
+test modules."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import convsurv
 
 PACKAGE = Path(convsurv.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 # an import kept on purpose for a name that nothing in its module reads
 KEEP = "# noqa: F401"
 
@@ -44,6 +46,13 @@ def test_all_lists_exactly_the_imported_names():
 
 def test_every_module_import_is_used():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    unused = {p.name: found for p in modules if (found := unused_imports(p))}
+    assert unused == {}
+
+
+def test_every_test_module_import_is_used():
+    modules = sorted(TESTS.glob("*.py"))
     assert modules
     unused = {p.name: found for p in modules if (found := unused_imports(p))}
     assert unused == {}
