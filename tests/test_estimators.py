@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,8 +19,11 @@ from convsurv.estimators import (
     aalen_johansen,
     all_cause_survival,
     cif_confidence_band,
+    cif_values_from_counts,
     kaplan_meier,
     km_confidence_band,
+    km_values_from_counts,
+    na_values_from_counts,
     nelson_aalen,
     risk_table,
     two_sided_normal_pvalue,
@@ -185,6 +189,33 @@ class TestAalenJohansen:
     def test_single_risk_dataset_rejected(self):
         with pytest.raises(WrongEstimatorError):
             aalen_johansen(make_dataset([1], [CONV]), CONV)
+
+
+class TestCountKernels:
+    """The kernels that turn per-knot counts into curve values."""
+
+    KERNELS = {
+        "km": lambda q, d: km_values_from_counts(q, d),
+        "na": lambda q, d: na_values_from_counts(q, d),
+        "cif": lambda q, d: cif_values_from_counts(q, d, d // 2),
+    }
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_empty_counts_give_empty_float_values(self, kernel):
+        empty = np.zeros(0, dtype=np.int64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = self.KERNELS[kernel](empty, empty)
+        assert out.dtype == np.float64 and out.shape == (0,)
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_stacked_rows_match_each_row_alone(self, kernel, rng):
+        at_risk = rng.integers(5, 40, size=(4, 6))
+        events = rng.integers(0, 5, size=(4, 6))
+        stacked = self.KERNELS[kernel](at_risk, events)
+        for row in range(4):
+            assert np.array_equal(
+                stacked[row], self.KERNELS[kernel](at_risk[row], events[row]))
 
 
 class TestOracleAgreement:
