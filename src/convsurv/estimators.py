@@ -15,7 +15,7 @@ for that event time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,61 +23,43 @@ from .core import EventStatus, StepFunction, SurvivalDataset, require_nonempty
 from .errors import InvalidEventError, WrongEstimatorError
 
 
-@dataclass(frozen=True)
-class RiskTable:
-    """Per-event-time counts underlying every estimator.
+class RiskTable(NamedTuple):
+    """Risk-set counts at the distinct event times ``times`` (of any type).
 
-    ``event_times`` are the distinct times with at least one event (of any
-    type). ``at_risk[k]`` counts subjects with observed time >= t_k.
+    ``at_risk[k]`` counts subjects with observed time >= times[k], and
+    ``d_conv[k]`` and ``d_churn[k]`` their events there. ``at_risk_grid``
+    counts subjects at risk at each grid point (None without a grid).
     """
 
-    event_times: np.ndarray
+    times: np.ndarray
     at_risk: np.ndarray
-    events: np.ndarray
-    events_converted: np.ndarray
-    events_churned: np.ndarray
-
-    def __post_init__(self):
-        for name in ("event_times", "at_risk", "events", "events_converted",
-                     "events_churned"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.at_risk.size > 1 and np.any(np.diff(self.at_risk) > 0):
-            raise ValueError("at_risk must be non-increasing")
-        if np.any(self.events > self.at_risk):
-            raise ValueError("events cannot exceed the number at risk")
+    d_conv: np.ndarray
+    d_churn: np.ndarray
+    at_risk_grid: np.ndarray | None
 
 
-def event_counts(times: np.ndarray, status: np.ndarray, grid=None) -> tuple:
-    """Risk-set counts at the distinct event times (of any type).
-
-    Returns (event_times, at_risk, d_conv, d_churn, at_risk_grid), where
-    ``at_risk_grid`` counts subjects with observed time >= each point of
-    ``grid`` (None without a grid). The kernel behind ``risk_table`` and
-    the forests' leaf tables.
-    """
+def event_counts(times: np.ndarray, status: np.ndarray, grid=None) -> RiskTable:
+    """Count ``status`` events and subjects at risk at the distinct event
+    times of ``times``, and at each point of ``grid`` if one is given."""
     sorted_times = np.sort(times)
-    event_times = np.unique(times[status != int(EventStatus.CENSORED)])
+    knots = np.unique(times[status != int(EventStatus.CENSORED)])
 
     def _at_risk(points: np.ndarray) -> np.ndarray:
         return times.size - np.searchsorted(sorted_times, points, side="left")
 
     def _events(code: EventStatus) -> np.ndarray:
-        idx = np.searchsorted(event_times, times[status == int(code)])
-        return np.bincount(idx, minlength=event_times.size)
+        idx = np.searchsorted(knots, times[status == int(code)])
+        return np.bincount(idx, minlength=knots.size)
 
-    return (event_times, _at_risk(event_times),
-            _events(EventStatus.CONVERTED), _events(EventStatus.CHURNED),
-            None if grid is None else _at_risk(grid))
+    return RiskTable(knots, _at_risk(knots),
+                     _events(EventStatus.CONVERTED), _events(EventStatus.CHURNED),
+                     None if grid is None else _at_risk(grid))
 
 
 def risk_table(data: SurvivalDataset) -> RiskTable:
     """Count events and subjects at risk per distinct event time."""
     require_nonempty(data)
-    event_times, at_risk, d_conv, d_churn, _ = event_counts(data.times, data.status_codes)
-    return RiskTable(event_times=event_times, at_risk=at_risk, events=d_conv + d_churn,
-                     events_converted=d_conv, events_churned=d_churn)
+    return event_counts(data.times, data.status_codes)
 
 
 # --- count kernels -----------------------------------------------------
@@ -124,8 +106,8 @@ COUNT_CURVES = {
 def _count_curve(table: RiskTable, curve: str) -> StepFunction:
     """One ``COUNT_CURVES`` curve of a risk table."""
     values_at_knots, left_value = COUNT_CURVES[curve]
-    return StepFunction(table.event_times, values_at_knots(
-        table.at_risk, table.events_converted, table.events_churned), left_value)
+    return StepFunction(table.times, values_at_knots(
+        table.at_risk, table.d_conv, table.d_churn), left_value)
 
 
 def _single_risk_table(data: SurvivalDataset, estimator: str) -> RiskTable:
@@ -191,10 +173,11 @@ def km_confidence_band(data: SurvivalDataset, level: float = 0.95
     variance degenerates and both limits are reported as 0.
     """
     z = _critical_value(level)
+    # single-risk: every event is a conversion, so d_churn is all zeros
     table = _single_risk_table(data, "kaplan_meier")
-    s = km_values_from_counts(table.at_risk, table.events)
+    s = km_values_from_counts(table.at_risk, table.d_conv)
     q = table.at_risk.astype(float)
-    d = table.events.astype(float)
+    d = table.d_conv.astype(float)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(q > d, d / (q * (q - d)), np.inf)
         se_log = np.sqrt(np.cumsum(terms))
@@ -207,8 +190,8 @@ def km_confidence_band(data: SurvivalDataset, level: float = 0.95
     lower = np.clip(np.nan_to_num(lower, nan=0.0), 0.0, 1.0)
     upper = np.clip(np.nan_to_num(upper, nan=1.0), 0.0, 1.0)
     return (
-        StepFunction(table.event_times, lower, 1.0),
-        StepFunction(table.event_times, upper, 1.0),
+        StepFunction(table.times, lower, 1.0),
+        StepFunction(table.times, upper, 1.0),
     )
 
 
@@ -225,17 +208,16 @@ def cif_confidence_band(data: SurvivalDataset, event: EventStatus,
     z = _critical_value(level)
     table, curve = _incidence_table(data, event)
     cif = _count_curve(table, curve)
-    d_cause = (table.events_converted if curve == "cif_conv"
-               else table.events_churned).astype(float)
+    d_cause = (table.d_conv if curve == "cif_conv" else table.d_churn).astype(float)
     q = table.at_risk.astype(float)
-    surv_lag = np.concatenate(([1.0], km_values_from_counts(q, table.events)[:-1]))
+    surv_lag = np.concatenate(([1.0], km_values_from_counts(q, table.d_conv + table.d_churn)[:-1]))
     var = np.cumsum(surv_lag**2 * d_cause * np.maximum(q - d_cause, 0.0) / q**3)
     half = z * np.sqrt(var)
     lower = np.clip(cif.values - half, 0.0, 1.0)
     upper = np.clip(cif.values + half, 0.0, 1.0)
     return (
-        StepFunction(table.event_times, lower, 0.0),
-        StepFunction(table.event_times, upper, 0.0),
+        StepFunction(table.times, lower, 0.0),
+        StepFunction(table.times, upper, 0.0),
     )
 
 

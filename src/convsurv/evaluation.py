@@ -117,8 +117,11 @@ def rmsle(outcomes: list[PredictionOutcome]) -> float:
     if not pairs:
         raise UndefinedMetricError(
             "no subject both converted and received a prediction")
-    sq = [(math.log1p(pred) - math.log1p(obs)) ** 2 for obs, pred in pairs]
-    return math.sqrt(sum(sq) / len(sq))
+    # left to right, rounding each addition: Python 3.12's sum() compensates
+    total = 0.0
+    for obs, pred in pairs:
+        total += (math.log1p(pred) - math.log1p(obs)) ** 2
+    return math.sqrt(total / len(pairs))
 
 
 def confusion_rates(outcomes: list[PredictionOutcome]) -> tuple[float, float]:
@@ -245,6 +248,8 @@ def evaluate_models(train: SurvivalDataset, test: SurvivalDataset,
     """
     if train.axis != test.axis or train.feature_names != test.feature_names:
         raise ConfigError("train and test must share axis and features")
+    if len(test) == 0:
+        raise EmptyInputError("the test split is empty: every subject went to train")
     axis = train.axis.value
     results: dict[str, ModelAxisResult] = {}
     outcomes_by_kind: dict[str, list[PredictionOutcome]] = {}

@@ -98,10 +98,10 @@ class ForestConfig:
 
 @dataclass
 class LeafTable:
-    """One tree's leaf risk tables: leaf l owns entries offsets[l] to
-    offsets[l + 1] - 1 of ``times`` (its distinct event times, any type),
-    ``at_risk``, ``d_conv`` and ``d_churn``. In cif, row l of ``at_risk_grid``
-    (None in other kinds) counts its subjects at risk at each grid time."""
+    """One tree's leaves' ``RiskTable``s, concatenated field by field: leaf l
+    owns entries offsets[l] to offsets[l + 1] - 1 of ``times``, ``at_risk``,
+    ``d_conv`` and ``d_churn``. In cif, row l of ``at_risk_grid`` (None in
+    other kinds) counts its subjects at risk at each grid time."""
 
     offsets: np.ndarray
     times: np.ndarray
@@ -213,10 +213,10 @@ def _logrank_scan(codes, values, cause_event, any_event, terms, min_events, cap)
 
 def _logrank_scores(times: np.ndarray, status: np.ndarray) -> np.ndarray:
     """Scores a_i = delta_i - H(t_i), H the node's Nelson-Aalen conversion hazard."""
-    event_times, at_risk, d_conv, _, _ = event_counts(times, status)
-    cumhaz = np.concatenate(([0.0], na_values_from_counts(at_risk, d_conv)))
+    counts = event_counts(times, status)
+    cumhaz = np.concatenate(([0.0], na_values_from_counts(counts.at_risk, counts.d_conv)))
     events = status == int(EventStatus.CONVERTED)
-    return events.astype(float) - cumhaz[np.searchsorted(event_times, times, side="right")]
+    return events.astype(float) - cumhaz[np.searchsorted(counts.times, times, side="right")]
 
 
 def _score_moments(a: np.ndarray):
@@ -320,7 +320,7 @@ def _grow_tree(xs, cs, values, ts, ss, kind: ForestKind, cfg: ForestConfig,
     p = xs.shape[1]
     leaf_grid = grid if kind.grid_at_risk else None
     feature, threshold, left, right, leaf_index = [], [], [], [], []
-    leaves = []  # each leaf's event_counts result
+    leaves = []  # each leaf's RiskTable
 
     stack = [(np.arange(xs.shape[0]), 0, -1, False)]
     while stack:

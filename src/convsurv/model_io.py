@@ -17,9 +17,9 @@ Cox payload: {"beta", "baseline_knots", "baseline_values", "convergence"}.
 Forest payload: {"config": {...}, "grid": [...], "trees": [...]} with
 config["n_trees"] trees. Each tree holds the flat node arrays named in
 ``_NODE_FIELDS`` (threshold null at leaves, finite at splits) plus
-"leaves", one risk table per leaf with the arrays named in
+"leaves", one ``estimators.RiskTable`` per leaf with the fields named in
 ``_LEAF_FIELDS`` (at_risk_grid null outside conditional ensembles); the
-file keeps these per-leaf arrays, while memory holds one LeafTable per tree.
+file keeps these per-leaf records, while memory holds one LeafTable per tree.
 Integer arrays hold JSON integers only and float arrays JSON numbers
 only. Leaf curves are recomputed from the counts on load, so a save/load
 round trip reproduces predictions bit-identically (JSON floats use

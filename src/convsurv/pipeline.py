@@ -426,8 +426,8 @@ def _fold_rows(values: np.ndarray, starts: np.ndarray, n: np.ndarray,
                step, initial: float) -> np.ndarray:
     """Fold each player's first ``n`` rows left to right, ``acc = step(acc, row)``.
 
-    One vectorized step per row position, so float sums accumulate in the
-    order of Python's ``sum``. A sum past the float range becomes inf
+    One vectorized step per row position, so float sums run left to right
+    and round after each addition. A sum past the float range becomes inf
     quietly: build_dataset reports the player.
     """
     acc = np.full(n.size, initial)
@@ -449,8 +449,8 @@ def _window_features(logs: PlayerLogs, cutoff: np.ndarray) -> tuple[dict, np.nda
 
     Returns ({feature name: per-player values}, per-player window playtime
     sums). Equal bit for bit to the row-wise definition: float sums run
-    left to right like Python's ``sum``, squares use libm ``pow`` like
-    ``x ** 2``, and integer totals and ratios are exact.
+    left to right, rounding after each addition, squares use libm ``pow``
+    like ``x ** 2``, and integer totals and ratios are exact.
     """
     starts = logs.offsets[:-1]
     owner = np.repeat(np.arange(len(logs)), logs.row_counts)

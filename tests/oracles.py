@@ -450,6 +450,15 @@ def reference_log_check(logs):
                 f"player {pid!r} has a decreasing level", pid)
 
 
+def left_sum(values) -> float:
+    """Float sum rounded after each addition, left to right: Python's ``sum``
+    before 3.12, which compensates float sums."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def reference_features(rows, registration_day, cutoff):
     """All six features, in REFERENCE_FEATURES order."""
     rows = [r for r in rows if r.day_index < cutoff]
@@ -457,12 +466,12 @@ def reference_features(rows, registration_day, cutoff):
     if rows:
         playtimes = [r.playtime_hours for r in rows]
         n = len(rows)
-        mean_play = sum(playtimes) / n
+        mean_play = left_sum(playtimes) / n
         values["mean_daily_playtime"] = mean_play
         values["max_daily_playtime"] = max(playtimes)
         if n >= 2:
             values["std_daily_playtime"] = math.sqrt(
-                sum((p - mean_play) ** 2 for p in playtimes) / n)
+                left_sum((p - mean_play) ** 2 for p in playtimes) / n)
         total_sessions = sum(r.sessions for r in rows)
         if total_sessions > 0:
             values["mean_actions_per_session"] = (
@@ -502,8 +511,8 @@ def reference_dataset(logs, axis, competing, churn_window, data_end=None):
         time = {
             "lifetime": float(event_row.day_index - registration_day),
             "level": float(event_row.level),
-            "playtime": sum(r.playtime_hours for r in rows
-                            if r.day_index <= event_row.day_index),
+            "playtime": left_sum(r.playtime_hours for r in rows
+                                 if r.day_index <= event_row.day_index),
         }[axis]
         ids.append(pid)
         times.append(float(time))

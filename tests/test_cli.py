@@ -1,5 +1,6 @@
 """CLI behavior: flags, file outputs, determinism and exit codes."""
 
+import contextlib
 import csv
 import inspect
 import json
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import oracles
-from convsurv import errors, pipeline
+from convsurv import errors, evaluation, pipeline
 from convsurv.cli import _exit_code, main
 from convsurv.core import EventStatus
 
@@ -337,6 +338,27 @@ class TestEvaluate:
         assert len(results) == 12 and all(r["error"] for r in results)
         assert "exit_code" not in results[0]
         assert capsys.readouterr().err.count("failed:") == 12
+
+    def test_empty_test_split_fails_before_any_fit(self, tmp_path, monkeypatch, capsys):
+        # each stratum of the 34 multi-day players keeps floor(n * 0.99 + 0.5)
+        # subjects for train, which is all of them
+        assert main(["generate", "--players", "40", "--seed", "2",
+                     "--out", str(tmp_path)]) == 0
+        started = []
+
+        def record(*args, **kwargs):
+            started.append(args)
+            return contextlib.nullcontext(())
+
+        monkeypatch.setattr(evaluation, "fit_model", record)
+        monkeypatch.setattr(evaluation, "queue_forests", record)
+        capsys.readouterr()
+        rc = main(["evaluate", "--data", str(tmp_path / "logs.csv"), "--trees", "3",
+                   "--seed", "1", "--train-frac", "0.99", "--threads", "2",
+                   "--out", str(tmp_path / "rep")])
+        assert rc == errors.EmptyInputError.exit_code == 2
+        assert "test split is empty" in capsys.readouterr().err
+        assert started == []
 
 
 class TestCurves:

@@ -15,11 +15,13 @@ from convsurv.errors import EmptyInputError, InvalidEventError, WrongEstimatorEr
 from convsurv.estimators import (
     _MAXLOG,
     _SQRT1_2,
+    RiskTable,
     _critical_value,
     aalen_johansen,
     all_cause_survival,
     cif_confidence_band,
     cif_values_from_counts,
+    event_counts,
     kaplan_meier,
     km_confidence_band,
     km_values_from_counts,
@@ -52,7 +54,9 @@ def every_estimate(d) -> dict:
 
 
 def fields(result) -> list:
-    """Every field of a step function or risk table, or of a pair of them."""
+    """Every array of a step function or risk table, or of a pair of them."""
+    if isinstance(result, RiskTable):
+        return [a for a in result if a is not None]
     if isinstance(result, tuple):
         return [a for part in result for a in fields(part)]
     return [np.asarray(getattr(result, f.name)) for f in dataclasses.fields(result)]
@@ -66,30 +70,64 @@ def three_mixed():
 class TestRiskTable:
     def test_hand_count(self):
         t = risk_table(three_mixed())
-        assert_allclose(t.event_times, [1, 3])
+        assert_allclose(t.times, [1, 3])
         assert_allclose(t.at_risk, [3, 1])
-        assert_allclose(t.events, [1, 1])
+        assert_allclose(t.d_conv, [1, 1])
+        assert_allclose(t.d_churn, [0, 0])
 
     def test_all_censored_no_event_times(self):
         t = risk_table(make_dataset([1, 2, 3], [CENS, CENS, CENS]))
-        assert t.event_times.size == 0
-        assert t.events.sum() == 0
+        assert t.times.size == 0
+        assert t.d_conv.sum() + t.d_churn.sum() == 0
 
     def test_tied_events(self):
         t = risk_table(make_dataset([2, 2, 2], [CONV, CONV, CONV]))
-        assert_allclose(t.event_times, [2])
+        assert_allclose(t.times, [2])
         assert_allclose(t.at_risk, [3])
-        assert_allclose(t.events, [3])
+        assert_allclose(t.d_conv, [3])
 
     def test_counts_are_exhaustive(self, rng):
         for _ in range(20):
             d = random_dataset(rng, int(rng.integers(1, 20)), competing=True)
             t = risk_table(d)
-            assert t.events.sum() + d.n_events(CENS) == len(d)
+            assert t.d_conv.sum() + t.d_churn.sum() + d.n_events(CENS) == len(d)
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyInputError):
             risk_table(make_dataset([], []))
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=st.lists(st.tuples(
+               st.sampled_from([1.0, 2.0, 2.5, 7.0]) | st.floats(0.01, 50.0),
+               st.sampled_from([CENS, CONV, CHURN])), min_size=1, max_size=30),
+           grid=st.lists(st.sampled_from([0.0, 1.0, 2.0, 2.5, 3.0, 7.0, 60.0])
+                         | st.floats(0.0, 60.0), max_size=8).map(sorted))
+    @example(records=[(3.0, CENS), (1.0, CENS)], grid=[0.0, 1.0, 2.0, 3.0, 60.0])
+    @example(records=[(2.0, CHURN)], grid=[1.0, 2.0, 3.0])
+    @example(records=[(2.0, CONV), (2.0, CHURN), (2.0, CENS), (2.0, CONV)], grid=[2.0])
+    def test_event_counts_match_brute_force(self, records, grid):
+        """Every field against per-time counts, with grid points before, on
+        and after the times, and the invariants every estimator relies on."""
+        times = np.array([t for t, _ in records])
+        status = np.array([int(s) for _, s in records], dtype=np.int8)
+        got = event_counts(times, status, np.array(grid, dtype=float))
+        knots = sorted({t for t, s in records if s != CENS})
+
+        def at_risk(point):
+            return sum(t >= point for t, _ in records)
+
+        def events(point, code):
+            return sum(t == point and s == code for t, s in records)
+
+        assert got._fields == ("times", "at_risk", "d_conv", "d_churn", "at_risk_grid")
+        assert got.times.tolist() == knots
+        assert got.at_risk.tolist() == [at_risk(u) for u in knots]
+        assert got.d_conv.tolist() == [events(u, CONV) for u in knots]
+        assert got.d_churn.tolist() == [events(u, CHURN) for u in knots]
+        assert got.at_risk_grid.tolist() == [at_risk(g) for g in grid]
+        assert event_counts(times, status).at_risk_grid is None
+        assert np.all(np.diff(got.at_risk) <= 0)
+        assert np.all(got.d_conv + got.d_churn <= got.at_risk)
 
 
 class TestKaplanMeier:
